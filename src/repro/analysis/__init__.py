@@ -7,12 +7,6 @@ under ``benchmarks/`` call straight into them.
 """
 
 from repro.analysis.geomean import geomean, speedup_summary
-from repro.analysis.journal import (
-    Journal,
-    cell_fingerprint,
-    record_from_dict,
-    record_to_dict,
-)
 from repro.analysis.orchestrator import (
     SweepCell,
     SweepResult,
@@ -31,10 +25,6 @@ from repro.analysis.tables import ascii_bars, format_table
 __all__ = [
     "geomean",
     "speedup_summary",
-    "Journal",
-    "cell_fingerprint",
-    "record_to_dict",
-    "record_from_dict",
     "SweepCell",
     "SweepResult",
     "matrix_cells",

@@ -11,9 +11,9 @@ shrinks or grows every workload's grid for quick runs.
 Every experiment that simulates enumerates its runs up front and collects
 them through :func:`_run_cells`, so the same experiment can execute
 serially in-process (the default) or through the subprocess sweep
-orchestrator (``jobs``/``sweep_dir``; see
+orchestrator (``jobs``/``directory``; see
 :mod:`repro.analysis.orchestrator`) with per-cell isolation, wall-clock
-deadlines, retries, and journal/resume.
+deadlines, retries, and resume from a result-store directory.
 """
 
 from __future__ import annotations
@@ -38,33 +38,29 @@ def default_config(**overrides) -> GPUConfig:
     return scaled_fermi(num_sms=2, **overrides)
 
 
-def _run_cells(runs, *, jobs=None, sweep_dir=None, resume=False,
-               wall_timeout=None, retries=1, store=None):
+def _run_cells(runs, *, jobs=None, directory=None):
     """Collect one experiment's simulation runs.
 
     ``runs`` maps an arbitrary hashable key to ``(bench, cfg, scale)``.
-    Serially (``jobs``/``sweep_dir``/``store`` unset) each run executes
-    in-process via :func:`run_benchmark`, raising on the first failure —
-    the historical strict behaviour.  With any of them set the whole set
-    goes through the subprocess orchestrator: isolated workers, wall-clock
-    deadlines, per-status retries, journal/resume, and — with ``store`` —
-    the global content-addressed result cache, so re-generating a paper
-    artifact re-reads previously simulated cells instead of re-running
-    them.  A cell that still fails terminally raises when the experiment
-    reads its ``.cycles``, so a half-broken sweep cannot silently produce
-    a table built on missing numbers.
+    Serially (``jobs``/``directory`` unset) each run executes in-process
+    via :func:`run_benchmark`, raising on the first failure — the
+    historical strict behaviour.  With either set the whole set goes
+    through the subprocess orchestrator: isolated workers, wall-clock
+    deadlines, per-status retries, and — with ``directory`` — the result
+    store, so re-generating a paper artifact into the same directory
+    re-reads previously simulated cells instead of re-running them.  A
+    cell that still fails terminally raises when the experiment reads its
+    ``.cycles``, so a half-broken sweep cannot silently produce a table
+    built on missing numbers.
     """
-    if jobs is None and sweep_dir is None and store is None:
+    if jobs is None and directory is None:
         return {key: run_benchmark(bench, cfg, scale)
                 for key, (bench, cfg, scale) in runs.items()}
     from repro.analysis.orchestrator import SweepCell, run_sweep
 
     cells = [SweepCell(bench.name, cfg, scale, key=key)
              for key, (bench, cfg, scale) in runs.items()]
-    result = run_sweep(cells, jobs=jobs or 1, wall_timeout=wall_timeout,
-                       retries=retries, journal_dir=sweep_dir, resume=resume,
-                       store=store)
-    return result.records
+    return run_sweep(cells, jobs=jobs or 1, directory=directory).records
 
 
 def _cycles_cell(record) -> str | int:
@@ -167,11 +163,11 @@ def e3_cta_residency(cfg: GPUConfig | None = None):
 # ---------------------------------------------------------------------------
 
 def e4_idle_cycles(cfg: GPUConfig | None = None, scale: float = 1.0,
-                   jobs: int | None = None, sweep_dir=None, store=None):
+                   jobs: int | None = None, directory=None):
     """Motivation figure: fraction of SM cycles with zero issue, by cause."""
     cfg = (cfg or default_config()).with_(arch=ArchMode.BASELINE)
     records = _run_cells({b.name: (b, cfg, scale) for b in all_benchmarks()},
-                         jobs=jobs, sweep_dir=sweep_dir, store=store)
+                         jobs=jobs, directory=directory)
     rows = []
     data = {}
     for bench in all_benchmarks():
@@ -201,7 +197,7 @@ def e4_idle_cycles(cfg: GPUConfig | None = None, scale: float = 1.0,
 
 def e5_speedup(cfg: GPUConfig | None = None, scale: float = 1.0,
                benches=None, keep_going: bool = True,
-               jobs: int | None = None, sweep_dir=None, store=None):
+               jobs: int | None = None, directory=None):
     """The headline figure: per-benchmark IPC normalized to baseline.
 
     With ``keep_going`` (default) a failing (bench, arch) cell renders as
@@ -209,12 +205,12 @@ def e5_speedup(cfg: GPUConfig | None = None, scale: float = 1.0,
     the rest of the table survives one broken run; ``keep_going=False``
     restores the historical first-failure-raises behaviour.  A cycles cell
     rendered as ``NNN*`` completed only after a retry.  ``jobs`` /
-    ``sweep_dir`` route the matrix through the subprocess orchestrator.
+    ``directory`` route the matrix through the subprocess orchestrator.
     """
     base_cfg = cfg or default_config()
     benches = list(benches) if benches is not None else all_benchmarks()
     records = run_matrix(benches, ARCHS, base_cfg, scale, keep_going=keep_going,
-                         parallel=jobs, journal_dir=sweep_dir, store=store)
+                         parallel=jobs, directory=directory)
     rows = []
     vt_speedups = {}
     ideal_speedups = {}
@@ -286,7 +282,7 @@ def e5_speedup(cfg: GPUConfig | None = None, scale: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def e6_tlp(cfg: GPUConfig | None = None, scale: float = 1.0,
-           jobs: int | None = None, sweep_dir=None, store=None):
+           jobs: int | None = None, directory=None):
     """How much thread-level parallelism VT exposes to the SM."""
     base_cfg = cfg or default_config()
     runs = {}
@@ -295,7 +291,7 @@ def e6_tlp(cfg: GPUConfig | None = None, scale: float = 1.0,
             bench, base_cfg.with_(arch=ArchMode.BASELINE), scale)
         runs[(bench.name, ArchMode.VT)] = (
             bench, base_cfg.with_(arch=ArchMode.VT), scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     rows = []
     data = {}
     for bench in all_benchmarks():
@@ -332,7 +328,7 @@ SWAP_LATENCY_POINTS = ((0, 0), (2, 1), (8, 4), (32, 16), (128, 64))
 
 def e7_swap_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
                     points=SWAP_LATENCY_POINTS, subset=SWEEP_SUBSET,
-                    jobs: int | None = None, sweep_dir=None, store=None):
+                    jobs: int | None = None, directory=None):
     """VT speedup as the swap save/restore cost scales.
 
     The paper's claim: because only scheduling state moves, swaps cost a
@@ -351,7 +347,7 @@ def e7_swap_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
         )
         for b in benches:
             runs[((base_cost, per_warp), b.name)] = (b, vt_cfg, scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     baselines = {b.name: records[("base", b.name)].cycles for b in benches}
     rows = []
     data = {}
@@ -378,7 +374,7 @@ def e7_swap_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
 
 def e8_vcta_degree(cfg: GPUConfig | None = None, scale: float = 1.0,
                    multipliers=(1.0, 1.5, 2.0, 3.0, 4.0), subset=SWEEP_SUBSET,
-                   jobs: int | None = None, sweep_dir=None, store=None):
+                   jobs: int | None = None, directory=None):
     """VT speedup as the resident-CTA provisioning grows (1x = no virtual
     CTAs, so VT must degenerate to baseline behaviour)."""
     base_cfg = cfg or default_config()
@@ -389,7 +385,7 @@ def e8_vcta_degree(cfg: GPUConfig | None = None, scale: float = 1.0,
         vt_cfg = base_cfg.with_(arch=ArchMode.VT, vt_max_resident_multiplier=mult)
         for b in benches:
             runs[(mult, b.name)] = (b, vt_cfg, scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     baselines = {b.name: records[("base", b.name)].cycles for b in benches}
     rows = []
     data = {}
@@ -415,7 +411,7 @@ def e8_vcta_degree(cfg: GPUConfig | None = None, scale: float = 1.0,
 
 def e9_schedulers(cfg: GPUConfig | None = None, scale: float = 1.0,
                   schedulers=("lrr", "gto", "two-level"), subset=SWEEP_SUBSET,
-                  jobs: int | None = None, sweep_dir=None, store=None):
+                  jobs: int | None = None, directory=None):
     """VT's gain under different warp-scheduling policies."""
     base_cfg = cfg or default_config()
     benches = [get(name) for name in subset]
@@ -426,7 +422,7 @@ def e9_schedulers(cfg: GPUConfig | None = None, scale: float = 1.0,
             for arch in (ArchMode.BASELINE, ArchMode.VT):
                 runs[(policy, bench.name, arch)] = (
                     bench, pol_cfg.with_(arch=arch), scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     rows = []
     data = {}
     for policy in schedulers:
@@ -452,7 +448,7 @@ def e9_schedulers(cfg: GPUConfig | None = None, scale: float = 1.0,
 
 def e10_mem_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
                     latencies=(200, 400, 600, 800), subset=SWEEP_SUBSET,
-                    jobs: int | None = None, sweep_dir=None, store=None):
+                    jobs: int | None = None, directory=None):
     """VT's gain should grow with memory latency (more to hide)."""
     base_cfg = cfg or default_config()
     benches = [get(name) for name in subset]
@@ -463,7 +459,7 @@ def e10_mem_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
             for arch in (ArchMode.BASELINE, ArchMode.VT):
                 runs[(latency, bench.name, arch)] = (
                     bench, lat_cfg.with_(arch=arch), scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     rows = []
     data = {}
     for latency in latencies:
@@ -523,7 +519,7 @@ def e11_overhead(cfg: GPUConfig | None = None, liveness: bool = False):
 # ---------------------------------------------------------------------------
 
 def e12_ablation(cfg: GPUConfig | None = None, scale: float = 1.0, subset=SWEEP_SUBSET,
-                 jobs: int | None = None, sweep_dir=None, store=None):
+                 jobs: int | None = None, directory=None):
     """Design-choice ablation for the swap trigger and victim selection."""
     base_cfg = cfg or default_config()
     benches = [get(name) for name in subset]
@@ -543,7 +539,7 @@ def e12_ablation(cfg: GPUConfig | None = None, scale: float = 1.0, subset=SWEEP_
         vt_cfg = base_cfg.with_(arch=ArchMode.VT, **overrides)
         for b in benches:
             runs[(label, b.name)] = (b, vt_cfg, scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     baselines = {b.name: records[("base", b.name)].cycles for b in benches}
     rows = []
     data = {}
@@ -570,7 +566,7 @@ def e12_ablation(cfg: GPUConfig | None = None, scale: float = 1.0, subset=SWEEP_
 # ---------------------------------------------------------------------------
 
 def x1_contention(cfg: GPUConfig | None = None, scale: float = 1.0, bench_name: str = "spmv",
-                  jobs: int | None = None, sweep_dir=None, store=None):
+                  jobs: int | None = None, directory=None):
     """Diagnose the one VT regression in E5 and evaluate a mitigation.
 
     spmv loses under VT because rotating the active set through more CTAs
@@ -593,7 +589,7 @@ def x1_contention(cfg: GPUConfig | None = None, scale: float = 1.0, bench_name: 
     ]
     records = _run_cells({label: (bench, variant_cfg, scale)
                           for label, variant_cfg in variants},
-                         jobs=jobs, sweep_dir=sweep_dir, store=store)
+                         jobs=jobs, directory=directory)
     rows = []
     data = {}
     base_cycles = None
@@ -623,7 +619,7 @@ def x1_contention(cfg: GPUConfig | None = None, scale: float = 1.0, bench_name: 
 # ---------------------------------------------------------------------------
 
 def x2_kepler(cfg: GPUConfig | None = None, scale: float = 2.0, subset=SWEEP_SUBSET,
-              jobs: int | None = None, sweep_dir=None, store=None):
+              jobs: int | None = None, directory=None):
     """VT gain on a Kepler-class SM (64 warps / 16 CTAs / 2x register file).
 
     Kepler relaxes Fermi's scheduling limits but also doubles capacity, so
@@ -641,7 +637,7 @@ def x2_kepler(cfg: GPUConfig | None = None, scale: float = 2.0, subset=SWEEP_SUB
     for bench in benches:
         for arch in (ArchMode.BASELINE, ArchMode.VT):
             runs[(bench.name, arch)] = (bench, kepler.with_(arch=arch), scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     from repro.core.occupancy import limiter_summary
 
     rows = []
@@ -674,7 +670,7 @@ def x2_kepler(cfg: GPUConfig | None = None, scale: float = 2.0, subset=SWEEP_SUB
 
 def x3_full_chip(cfg: GPUConfig | None = None, scale: float = 1.0,
                  subset=("stride", "streamcluster", "kmeans"),
-                 jobs: int | None = None, sweep_dir=None, store=None):
+                 jobs: int | None = None, directory=None):
     """VT speedups on the full 15-SM chip vs the scaled 2-SM default.
 
     The harness runs everything on a scaled-down chip for tractability;
@@ -695,7 +691,7 @@ def x3_full_chip(cfg: GPUConfig | None = None, scale: float = 1.0,
             for arch in (ArchMode.BASELINE, ArchMode.VT):
                 runs[(name, label, arch)] = (
                     bench, chip_cfg.with_(arch=arch), chip_scale)
-    records = _run_cells(runs, jobs=jobs, sweep_dir=sweep_dir, store=store)
+    records = _run_cells(runs, jobs=jobs, directory=directory)
     rows = []
     data = {}
     for name in subset:
@@ -722,7 +718,7 @@ def x3_full_chip(cfg: GPUConfig | None = None, scale: float = 1.0,
 
 def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
                         keep_going: bool = True, jobs: int | None = None,
-                        sweep_dir=None, store=None):
+                        directory=None):
     """Predicted vs measured limiter / idle class / VT tier, all kernels.
 
     The model-vs-measurement discipline behind ``repro predict --check``:
@@ -746,7 +742,7 @@ def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
         for p in predict_kernel(bench.kernel, cfg, archs=archs, layout=layout):
             preds[(bench.name, p.arch)] = p
     records = run_matrix(benches, archs, cfg, scale, keep_going=keep_going,
-                         parallel=jobs, journal_dir=sweep_dir, store=store)
+                         parallel=jobs, directory=directory)
 
     rows = []
     cells = {}
@@ -902,8 +898,7 @@ def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
 # ---------------------------------------------------------------------------
 
 def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
-                  jobs: int | None = None, sweep_dir=None, fuzz_dir=None,
-                  store=None):
+                  jobs: int | None = None, directory=None, fuzz_dir=None):
     """Quick health sweep: every benchmark under every architecture with
     the per-cycle invariant sanitizer enabled, crash-tolerantly.
 
@@ -919,7 +914,7 @@ def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
     stale-fingerprint discipline ``repro fuzz --replay`` enforces —
     in ``data['reproducers']``.
 
-    With ``store`` (a result-store root or handle) the store is audited
+    With ``directory`` (a result-store root or handle) the store is audited
     *before* the sweep — every entry's checksum re-verified, corrupt
     entries quarantined, orphaned temp files from crashed writers
     collected — and the smoke sweep then reads/writes through it.  The
@@ -927,12 +922,12 @@ def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
     that lost entries to quarantine in this audit makes the doctor exit
     unhealthy (see ``StoreReport.healthy``).
     """
-    store_report = None
-    if store is not None:
+    store = store_report = None
+    if directory is not None:
         from repro.store.cas import ResultStore
 
-        if not isinstance(store, ResultStore):
-            store = ResultStore(store)
+        store = (directory if isinstance(directory, ResultStore)
+                 else ResultStore(directory))
         store_report = store.verify()
     cfg = scaled_fermi(num_sms=sms, sanitize=True)
     if benches is None:
@@ -940,7 +935,7 @@ def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
     else:
         benches = [get(name) if isinstance(name, str) else name for name in benches]
     records = run_matrix(benches, archs, cfg, scale, keep_going=True,
-                         parallel=jobs, journal_dir=sweep_dir, store=store)
+                         parallel=jobs, directory=store)
     rows = []
     failures = []
     for bench in benches:
@@ -1009,19 +1004,18 @@ def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
 
 def sweep_report(benches=None, archs=ARCHS, scale: float = 1.0, sms: int = 2,
                  *, jobs: int = 2, wall_timeout: float | None = None,
-                 retries: int = 1, sweep_dir=None, resume: bool = False,
+                 retries: int = 1, directory=None,
                  max_cycles: int | None = None, sanitize: bool = False,
                  fast_forward: bool = True, engine: str = "serial",
-                 sim_jobs: int = 1, progress=None, store=None):
+                 sim_jobs: int = 1, progress=None):
     """The (benchmark x arch) matrix through the subprocess orchestrator.
 
     Returns ``(report, result)`` where ``result`` is the
     :class:`~repro.analysis.orchestrator.SweepResult` — the report is the
     final ok/retried/failed summary table with dump paths.  With
-    ``sweep_dir`` the journal makes the sweep resumable after any crash
-    (``resume=True`` skips journaled cells); with ``store`` completed
-    cells are read from / written to the global content-addressed result
-    store, so identical cells across *different* sweeps never re-simulate.
+    ``directory`` (a result-store root) every finished cell is persisted
+    there, so re-running into the same directory after any crash runs
+    only the missing cells.
     """
     from repro.analysis.orchestrator import matrix_cells, run_sweep
 
@@ -1034,8 +1028,8 @@ def sweep_report(benches=None, archs=ARCHS, scale: float = 1.0, sms: int = 2,
         benches = [get(name) if isinstance(name, str) else name for name in benches]
     cells = matrix_cells(benches, archs, cfg, scale, max_cycles=max_cycles)
     result = run_sweep(cells, jobs=jobs, wall_timeout=wall_timeout,
-                       retries=retries, journal_dir=sweep_dir, resume=resume,
-                       progress=progress, store=store)
+                       retries=retries, directory=directory,
+                       progress=progress)
     return result.summary_table(), result
 
 

@@ -12,10 +12,10 @@ interpreter, nothing shared), so:
   outright when it expires, complementing the in-simulation cycle budget
   and progress watchdog (which cannot fire if the interpreter itself is
   wedged or thrashing);
-* completed cells stream into an append-only JSONL journal
-  (:mod:`repro.analysis.journal`), keyed by a deterministic fingerprint,
-  so ``repro sweep --resume`` re-runs only what is missing after a crash
-  or interrupt.
+* every finished cell is committed to the sweep directory, which is a
+  :class:`~repro.store.cas.ResultStore` root keyed by a deterministic
+  fingerprint, so re-running into the same directory after a crash or
+  interrupt runs only what is missing.
 
 Failure handling is a per-status retry policy (:data:`RETRY_POLICY`) with
 exponential backoff + jitter:
@@ -36,31 +36,25 @@ for the remaining cells rather than aborting the sweep.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import random
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.journal import (
-    Journal,
-    JournalEntry,
+from repro.analysis.runner import run_benchmark_safe
+from repro.analysis.tables import format_table
+from repro.records import (
+    RunRecord,
     cell_fingerprint,
     config_from_dict,
     config_to_dict,
     record_from_dict,
     record_to_dict,
 )
-from repro.analysis.runner import RunRecord, run_benchmark_safe
-from repro.analysis.tables import format_table
 from repro.sim.config import GPUConfig
-
-# NOTE: repro.store.cas imports this package's journal module, so pulling
-# it in at module scope would be a circular import when the store package
-# loads first; run_sweep/to_summary import it lazily instead.
-
-#: Statuses the orchestrator adds on top of ``runner.STATUSES``.
-ORCHESTRATOR_STATUSES = ("wall-timeout", "worker-died")
+from repro.store.cas import ResultStore, build_artifact, stats_digest
 
 #: status -> retryable?  (See module docstring for the rationale.)
 RETRY_POLICY = {
@@ -117,7 +111,14 @@ class SweepCell:
 
     @property
     def fingerprint(self) -> str:
-        return cell_fingerprint(self.benchmark, self.cfg, self.scale,
+        # A fault-injected run is a different experiment from the clean
+        # one: fold the plan into the identity so the two never share a
+        # stored entry.
+        name = self.benchmark
+        if self.faults is not None:
+            name += "+faults=" + json.dumps(self.faults, sort_keys=True,
+                                            default=repr)
+        return cell_fingerprint(name, self.cfg, self.scale,
                                 self.workload_seed)
 
 
@@ -127,15 +128,13 @@ class SweepResult:
 
     records: dict[tuple, RunRecord] = field(default_factory=dict)
     attempts: dict[tuple, int] = field(default_factory=dict)
-    resumed: list[tuple] = field(default_factory=list)  # keys skipped via journal
-    cached: list[tuple] = field(default_factory=list)  # keys served by the store
+    #: keys read back from the directory (ok entries and terminal failures)
+    cached: list[tuple] = field(default_factory=list)
     fingerprints: dict[tuple, str] = field(default_factory=dict)
     dump_paths: dict[tuple, str] = field(default_factory=dict)
-    journal_path: str | None = None
-    store_stats: dict | None = None  # ResultStore counters, when attached
-    quarantined_lines: int = 0
+    directory: str | None = None
+    store_stats: dict | None = None  # ResultStore counters, with a directory
     degraded_to_serial: bool = False
-    final_pool_size: int = 0
 
     @property
     def ok(self) -> bool:
@@ -150,7 +149,6 @@ class SweepResult:
             "ok": ok,
             "failed": len(self.records) - ok,
             "retried": retried,
-            "resumed": len(self.resumed),
             "cached": len(self.cached),
         }
 
@@ -167,16 +165,14 @@ class SweepResult:
             marker = "*" if (attempts > 1 or record.retried) else ""
             cell = (f"ok{marker} ({record.cycles} cyc)" if record.ok
                     else record.failure)
-            note = ("cached" if key in self.cached
-                    else "resumed" if key in self.resumed else "")
+            note = "cached" if key in self.cached else ""
             rows.append(("/".join(str(part) for part in key), cell,
                          attempts, self.dump_paths.get(key, "") or note))
         counts = self.counts()
         table = format_table(
             ("cell", "result", "attempts", "dump / note"), rows,
             title=f"sweep summary - {counts['ok']}/{counts['total']} ok "
-                  f"({counts['retried']} retried, {counts['resumed']} resumed, "
-                  f"{counts['cached']} cached)",
+                  f"({counts['retried']} retried, {counts['cached']} cached)",
         )
         notes = []
         if any(self.attempts.get(k, 1) > 1 or r.retried
@@ -185,27 +181,25 @@ class SweepResult:
         if self.degraded_to_serial:
             notes.append("pool degraded to the in-process serial path "
                          "after repeated worker deaths")
-        if self.quarantined_lines:
-            notes.append(f"{self.quarantined_lines} corrupted journal line(s) "
-                         f"quarantined at resume")
+        if self.store_stats and self.store_stats["corrupt"]:
+            notes.append(f"corrupt entries quarantined and recomputed: "
+                         f"{self.store_stats['corrupt']}")
         if self.cached:
-            notes.append(f"{len(self.cached)} cell(s) served from the result "
-                         f"store without re-simulating")
-        if self.journal_path:
-            notes.append(f"journal: {self.journal_path}")
+            notes.append(f"{len(self.cached)} cell(s) read back from the "
+                         f"directory without re-simulating")
+        if self.directory:
+            notes.append(f"directory: {self.directory}")
         return table + ("\n" + "\n".join(notes) if notes else "")
 
     def to_summary(self) -> dict:
         """Machine-readable sweep summary (``repro sweep --format json``).
 
         Mirrors the lint/predict JSON discipline: external callers (the CI
-        serve smoke job in particular) assert on structured results instead
-        of scraping the summary table.  Per-cell ``stats_sha256`` is the
-        byte-identity witness; the full stats dict rides along so byte
-        comparisons need no second run.
+        kill + resume smoke step in particular) assert on structured
+        results instead of scraping the summary table.  Per-cell
+        ``stats_sha256`` is the byte-identity witness; the full stats dict
+        rides along so byte comparisons need no second run.
         """
-        from repro.store.cas import stats_digest
-
         cells = []
         for key in sorted(self.records, key=str):
             record = self.records[key]
@@ -219,7 +213,6 @@ class SweepResult:
                 "ok": record.ok,
                 "attempts": self.attempts.get(key, 1),
                 "retried": record.retried,
-                "resumed": key in self.resumed,
                 "cached": key in self.cached,
                 "cycles": record.stats.cycles if record.ok else None,
                 "error": record.error,
@@ -228,12 +221,11 @@ class SweepResult:
                 "stats": stats,
             })
         return {
-            "v": 1,
+            "v": 2,
             "ok": self.ok,
             "counts": self.counts(),
-            "journal": self.journal_path,
+            "directory": self.directory,
             "store": self.store_stats,
-            "quarantined_lines": self.quarantined_lines,
             "degraded_to_serial": self.degraded_to_serial,
             "cells": cells,
         }
@@ -365,31 +357,33 @@ def _failed_record(cell: SweepCell, status: str, message: str) -> RunRecord:
 
 
 def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
-              retries: int = 1, journal_dir=None, resume: bool = False,
-              store=None, backoff_base: float = 0.5, backoff_cap: float = 30.0,
-              seed: int = 0, progress=None) -> SweepResult:
+              retries: int = 1, directory=None, backoff_base: float = 0.5,
+              backoff_cap: float = 30.0, seed: int = 0,
+              progress=None) -> SweepResult:
     """Run every cell, each in its own worker subprocess; never raises for
     a cell-level failure.
 
     ``jobs`` is the worker-pool width (``0`` forces the in-process serial
-    path — no isolation, but also no spawn overhead; still journaled and
+    path — no isolation, but also no spawn overhead; still persisted and
     resumable).  ``wall_timeout`` is the per-cell wall-clock budget in
     seconds (``None`` = unbounded: only the cycle budget and watchdog
     bound the cell).  ``retries`` caps *extra* attempts per cell under
-    :data:`RETRY_POLICY`.  With ``journal_dir`` every completed cell is
-    journaled; adding ``resume`` skips cells already present (matched by
-    fingerprint) and quarantines corrupted lines.
+    :data:`RETRY_POLICY`.
 
-    ``store`` (a :class:`~repro.store.cas.ResultStore` or its root path)
-    attaches the global content-addressed cache: cells whose fingerprint
-    has a verified entry are served from it without simulating (tracked in
-    ``SweepResult.cached``), every freshly computed ``ok`` cell is
-    committed back crash-safely, and each computed cell emits an
-    ``artifacts/<fp>.json`` audit record.  The per-sweep journal and the
-    global store compose — journal resume stays sweep-local.
+    ``directory`` (a :class:`~repro.store.cas.ResultStore` or its root
+    path) persists the sweep.  Each cell is then one of: an ``objects/``
+    hit (a verified ``ok`` entry, served without simulating), a
+    ``failures/`` hit (a terminal failure recorded by an earlier run into
+    this directory, not re-run), or it runs.  Both kinds of hit are
+    listed in ``SweepResult.cached``.  Every computed cell is committed
+    crash-safely as it finishes — ``ok`` cells to ``objects/`` with an
+    ``artifacts/<fp>.json`` audit record, terminal failures to
+    ``failures/`` with their forensic dump in ``dumps/<fp>.txt`` — so a
+    sweep killed at any point resumes by re-running into the same
+    directory.
 
-    Duplicate fingerprints in ``cells`` are an error: the journal could
-    not tell their results apart.
+    Duplicate fingerprints in ``cells`` are an error: the store could not
+    tell their results apart.
     """
     cells = list(cells)
     by_print: dict[str, SweepCell] = {}
@@ -400,79 +394,57 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
                 f"duplicate sweep cell: {cell.key} and {other.key} have the "
                 f"same fingerprint (same benchmark, config, scale, and seed)")
 
-    journal = Journal.open(journal_dir, resume=resume) if journal_dir else None
-    if store is not None:
-        from repro.store.cas import ResultStore
-
-        if not isinstance(store, ResultStore):
-            store = ResultStore(store)
+    store = directory
+    if store is not None and not isinstance(store, ResultStore):
+        store = ResultStore(store)
     rng = random.Random(seed)
-    result = SweepResult(journal_path=str(journal.path) if journal else None,
-                         quarantined_lines=journal.quarantined if journal else 0)
+    result = SweepResult(directory=str(store.root) if store is not None else None)
 
     def note(message: str) -> None:
         if progress:
             progress(message)
 
-    # -- resume: skip cells already journaled (sweep-local) or with a
-    # verified entry in the global result store ---------------------------
+    # -- resume: read back every cell this directory already holds --------
     todo: list[_Job] = []
     for cell in cells:
         result.fingerprints[cell.key] = cell.fingerprint
-        entry = journal.lookup(cell.fingerprint) if journal else None
-        if entry is not None:
-            result.records[cell.key] = entry.record
-            result.attempts[cell.key] = entry.attempts
-            result.resumed.append(cell.key)
-            if entry.dump_path:
-                result.dump_paths[cell.key] = entry.dump_path
+        entry = None
+        if store is not None:
+            entry = (store.get(cell.fingerprint)
+                     or store.get_failure(cell.fingerprint))
+        if entry is None:
+            todo.append(_Job(cell=cell, max_cycles=cell.max_cycles,
+                             wall_budget=wall_timeout))
             continue
-        cached = store.get(cell.fingerprint) if store is not None else None
-        if cached is not None:
-            result.records[cell.key] = cached.record
-            result.attempts[cell.key] = cached.attempts
-            result.cached.append(cell.key)
-            if journal:  # make the sweep dir self-contained for resume
-                journal.append(JournalEntry(
-                    fingerprint=cell.fingerprint, record=cached.record,
-                    attempts=cached.attempts, elapsed_s=cached.elapsed_s,
-                    scale=cell.scale, seed=cell.workload_seed))
-            continue
-        todo.append(_Job(cell=cell, max_cycles=cell.max_cycles,
-                         wall_budget=wall_timeout))
-    if result.resumed or result.cached:
-        note(f"resume: {len(result.resumed)}/{len(cells)} cells already "
-             f"journaled, {len(result.cached)} served from the store, "
-             f"{len(todo)} to run")
+        result.records[cell.key] = entry.record
+        result.attempts[cell.key] = entry.attempts
+        result.cached.append(cell.key)
+        if store.dump_path(cell.fingerprint).is_file():
+            result.dump_paths[cell.key] = str(store.dump_path(cell.fingerprint))
+    if result.cached:
+        note(f"resume: {len(result.cached)}/{len(cells)} cells read back "
+             f"from {store.root}, {len(todo)} to run")
 
     def finalize(job: _Job, record: RunRecord) -> None:
-        key = job.cell.key
-        result.records[key] = record
-        result.attempts[key] = job.attempt
-        dump_path = None
-        if journal:
-            dump_path = journal.write_dump(job.cell.fingerprint, record.dump)
-            journal.append(JournalEntry(
-                fingerprint=job.cell.fingerprint, record=record,
-                attempts=job.attempt, elapsed_s=job.elapsed,
-                scale=job.cell.scale, seed=job.cell.workload_seed,
-                dump_path=dump_path))
-        if dump_path:
-            result.dump_paths[key] = dump_path
-        if store is not None and record.ok:
-            from repro.store.cas import build_artifact
-
-            finished = time.time()
-            path = store.put(
-                job.cell.fingerprint, record, scale=job.cell.scale,
-                seed=job.cell.workload_seed, attempts=job.attempt,
-                elapsed_s=job.elapsed)
-            store.write_artifact(job.cell.fingerprint, build_artifact(
-                job.cell.fingerprint, record, scale=job.cell.scale,
-                seed=job.cell.workload_seed, attempts=job.attempt,
-                elapsed_s=job.elapsed, source="computed",
-                started_at=finished - job.elapsed, finished_at=finished,
-                store_path=str(path) if path else None))
+        cell = job.cell
+        result.records[cell.key] = record
+        result.attempts[cell.key] = job.attempt
+        if store is None:
+            return
+        meta = dict(scale=cell.scale, seed=cell.workload_seed,
+                    attempts=job.attempt, elapsed_s=job.elapsed)
+        if not record.ok:
+            dump_path = store.write_dump(cell.fingerprint, record.dump)
+            if dump_path:
+                result.dump_paths[cell.key] = dump_path
+            store.put_failure(cell.fingerprint, record, **meta)
+            return
+        finished = time.time()
+        path = store.put(cell.fingerprint, record, **meta)
+        store.write_artifact(cell.fingerprint, build_artifact(
+            cell.fingerprint, record, **meta,
+            started_at=finished - job.elapsed, finished_at=finished,
+            store_path=str(path)))
 
     def run_serial(job: _Job) -> None:
         """The degraded / ``jobs=0`` path: in-process, no isolation."""
@@ -500,13 +472,10 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
             job.attempt += 1
         finalize(job, record)
 
-    if jobs <= 0:
+    if jobs <= 0:  # everything in-process; nothing is left for the pool
         for job in todo:
             run_serial(job)
-        result.final_pool_size = 0
-        if store is not None:
-            result.store_stats = store.stats.to_dict()
-        return result
+        todo = []
 
     # -- the process pool -------------------------------------------------
     ctx = multiprocessing.get_context("spawn")
@@ -614,15 +583,14 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
             if pending or active:
                 time.sleep(0.02)
     except KeyboardInterrupt:
-        # Leave a clean journal behind: everything finalized so far is
-        # durable; in-flight workers are killed, their cells untouched —
-        # exactly what --resume needs.
+        # Everything finalized so far is durable; in-flight workers are
+        # killed, their cells untouched — exactly what a re-run into the
+        # same directory needs.
         for job in active:
             job.kill()
-        note("interrupted: journal is resumable with --resume")
+        note("interrupted: re-run into the same directory to resume")
         raise
 
-    result.final_pool_size = pool_size
     if store is not None:
         result.store_stats = store.stats.to_dict()
     return result

@@ -31,7 +31,7 @@ _BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
                 "sim/memory.py")),
     ("functional_exec", ("sim/exec.py",)),
     ("sanitizer", ("sim/sanitizer.py",)),
-    ("vt", ("vt/", "core/policies.py")),
+    ("vt", ("core/vt.py", "core/policies.py")),
     ("parallel_engine", ("sim/parallel.py",)),
     ("gpu_loop", ("sim/gpu.py",)),
 )

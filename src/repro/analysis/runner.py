@@ -20,13 +20,12 @@ Two failure disciplines coexist:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.kernels.base import Benchmark, CheckFailure
+from repro.records import RunRecord
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPU, ProgressDeadlock, SimulationTimeout
 from repro.sim.sanitizer import InvariantViolation
-from repro.sim.stats import SimStats
 
 #: RunRecord.status values, roughly ordered by how alarming they are.
 #: ``wall-timeout`` / ``worker-died`` are produced only by the subprocess
@@ -36,43 +35,6 @@ from repro.sim.stats import SimStats
 #: (:mod:`repro.fuzz.campaign`): the differential harness disagreed.
 STATUSES = ("ok", "timeout", "deadlock", "violation", "check-failed", "error",
             "wall-timeout", "worker-died", "divergence")
-
-
-@dataclass
-class RunRecord:
-    """Result of one (benchmark, config) simulation — successful or not."""
-
-    benchmark: str
-    arch: str
-    stats: SimStats | None
-    config: GPUConfig
-    status: str = "ok"
-    error: str | None = None
-    dump: str | None = None  # deadlock forensics, when the run hung
-    retried: bool = False  # True when a retry with a raised budget ran
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def cycles(self) -> int:
-        if self.stats is None:
-            raise RuntimeError(
-                f"{self.benchmark}/{self.arch} failed ({self.status}): {self.error}")
-        return self.stats.cycles
-
-    @property
-    def ipc(self) -> float:
-        if self.stats is None:
-            raise RuntimeError(
-                f"{self.benchmark}/{self.arch} failed ({self.status}): {self.error}")
-        return self.stats.ipc
-
-    @property
-    def failure(self) -> str:
-        """Compact ``FAILED(<reason>)`` cell for partial report tables."""
-        return f"FAILED({self.status})"
 
 
 def run_benchmark(bench: Benchmark, cfg: GPUConfig, scale: float = 1.0,
@@ -167,8 +129,7 @@ def run_matrix(benches, archs, base_cfg: GPUConfig, scale: float = 1.0,
                retry_timeouts: bool = True,
                run_timeout_cycles: int | None = None,
                parallel: int | None = None,
-               journal_dir=None, resume: bool = False,
-               store=None,
+               directory=None,
                wall_timeout: float | None = None,
                retries: int = 1) -> dict[tuple[str, str], RunRecord]:
     """Run every (benchmark, arch) pair; returns {(bench, arch): record}.
@@ -179,25 +140,23 @@ def run_matrix(benches, archs, base_cfg: GPUConfig, scale: float = 1.0,
     raises, matching the historical strict behaviour.
     ``run_timeout_cycles`` bounds each individual run's cycle budget.
 
-    ``parallel`` / ``journal_dir`` / ``store`` switch the sweep onto the
-    subprocess orchestrator (:func:`repro.analysis.orchestrator.run_sweep`):
+    ``parallel`` / ``directory`` switch the sweep onto the subprocess
+    orchestrator (:func:`repro.analysis.orchestrator.run_sweep`):
     ``parallel`` workers each run one cell in an isolated process under a
-    ``wall_timeout``-second deadline, with ``journal_dir`` completed
-    cells are checkpointed so ``resume=True`` skips them after a crash,
-    and with ``store`` (a result-store root or handle) every cell reads
-    through the global content-addressed cache and writes back on
-    completion.  The orchestrator is inherently keep-going; benchmarks
-    must come from the registry (workers re-resolve them by name).
+    ``wall_timeout``-second deadline, and ``directory`` (a result-store
+    root or handle) persists every finished cell, so re-running into the
+    same directory reads completed cells back instead of simulating them.
+    The orchestrator is inherently keep-going; benchmarks must come from
+    the registry (workers re-resolve them by name).
     """
-    if parallel is not None or journal_dir is not None or store is not None:
+    if parallel is not None or directory is not None:
         from repro.analysis.orchestrator import matrix_cells, run_sweep
 
         cells = matrix_cells(benches, archs, base_cfg, scale, check,
                              max_cycles=run_timeout_cycles)
         result = run_sweep(cells, jobs=1 if parallel is None else parallel,
                            wall_timeout=wall_timeout, retries=retries,
-                           journal_dir=journal_dir, resume=resume,
-                           store=store)
+                           directory=directory)
         return result.records
 
     records: dict[tuple[str, str], RunRecord] = {}

@@ -7,13 +7,10 @@ Commands:
 * ``compare BENCH`` — baseline vs VT vs ideal-sched side by side.
 * ``experiment ID`` — regenerate a paper artifact (E1..E12, X1..X3).
 * ``sweep`` — the (benchmark x arch) matrix through the process-isolated
-  orchestrator: parallel workers, wall-clock kill, retries, and a
-  journal that makes the sweep resumable (``--resume DIR``); ``--store``
-  adds the cross-sweep content-addressed result cache and ``--format
-  json`` a machine-readable summary.
-* ``serve`` — HTTP job service over the result store: submit/poll/stream
-  simulation jobs with request dedupe, bounded-queue backpressure (429),
-  and crash-safe caching.
+  orchestrator: parallel workers, wall-clock kill, and retries.  ``--dir``
+  is a result-store directory: every finished cell is committed there,
+  and re-running into the same directory resumes (only missing cells
+  run); ``--format json`` prints a machine-readable summary.
 * ``doctor`` — sanitizer-on smoke sweep over the whole suite; ``--store``
   audits a result store (verify checksums, quarantine, GC) first.
 * ``occupancy BENCH`` — the occupancy calculator's view of a kernel.
@@ -165,10 +162,10 @@ def cmd_experiment(args) -> int:
     # process-isolated sweep orchestrator (static tables have no runs).
     if "jobs" in params and args.jobs is not None:
         kwargs["jobs"] = args.jobs
-    # --store reads/writes the experiment's cells through the global
-    # content-addressed result store (repeat runs stop re-simulating).
-    if "store" in params and args.store is not None:
-        kwargs["store"] = args.store
+    # --dir reads/writes the experiment's cells through the result store
+    # at DIR (repeat runs into it stop re-simulating).
+    if "directory" in params and args.dir is not None:
+        kwargs["directory"] = args.dir
     if "liveness" in params and args.liveness:
         kwargs["liveness"] = True
     report, _data = fn(**kwargs)
@@ -181,16 +178,11 @@ def cmd_sweep(args) -> int:
 
     from repro.analysis.experiments import sweep_report
 
-    if args.resume and args.dir and args.resume != args.dir:
-        print("error: pass either --dir or --resume, not both", file=sys.stderr)
-        return 2
-    sweep_dir = args.resume or args.dir
-    if sweep_dir is None:
-        sweep_dir = tempfile.mkdtemp(prefix="repro-sweep-")
+    sweep_dir = args.dir or tempfile.mkdtemp(prefix="repro-sweep-")
     # In JSON mode stdout carries only the summary document.
     info = sys.stderr if args.format == "json" else sys.stdout
     print(f"sweep directory: {sweep_dir} "
-          f"(resume an interrupted sweep with: repro sweep --resume {sweep_dir} …)",
+          f"(resume an interrupted sweep by re-running with --dir {sweep_dir})",
           file=info)
     try:
         report, result = sweep_report(
@@ -198,16 +190,15 @@ def cmd_sweep(args) -> int:
             scale=args.scale, sms=args.sms,
             jobs=0 if args.serial else args.jobs,
             wall_timeout=args.wall_timeout, retries=args.retries,
-            sweep_dir=sweep_dir, resume=args.resume is not None,
+            directory=sweep_dir,
             max_cycles=args.max_cycles, sanitize=args.sanitize,
             fast_forward=not args.no_fast_forward,
             engine=args.engine, sim_jobs=args.sim_jobs,
             progress=lambda message: print(f"  {message}", file=sys.stderr),
-            store=args.store,
         )
     except KeyboardInterrupt:
-        print(f"\ninterrupted; completed cells are journaled — resume with:\n"
-              f"  repro sweep --resume {sweep_dir} …", file=sys.stderr)
+        print(f"\ninterrupted; completed cells are stored — resume by "
+              f"re-running with --dir {sweep_dir}", file=sys.stderr)
         return 130
     if args.format == "json":
         print(json.dumps(result.to_summary(), indent=2))
@@ -219,7 +210,7 @@ def cmd_sweep(args) -> int:
 def cmd_doctor(args) -> int:
     report, data = doctor_report(scale=args.scale, sms=args.sms,
                                  benches=args.benchmarks or None,
-                                 fuzz_dir=args.fuzz_dir, store=args.store)
+                                 fuzz_dir=args.fuzz_dir, directory=args.store)
     print(report)
     stale = any(entry.get("stale") or "error" in entry
                 for entry in data.get("reproducers", []))
@@ -257,14 +248,9 @@ def cmd_fuzz(args) -> int:
             print(f"  {divergence}")
         return 1
 
-    if args.resume and args.dir and args.resume != args.dir:
-        print("error: pass either --dir or --resume, not both", file=sys.stderr)
-        return 2
-    fuzz_dir = args.resume or args.dir
-    if fuzz_dir is None:
-        fuzz_dir = tempfile.mkdtemp(prefix="repro-fuzz-")
+    fuzz_dir = args.dir or tempfile.mkdtemp(prefix="repro-fuzz-")
     print(f"fuzz directory: {fuzz_dir} "
-          f"(resume an interrupted campaign with: repro fuzz --resume {fuzz_dir} …)")
+          f"(resume an interrupted campaign by re-running with --dir {fuzz_dir})")
 
     fault = CANARY_FAULT if args.canary else None
     gen = GenConfig(max_segments=args.max_segments)
@@ -273,13 +259,13 @@ def cmd_fuzz(args) -> int:
             args.n, seed=args.seed, gen=gen,
             jobs=0 if args.serial else args.jobs,
             wall_timeout=args.wall_timeout, time_budget=args.time_budget,
-            directory=fuzz_dir, resume=args.resume is not None,
+            directory=fuzz_dir,
             fault=fault, oracle=args.oracle, max_cycles=max_cycles,
             progress=lambda message: print(f"  {message}", file=sys.stderr),
         )
     except KeyboardInterrupt:
-        print(f"\ninterrupted; completed cases are journaled — resume with:\n"
-              f"  repro fuzz --resume {fuzz_dir} …", file=sys.stderr)
+        print(f"\ninterrupted; completed cases are stored — resume by "
+              f"re-running with --dir {fuzz_dir}", file=sys.stderr)
         return 130
 
     stats = result.stats
@@ -293,7 +279,7 @@ def cmd_fuzz(args) -> int:
                              f"{args.seed + args.n - 1}"))
     if result.seeds_skipped:
         print(f"\ntime budget hit: {len(result.seeds_skipped)} seed(s) unrun "
-              f"(resume with: repro fuzz --resume {fuzz_dir} …)")
+              f"(resume by re-running with --dir {fuzz_dir})")
     for entry in result.divergent:
         kinds = sorted({d["kind"] for d in entry["divergences"]}) or ["?"]
         where = entry.get("path", "(no reproducer written)")
@@ -334,14 +320,6 @@ def cmd_fuzz(args) -> int:
     print(f"\nOK: {stats['ok']}/{stats['cases']} cases clean across "
           f"engines, architectures, and the sanitizer")
     return 0
-
-
-def cmd_serve(args) -> int:
-    from repro.serve.http import serve_forever
-
-    return serve_forever(args.dir, port=args.port, jobs=args.jobs,
-                         queue_limit=args.queue_limit,
-                         wall_timeout=args.wall_timeout, retries=args.retries)
 
 
 def cmd_occupancy(args) -> int:
@@ -693,9 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--jobs", type=positive_int, default=None,
                        help="run the experiment's simulations through the "
                             "process-isolated orchestrator with N workers")
-    exp_p.add_argument("--store", metavar="DIR", default=None,
+    exp_p.add_argument("--dir", metavar="DIR", default=None,
                        help="read/write simulation cells through the "
-                            "content-addressed result store at DIR")
+                            "result store at DIR (re-runs read them back)")
     exp_p.add_argument("--liveness", action="store_true",
                        help="E11 only: add the liveness-compressed register "
                             "swap-footprint table (default tables unchanged)")
@@ -712,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--jobs", type=positive_int, default=2,
                          help="worker subprocesses (default 2)")
     sweep_p.add_argument("--serial", action="store_true",
-                         help="run in-process (no isolation; still journaled)")
+                         help="run in-process (no isolation; still stored)")
     sweep_p.add_argument("--engine", choices=("serial", "parallel"),
                          default="serial",
                          help="simulation engine for every cell "
@@ -726,11 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--retries", type=nonneg_int, default=1,
                          help="extra attempts for retryable failures (default 1)")
     sweep_p.add_argument("--dir", default=None,
-                         help="sweep directory for the journal and dumps "
+                         help="result-store directory for cells, failures, "
+                              "and dumps; re-running into it resumes "
                               "(default: a fresh temp directory)")
-    sweep_p.add_argument("--resume", metavar="DIR", default=None,
-                         help="resume an interrupted sweep from its directory, "
-                              "re-running only unfinished cells")
     sweep_p.add_argument("--max-cycles", type=positive_int, default=None,
                          help="per-run hard cycle budget")
     sweep_p.add_argument("--sanitize", action="store_true",
@@ -738,9 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--no-fast-forward", action="store_true",
                          help="force the per-cycle reference engine for every "
                               "cell (slower; statistics are identical)")
-    sweep_p.add_argument("--store", metavar="DIR", default=None,
-                         help="read/write cells through the content-addressed "
-                              "result store at DIR (cross-sweep cache)")
     sweep_p.add_argument("--format", choices=("table", "json"), default="table",
                          help="machine-readable JSON summary on stdout "
                               "(progress and the directory line move to stderr)")
@@ -775,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--jobs", type=positive_int, default=2,
                         help="worker subprocesses (default 2)")
     fuzz_p.add_argument("--serial", action="store_true",
-                        help="run in-process (no isolation; still journaled)")
+                        help="run in-process (no isolation; still stored)")
     fuzz_p.add_argument("--time-budget", type=positive_float, default=None,
                         metavar="SECONDS",
                         help="stop launching new batches after this much "
@@ -785,11 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="kill any single case exceeding this wall-clock "
                              "budget (default 120)")
     fuzz_p.add_argument("--dir", default=None,
-                        help="campaign directory for the journal and "
-                             "reproducers (default: a fresh temp directory)")
-    fuzz_p.add_argument("--resume", metavar="DIR", default=None,
-                        help="resume an interrupted campaign, re-running "
-                             "only seeds without a journal entry")
+                        help="campaign result-store directory for cases and "
+                             "reproducers; re-running into it resumes "
+                             "(default: a fresh temp directory)")
     fuzz_p.add_argument("--max-cycles", type=positive_int, default=None,
                         help="per-leg hard cycle budget")
     fuzz_p.add_argument("--max-segments", type=positive_int, default=6,
@@ -808,29 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "dump is stale")
     fuzz_p.set_defaults(fn=cmd_fuzz)
 
-    serve_p = sub.add_parser(
-        "serve", help="HTTP job service over the content-addressed result "
-                      "store: submit/poll/stream simulation jobs with "
-                      "dedupe, bounded-queue backpressure, and crash-safe "
-                      "caching")
-    serve_p.add_argument("--dir", required=True, metavar="DIR",
-                         help="result-store root (created if missing); the "
-                              "server's only persistent state")
-    serve_p.add_argument("--port", type=nonneg_int, default=0,
-                         help="listen port on 127.0.0.1 (default 0 = pick an "
-                              "ephemeral port and print it)")
-    serve_p.add_argument("--jobs", type=nonneg_int, default=2,
-                         help="orchestrator worker subprocesses per batch "
-                              "(default 2; 0 = in-process serial)")
-    serve_p.add_argument("--queue-limit", type=positive_int, default=16,
-                         help="bounded-queue capacity; submissions beyond it "
-                              "get HTTP 429 (default 16)")
-    serve_p.add_argument("--wall-timeout", type=positive_float, default=None,
-                         metavar="SECONDS",
-                         help="kill any cell exceeding this wall-clock budget")
-    serve_p.add_argument("--retries", type=nonneg_int, default=1,
-                         help="extra attempts for retryable failures (default 1)")
-    serve_p.set_defaults(fn=cmd_serve)
 
     occ_p = sub.add_parser("occupancy", help="occupancy analysis of a kernel")
     add_sim_args(occ_p, with_arch=False)

@@ -2,11 +2,12 @@
 
 A campaign is a batch of differential cases driven through the sweep
 orchestrator (:mod:`repro.analysis.orchestrator`): each case runs in its
-own worker subprocess under a wall-clock deadline, completed cases stream
-into the append-only journal (so an interrupted campaign resumes with
-``--resume``), and any divergence is shrunk *in the parent* to a minimal
-spec and written as a **reproducer** JSON next to the journal's deadlock
-dumps.
+own worker subprocess under a wall-clock deadline, the campaign directory
+is a result store that every finished case is committed to (so an
+interrupted campaign resumes by re-running into the same directory), and
+any divergence is shrunk *in the parent* to a minimal spec and written as
+a **reproducer** JSON under ``reproducers/``, next to the store's
+forensic ``dumps/``.
 
 Reproducers carry full forensics — the shrunken spec, the original spec,
 the generator config, the exact :class:`~repro.sim.config.GPUConfig`, any
@@ -14,7 +15,7 @@ injected fault plan, the divergence list, and a fingerprint over
 (spec, config, seed).  ``repro fuzz --replay <file>`` re-runs the case
 from the dump alone; a dump whose recomputed fingerprint no longer
 matches (hand-edited config, schema drift) is refused as **stale**, the
-same discipline the sweep journal applies to its cells.
+same discipline the result store applies to its cells.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from pathlib import Path
 from repro.fuzz.differential import DEFAULT_MAX_CYCLES, Divergence, DiffResult, run_case, sample_config
 from repro.fuzz.generator import GenConfig, generate_spec, materialize, spec_fingerprint
 from repro.fuzz.shrink import shrink_spec
+from repro.records import RunRecord, cell_fingerprint, config_from_dict, config_to_dict
+from repro.sim.stats import SimStats
 
 REPRO_KIND = "fuzz-reproducer"
 REPRO_DIR = "reproducers"
@@ -47,7 +50,7 @@ class StaleReproducerError(RuntimeError):
 
 
 def cell_name(spec: dict) -> str:
-    """Journal-visible identity of one fuzz case.
+    """Store-visible identity of one fuzz case.
 
     Includes the spec fingerprint so any grammar/knob change reshapes the
     sweep fingerprint and a resumed campaign never reuses a stale verdict.
@@ -57,8 +60,6 @@ def cell_name(spec: dict) -> str:
 
 def reproducer_fingerprint(spec: dict, config: dict, seed: int) -> str:
     """Fingerprint binding a reproducer's spec to its exact GPUConfig."""
-    from repro.analysis.journal import cell_fingerprint, config_from_dict
-
     return cell_fingerprint(cell_name(spec), config_from_dict(config),
                             scale=1.0, workload_seed=seed)
 
@@ -69,12 +70,8 @@ def reproducer_fingerprint(spec: dict, config: dict, seed: int) -> str:
 
 def run_fuzz_cell(payload: dict):
     """Run one differential case from an orchestrator payload; returns a
-    :class:`~repro.analysis.runner.RunRecord` (status ``ok`` or
+    :class:`~repro.records.RunRecord` (status ``ok`` or
     ``divergence``, with a forensic dump attached on divergence)."""
-    from repro.analysis.journal import config_from_dict
-    from repro.analysis.runner import RunRecord
-    from repro.sim.stats import SimStats
-
     cfg = config_from_dict(payload["config"])
     spec = payload["extra"]["spec"]
     oracle = payload["extra"].get("oracle", "record")
@@ -116,8 +113,6 @@ def make_cells(seeds, gen: GenConfig, *, max_cycles: int = DEFAULT_MAX_CYCLES,
 def format_fuzz_dump(spec: dict, cfg, result: DiffResult,
                      fault: dict | None = None) -> str:
     """Human-readable divergence forensics, deadlock-dump style."""
-    from repro.analysis.journal import config_to_dict
-
     lines = [
         "=== fuzz divergence dump ===",
         f"case: {cell_name(spec)}  (seed {spec['seed']}, "
@@ -150,8 +145,6 @@ def write_reproducer(path, *, spec: dict, original_spec: dict, gen: GenConfig,
                      shrink_info: dict, fault: dict | None = None,
                      oracle: str = "record") -> Path:
     """Write a replayable reproducer JSON; returns its path."""
-    from repro.analysis.journal import config_to_dict
-
     config = config_to_dict(cfg)
     try:
         case = materialize(spec)
@@ -197,13 +190,11 @@ def replay_reproducer(path, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> DiffResu
     """Re-run a reproducer from its dump alone.
 
     Raises :class:`StaleReproducerError` when the recomputed fingerprint
-    over (spec, config, seed) does not match the dumped one — the journal's
+    over (spec, config, seed) does not match the dumped one — the store's
     stale-fingerprint discipline applied to replays: a hand-edited config
     or a schema drift must fail loudly, not replay the wrong machine.
     """
     data = load_reproducer(path)
-    from repro.analysis.journal import config_from_dict
-
     expected = reproducer_fingerprint(data["spec"], data["config"],
                                       data["seed"])
     if expected != data["fingerprint"]:
@@ -255,7 +246,6 @@ class CampaignResult:
     divergent: list[dict] = field(default_factory=list)
     reproducer_paths: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-    journal_path: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -291,7 +281,7 @@ def _corpus_stats(cells, records) -> dict:
 def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
                  jobs: int = 1, wall_timeout: float | None = 120.0,
                  time_budget: float | None = None, directory=None,
-                 resume: bool = False, fault: dict | None = None,
+                 fault: dict | None = None,
                  oracle: str = "record",
                  max_cycles: int = DEFAULT_MAX_CYCLES, shrink: bool = True,
                  shrink_tests: int = 120, retries: int = 1,
@@ -301,10 +291,11 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
     Cases run through :func:`repro.analysis.orchestrator.run_sweep` in
     batches (``jobs`` workers, per-case ``wall_timeout``); after each batch
     the ``time_budget`` (seconds of campaign wall-clock) is checked, so a
-    budgeted campaign stops between batches with the journal intact and
-    the remaining seeds reported in ``seeds_skipped``.  Divergent cases
-    are shrunk in-parent and dumped as reproducers under
-    ``<directory>/reproducers/``.
+    budgeted campaign stops between batches with every finished case
+    stored and the remaining seeds reported in ``seeds_skipped``.  With
+    ``directory`` (a result-store root) a re-run into it reads finished
+    cases back instead of re-running them.  Divergent cases are shrunk
+    in-parent and dumped as reproducers under ``<directory>/reproducers/``.
     """
     from repro.analysis.orchestrator import run_sweep
 
@@ -324,34 +315,27 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
     started = time.monotonic()
     batch_size = (len(cells) if time_budget is None
                   else max(1, max(jobs, 1) * 2))
-    first = True
-    done_keys: set = set()
     for start in range(0, len(cells), batch_size):
-        if time_budget is not None and not first \
+        if time_budget is not None and start \
                 and time.monotonic() - started >= time_budget:
             break
         batch = cells[start:start + batch_size]
         sweep = run_sweep(batch, jobs=jobs, wall_timeout=wall_timeout,
-                          retries=retries, journal_dir=directory,
-                          resume=resume or not first, progress=progress)
-        first = False
-        result.journal_path = sweep.journal_path or result.journal_path
+                          retries=retries, directory=directory,
+                          progress=progress)
         result.records.update(sweep.records)
-        done_keys.update(sweep.records)
         result.seeds_run.extend(c.workload_seed for c in batch)
     result.seeds_skipped = [c.workload_seed for c in cells
-                            if c.key not in done_keys]
+                            if c.key not in result.records]
     if result.seeds_skipped:
         note(f"time budget hit: {len(result.seeds_skipped)} seed(s) left "
-             f"unrun (resume with --resume)")
+             f"unrun (re-run into the same directory to resume)")
 
     # -- shrink + dump every divergence -----------------------------------
     divergent = [(key, record) for key, record in result.records.items()
                  if record.status == "divergence"]
     for key, record in divergent[:MAX_SHRINKS]:
-        cell = by_key.get(key)
-        if cell is None:  # resumed from a journal written by another matrix
-            continue
+        cell = by_key[key]
         spec, cfg = cell.extra["spec"], cell.cfg
         case_seed = cell.workload_seed
 
@@ -383,8 +367,8 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
             note(f"reproducer written: {path}")
     for key, record in divergent[MAX_SHRINKS:]:
         result.divergent.append({
-            "key": key[0], "seed": by_key[key].workload_seed if key in by_key
-            else None, "divergences": [], "instructions": None,
+            "key": key[0], "seed": by_key[key].workload_seed,
+            "divergences": [], "instructions": None,
             "shrink": {"reproduced": True, "tests": 0, "skipped": True}})
     if len(divergent) > MAX_SHRINKS:
         note(f"{len(divergent) - MAX_SHRINKS} divergent case(s) beyond the "

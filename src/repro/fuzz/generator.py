@@ -79,7 +79,7 @@ class GenConfig:
 
     ``version`` participates in spec fingerprints: changing the grammar in
     a way that alters what a (version, seed) pair produces must bump it,
-    so stale journal entries and reproducer dumps are never misread.
+    so stale stored entries and reproducer dumps are never misread.
     """
 
     version: int = SPEC_VERSION

@@ -9,7 +9,7 @@ Four detectors, two of them path-sensitive:
   ``tests/test_rng_audit.py``).
 * ``det-wallclock`` / ``det-env-read`` — wall-clock or environment reads
   in code reachable from simulator modules (``sim.*``/``core.*``/
-  ``isa.*``).  Operational layers (orchestrator, serve, store) read
+  ``isa.*``).  Operational layers (orchestrator, store) read
   clocks legitimately; the simulator must not.
 * ``det-set-iter`` — iteration over an unordered ``set`` inside the
   downward closure of serialization/output roots (``to_dict``,

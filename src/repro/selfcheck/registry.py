@@ -38,13 +38,13 @@ WORKER_ENTRY_MODULE_LEAF = "parallel"
 #: Module prefixes considered "simulator paths" for the determinism lint:
 #: wall-clock and environment reads reachable from these are errors
 #: (results must be a pure function of config + seed).  Operational
-#: layers (orchestrator, serve, store) legitimately read clocks.
+#: layers (orchestrator, store) legitimately read clocks.
 SIM_PATH_PREFIXES = ("sim.", "core.", "isa.")
 SIM_PATH_MODULES = frozenset({"sim", "core", "isa"})
 
 #: Function names that root serialization / human-readable output.  Any
-#: code reachable *from* one of these feeds bytes that are journaled,
-#: stored, diffed, or rendered — unordered-set iteration there is a
+#: code reachable *from* one of these feeds bytes that are stored,
+#: diffed, or rendered — unordered-set iteration there is a
 #: nondeterminism leak even when every simulator value is exact.
 OUTPUT_ROOT_PATTERN = re.compile(
     r"^(to_dict|to_json|to_summary|payload|summary|fingerprint|"

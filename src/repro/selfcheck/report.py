@@ -10,9 +10,9 @@ A suppression without a ``-- reason`` is itself an error
 unexplained exemptions.  The baseline file is JSON::
 
     {"version": 1, "entries": [
-        {"rule": "schema-orphan-read", "path": "analysis/journal.py",
-         "qualname": "analysis.journal.JournalEntry.from_json",
-         "reason": "legacy v0 'dump' key still accepted on read"}]}
+        {"rule": "schema-field-coverage", "path": "isa/analysis/lint.py",
+         "qualname": "isa.analysis.lint.LintReport.to_dict",
+         "reason": "liveness is non-JSON-safe; findings derived from it are serialized"}]}
 
 Baseline entries must carry a reason (``meta-unjustified-baseline``) and
 must still match a finding (``meta-stale-baseline``), so the debt list

@@ -63,7 +63,7 @@ RULES: dict[str, tuple[str, str]] = {
         "silently dropped on round-trip"),
     "schema-golden-drift": (
         ERROR,
-        "schema-v1 key set of stats/journal/store drifted from the "
+        "schema-v1 key set of stats/store drifted from the "
         "pinned golden; bump the schema version and goldens consciously"),
     "meta-bare-suppression": (
         ERROR,

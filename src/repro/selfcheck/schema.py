@@ -16,14 +16,14 @@ deserializer *consumes*:
 Deserializers that consume via ``cls(**…)`` splats accept any produced
 key, so they are exempt from pair-drift.  Calls to same-module
 ``*from_*`` helpers are inlined one level, which is how
-``JournalEntry.from_json → record_from_dict`` reads are attributed.
+a ``from_json`` → ``record_from_dict`` read chain is attributed.
 
 On top of the pairwise checks, the **schema-v1 goldens** pin the exact
 key sets of the durable artifacts — ``SMStats``/``SimStats`` fields,
-``JournalEntry.to_json`` keys, ``StoreEntry.payload`` keys, and the
-``SCHEMA_VERSION`` constants.  Changing any of those without bumping the
-version (and these goldens) is ``schema-golden-drift``: old journals and
-store entries on disk would stop round-tripping.
+``StoreEntry.payload`` keys (shared by ``ok`` entries and terminal
+failures), and the ``SCHEMA_VERSION`` constants.  Changing any of those
+without bumping the version (and these goldens) is
+``schema-golden-drift``: store entries on disk would stop round-tripping.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ GOLDEN_FIELDS: dict[tuple[str, str], tuple[str, ...]] = {
         "ctas_launched", "cycles", "dram_requests", "instructions",
         "l2_accesses", "l2_hits", "sm_stats", "thread_instructions",
     ),
-    ("analysis.journal", "JournalEntry.to_json"): (
-        "arch", "attempts", "benchmark", "config", "dump_path",
-        "elapsed_s", "error", "fingerprint", "retried", "scale", "seed",
-        "stats", "status", "v",
-    ),
     ("store.cas", "StoreEntry.payload"): (
         "attempts", "created_at", "elapsed_s", "fingerprint", "record",
         "scale", "seed",
@@ -89,7 +84,6 @@ GOLDEN_FIELDS: dict[tuple[str, str], tuple[str, ...]] = {
 
 #: module -> expected SCHEMA_VERSION constant value.
 GOLDEN_SCHEMA_VERSION: dict[str, int] = {
-    "analysis.journal": 1,
     "store.cas": 1,
 }
 

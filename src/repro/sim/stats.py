@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 def _filtered(cls, data: dict) -> dict:
     """Keep only keys that are fields of ``cls`` (forward/backward compat:
-    a journal written by a newer or older build still loads)."""
+    a stored entry written by a newer or older build still loads)."""
     known = {f.name for f in dataclasses.fields(cls)}
     return {k: v for k, v in data.items() if k in known}
 
@@ -110,7 +110,7 @@ class SimStats:
 
         Derived metrics (``ipc``, hit rates, …) are intentionally not
         stored: they are recomputed from the raw counters after
-        :meth:`from_dict`, so a journal can never carry a stats/metric
+        :meth:`from_dict`, so a stored entry can never carry a stats/metric
         mismatch.
         """
         data = dataclasses.asdict(self)

@@ -1,35 +1,36 @@
-"""Content-addressed result store: every simulation result, forever.
+"""Content-addressed result store: the one persistence layer.
 
 The deterministic simulator makes a result a pure function of its
-fingerprint — SHA-256 over benchmark + full :class:`GPUConfig` + scale +
-workload seed (:func:`repro.analysis.journal.cell_fingerprint`).  The
-store promotes the sweep journal's per-directory resume into a *global*
-cache: any sweep, experiment, serve job, or CLI run that has ever
-completed a cell can hand its byte-identical ``SimStats`` to every later
-caller without re-simulating.  Cache hits are exact, not approximate.
+fingerprint (:func:`repro.records.cell_fingerprint`).  A sweep, fuzz,
+experiment, or doctor directory *is* a store root: re-running into it
+reads every finished cell back instead of re-simulating it.
 
 Layout under the store root::
 
-    objects/<fp[:2]>/<fp>.json   one schema-versioned entry per fingerprint
+    objects/<fp[:2]>/<fp>.json   one verified ``ok`` entry per fingerprint
+    failures/<fp>.json           terminal failures (same envelope)
     quarantine/                  corrupt entries moved aside on detection
     artifacts/<fp>.json          per-run audit records (see build_artifact)
+    dumps/<fp>.txt               forensic dumps of failed cells
+    reproducers/                 fuzz reproducers (repro.fuzz.campaign)
 
 Crash safety (the whole point):
 
-* every entry is committed via :func:`repro.store.fsio.commit_bytes` —
-  temp file + fsync + atomic rename + directory fsync — so a reader can
-  never observe a torn entry, and a crash right after creation cannot
-  lose the directory entry;
+* every file is committed via :func:`repro.store.fsio.commit_bytes` —
+  temp file + fsync + atomic rename + directory fsync — so a reader never
+  observes a torn file and a crash cannot lose a new directory entry;
 * every entry embeds a SHA-256 **checksum** over its canonical payload;
-  a read that fails the checksum (bit rot, a truncated file smuggled in
-  past the rename discipline, manual tampering) **quarantines** the file
-  into ``quarantine/`` and reports a miss — the caller recomputes, the
-  store self-heals, and the corrupt bytes are preserved for forensics;
+  a read that fails it (bit rot, truncation, tampering) **quarantines**
+  the file into ``quarantine/`` and reports a miss — the caller
+  recomputes and the corrupt bytes are preserved for forensics;
 * orphan ``.tmp-*`` files left by killed writers are reclaimed by
   :meth:`ResultStore.gc`.
 
-Only ``ok`` records are stored: terminal failures are journal material
-(they are budget- and environment-dependent), not global truths.
+Terminal failures are budget- and environment-dependent, not global
+truths: :meth:`ResultStore.get` never returns them; only a sweep re-run
+into the same directory reads them back (:meth:`ResultStore.get_failure`)
+so it does not re-run a cell that already failed.  Delete
+``failures/<fp>.json`` to retry one.
 """
 
 from __future__ import annotations
@@ -42,15 +43,16 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.journal import record_from_dict, record_to_dict
-from repro.analysis.runner import RunRecord
+from repro.records import RunRecord, record_from_dict, record_to_dict
 from repro.store.fsio import TMP_PREFIX, commit_bytes, fsync_dir
 
 SCHEMA_VERSION = 1
 
 OBJECTS_DIR = "objects"
+FAILURES_DIR = "failures"
 QUARANTINE_DIR = "quarantine"
 ARTIFACTS_DIR = "artifacts"
+DUMPS_DIR = "dumps"
 
 
 def _canonical(payload: dict) -> bytes:
@@ -64,10 +66,33 @@ def checksum_payload(payload: dict) -> str:
 
 def stats_digest(stats_dict: dict | None) -> str | None:
     """Digest of one ``SimStats.to_dict()`` — the byte-identity witness
-    that reports and the serve smoke test compare across runs."""
+    that sweep summaries and audit records compare across runs."""
     if stats_dict is None:
         return None
     return "sha256:" + hashlib.sha256(_canonical(stats_dict)).hexdigest()
+
+
+def _git_commit(git_dir: Path) -> str | None:
+    """The commit ``HEAD`` names in ``git_dir``, read without a subprocess.
+
+    A symbolic ref is looked up as a loose ref file first and then in
+    ``packed-refs``: after ``git gc`` / ``git pack-refs`` a branch may
+    exist only there.
+    """
+    text = (git_dir / "HEAD").read_text().strip()
+    if not text.startswith("ref:"):
+        return text  # detached HEAD
+    ref = text.split(None, 1)[1]
+    loose = git_dir / ref
+    if loose.is_file():
+        return loose.read_text().strip()
+    packed = git_dir / "packed-refs"
+    if packed.is_file():
+        for line in packed.read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref and not line.startswith(("#", "^")):
+                return sha
+    return None
 
 
 def code_version() -> dict:
@@ -76,17 +101,11 @@ def code_version() -> dict:
     from repro import __version__
 
     commit = None
-    root = Path(__file__).resolve()
-    for parent in root.parents:
-        head = parent / ".git" / "HEAD"
-        if head.is_file():
+    for parent in Path(__file__).resolve().parents:
+        git_dir = parent / ".git"
+        if (git_dir / "HEAD").is_file():
             try:
-                text = head.read_text().strip()
-                if text.startswith("ref:"):
-                    ref = parent / ".git" / text.split(None, 1)[1]
-                    commit = ref.read_text().strip() if ref.is_file() else None
-                else:
-                    commit = text
+                commit = _git_commit(git_dir)
             except OSError:  # pragma: no cover - unreadable .git
                 commit = None
             break
@@ -104,10 +123,7 @@ class StoreEntry:
     attempts: int = 1
     elapsed_s: float = 0.0
     created_at: float = 0.0
-    checksum: str = ""
-    path: str | None = None
 
-    # selfcheck: ok[schema-field-coverage] -- checksum/path are envelope metadata: the checksum is computed over this payload and the path is derived from the fingerprint
     def payload(self) -> dict:
         return {
             "fingerprint": self.fingerprint,
@@ -158,7 +174,8 @@ class ResultStore:
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        for sub in (OBJECTS_DIR, QUARANTINE_DIR, ARTIFACTS_DIR):
+        for sub in (OBJECTS_DIR, FAILURES_DIR, QUARANTINE_DIR, ARTIFACTS_DIR,
+                    DUMPS_DIR):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         fsync_dir(self.root)
         self.stats = StoreStats()
@@ -168,8 +185,14 @@ class ResultStore:
     def entry_path(self, fingerprint: str) -> Path:
         return self.root / OBJECTS_DIR / fingerprint[:2] / f"{fingerprint}.json"
 
+    def failure_path(self, fingerprint: str) -> Path:
+        return self.root / FAILURES_DIR / f"{fingerprint}.json"
+
     def artifact_path(self, fingerprint: str) -> Path:
         return self.root / ARTIFACTS_DIR / f"{fingerprint}.json"
+
+    def dump_path(self, fingerprint: str) -> Path:
+        return self.root / DUMPS_DIR / f"{fingerprint}.txt"
 
     # -- write -------------------------------------------------------------
 
@@ -179,47 +202,80 @@ class ResultStore:
         """Durably store one completed cell; returns the entry path.
 
         Failed records are refused (``None``): a timeout under one wall
-        budget is not a global truth about the fingerprint.  Re-putting an
-        existing fingerprint atomically replaces the entry — determinism
+        budget is not a global truth about the fingerprint — they go
+        through :meth:`put_failure` instead.  Re-putting an existing
+        fingerprint atomically replaces the entry — determinism
         guarantees the payload is equivalent, so last-writer-wins is safe.
         """
         if not record.ok:
             return None
-        entry = StoreEntry(
+        return self._commit(self.entry_path(fingerprint), fingerprint, record,
+                            scale, seed, attempts, elapsed_s, write_hook)
+
+    def put_failure(self, fingerprint: str, record: RunRecord, *,
+                    scale: float = 1.0, seed: int = 0, attempts: int = 1,
+                    elapsed_s: float = 0.0) -> Path:
+        """Durably record a terminal failure under ``failures/``.
+
+        Same checksummed envelope as an ``ok`` entry; :meth:`get` never
+        serves it, only :meth:`get_failure` reads it back.
+        """
+        return self._commit(self.failure_path(fingerprint), fingerprint, record,
+                            scale, seed, attempts, elapsed_s)
+
+    def _commit(self, path: Path, fingerprint: str, record: RunRecord,
+                scale, seed, attempts, elapsed_s, write_hook=None) -> Path:
+        payload = StoreEntry(
             fingerprint=fingerprint, record=record, scale=scale, seed=seed,
             attempts=attempts, elapsed_s=round(elapsed_s, 3),
-            created_at=time.time())
-        payload = entry.payload()
+            created_at=time.time()).payload()
         document = {
             "v": SCHEMA_VERSION,
             "checksum": checksum_payload(payload),
             "payload": payload,
         }
-        path = self.entry_path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         commit_bytes(path, json.dumps(document, sort_keys=True).encode() + b"\n",
                      write_hook=write_hook)
         self.stats.puts += 1
         return path
 
+    def write_dump(self, fingerprint: str, dump: str | None) -> str | None:
+        """Durably persist a forensic dump as ``dumps/<fp>.txt``; returns
+        its path (``None`` when there is no dump)."""
+        if not dump:
+            return None
+        path = self.dump_path(fingerprint)
+        commit_bytes(path, (dump + "\n").encode())
+        return str(path)
+
     # -- read --------------------------------------------------------------
 
     def get(self, fingerprint: str) -> StoreEntry | None:
-        """Fetch and *verify* one entry; corrupt entries are quarantined
-        and reported as a miss so the caller recomputes (self-heal)."""
-        path = self.entry_path(fingerprint)
+        """Fetch and *verify* one ``ok`` entry; corrupt entries are
+        quarantined and reported as a miss so the caller recomputes
+        (self-heal)."""
+        entry = self._load(self.entry_path(fingerprint), fingerprint)
+        if entry is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return entry
+
+    def get_failure(self, fingerprint: str) -> StoreEntry | None:
+        """Fetch and verify a terminal failure recorded in this directory
+        (corrupt ones are quarantined, so the cell simply re-runs)."""
+        return self._load(self.failure_path(fingerprint), fingerprint)
+
+    def _load(self, path: Path, fingerprint: str) -> StoreEntry | None:
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
-            self.stats.misses += 1
             return None
         entry = self._parse(fingerprint, raw, path)
         if entry is None:
             self._quarantine(path)
             self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
         return entry
 
     def _parse(self, fingerprint: str, raw: bytes, path: Path) -> StoreEntry | None:
@@ -238,14 +294,15 @@ class ResultStore:
             record = record_from_dict(payload["record"])
         except (KeyError, TypeError, ValueError):
             return None
+        if record.ok == (path.parent.name == FAILURES_DIR):
+            return None  # a failure under objects/ or a success under failures/
         return StoreEntry(
             fingerprint=fingerprint, record=record,
             scale=float(payload.get("scale", 1.0)),
             seed=int(payload.get("seed", 0)),
             attempts=int(payload.get("attempts", 1)),
             elapsed_s=float(payload.get("elapsed_s", 0.0)),
-            created_at=float(payload.get("created_at", 0.0)),
-            checksum=document["checksum"], path=str(path))
+            created_at=float(payload.get("created_at", 0.0)))
 
     def _quarantine(self, path: Path) -> Path:
         """Move a corrupt file into ``quarantine/`` (never delete evidence)."""
@@ -263,10 +320,13 @@ class ResultStore:
     # -- maintenance -------------------------------------------------------
 
     def verify(self) -> StoreReport:
-        """Scan every entry, quarantine corruption, reclaim orphan temps."""
+        """Scan every entry and failure, quarantine corruption, reclaim
+        orphan temps."""
         report = StoreReport()
         report.orphan_temps_removed = self.gc()
-        for path in sorted((self.root / OBJECTS_DIR).glob("*/*.json")):
+        paths = sorted((self.root / OBJECTS_DIR).glob("*/*.json"))
+        paths += sorted((self.root / FAILURES_DIR).glob("*.json"))
+        for path in paths:
             report.entries += 1
             report.bytes += path.stat().st_size
             fingerprint = path.stem
@@ -286,8 +346,8 @@ class ResultStore:
     def gc(self) -> int:
         """Remove orphan ``.tmp-*`` commit files left by killed writers."""
         removed = 0
-        for base in (self.root / OBJECTS_DIR, self.root / ARTIFACTS_DIR):
-            for path in base.rglob(f"{TMP_PREFIX}*"):
+        for sub in (OBJECTS_DIR, FAILURES_DIR, ARTIFACTS_DIR, DUMPS_DIR):
+            for path in (self.root / sub).rglob(f"{TMP_PREFIX}*"):
                 path.unlink(missing_ok=True)
                 removed += 1
         return removed
@@ -308,31 +368,21 @@ class ResultStore:
         commit_bytes(path, json.dumps(artifact, sort_keys=True, indent=2).encode() + b"\n")
         return path
 
-    def read_artifact(self, fingerprint: str) -> dict | None:
-        try:
-            return json.loads(self.artifact_path(fingerprint).read_text())
-        except (FileNotFoundError, ValueError):
-            return None
-
 
 def build_artifact(fingerprint: str, record: RunRecord, *,
                    scale: float = 1.0, seed: int = 0, attempts: int = 1,
-                   elapsed_s: float = 0.0, source: str = "computed",
+                   elapsed_s: float = 0.0,
                    started_at: float | None = None,
                    finished_at: float | None = None,
-                   store_path: str | None = None,
-                   computed_at: float | None = None,
-                   extra: dict | None = None) -> dict:
-    """The per-run ``artifact.json`` audit record.
+                   store_path: str | None = None) -> dict:
+    """The per-run ``artifact.json`` audit record of a computed cell.
 
     Answers "exactly what was simulated, by which code, how long it took,
-    and where the result came from" — the source of truth a serving layer
-    derives summaries from.  ``source`` is the cache provenance:
-    ``"computed"`` for a fresh simulation, ``"cache"`` when the result was
-    served from the store (``computed_at`` then points at the original).
+    and where the result went" — the run-level source of truth that
+    sweep summaries derive from.
     """
     stats_dict = record.stats.to_dict() if record.stats is not None else None
-    artifact = {
+    return {
         "v": SCHEMA_VERSION,
         "kind": "repro-run-artifact",
         "run": {
@@ -353,17 +403,10 @@ def build_artifact(fingerprint: str, record: RunRecord, *,
         },
         "config": record_to_dict(record)["config"],
         "code": code_version(),
-        "provenance": {
-            "source": source,
-            "store_path": store_path,
-            "computed_at": computed_at,
-        },
+        "provenance": {"source": "computed", "store_path": store_path},
         "result": {
             "cycles": record.stats.cycles if record.stats else None,
             "instructions": record.stats.instructions if record.stats else None,
             "stats_sha256": stats_digest(stats_dict),
         },
     }
-    if extra:
-        artifact.update(extra)
-    return artifact

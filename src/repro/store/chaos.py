@@ -1,8 +1,8 @@
-"""Deterministic chaos harness for the result store and the serve layer.
+"""Deterministic chaos harness for the result store.
 
 Robustness claims are only claims until a fault actually fires, so this
 module provides *seeded, reproducible* fault injectors that the chaos test
-suite (``tests/test_store_chaos.py``) and the CI serve smoke job drive:
+suite (``tests/test_store_chaos.py``) drives:
 
 * :func:`flip_bit` / :func:`truncate_file` — storage-level corruption of
   a committed entry (bit rot, a torn file smuggled past the rename
@@ -24,14 +24,11 @@ import os
 import random
 import signal
 
-from repro.analysis.runner import RunRecord
+from repro.records import RunRecord
 from repro.sim.config import GPUConfig
 from repro.sim.stats import SimStats, SMStats
 from repro.store.cas import ResultStore
-from repro.store.fsio import STAGE_FSYNCED, STAGE_RENAMED, STAGE_WRITE
-
-#: Commit stages a writer can be killed at, beyond mid-write byte offsets.
-KILL_STAGES = (STAGE_WRITE, STAGE_FSYNCED, STAGE_RENAMED)
+from repro.store.fsio import STAGE_WRITE
 
 
 def synthetic_record(seed: int, benchmark: str = "chaos") -> RunRecord:
@@ -81,7 +78,7 @@ def _killed_writer_main(store_dir, fingerprint: str, seed: int,
     ``kill_stage`` picks the crash point: mid-``write`` once ``kill_bytes``
     have reached the temp file, after the data ``fsynced``, or after the
     atomic rename but *before* the directory fsync (``renamed``) — the
-    window the journal durability bugfix is about.  SIGKILL (not
+    window the directory-fsync step of the commit exists for.  SIGKILL (not
     ``os._exit``) so no interpreter cleanup can soften the crash.
     """
     record = synthetic_record(seed)

@@ -1,4 +1,4 @@
-"""Durability primitives shared by the result store and the journal.
+"""Durability primitives of the result store.
 
 The crash-safety discipline is the classic one:
 

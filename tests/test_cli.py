@@ -211,41 +211,27 @@ def test_experiment_strict_propagates_failure(capsys, monkeypatch):
 # -- sweep: the orchestrated matrix ------------------------------------------
 
 
-def test_sweep_serial_with_journal(capsys, tmp_path):
+def test_sweep_serial_with_store_dir(capsys, tmp_path):
+    from repro.store.cas import ResultStore
+
     code, out, _err = run_cli(
         capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
         "--benchmark", "vecadd", "--dir", str(tmp_path))
     assert code == 0
     assert "sweep summary" in out
     assert "3/3 ok" in out
-    assert (tmp_path / "journal.jsonl").exists()
+    report = ResultStore(tmp_path).verify()
+    assert report.healthy and report.verified == 3 and report.artifacts == 3
 
 
-def test_sweep_resume_skips_journaled_cells(capsys, tmp_path):
+def test_sweep_rerun_into_dir_resumes(capsys, tmp_path):
     run_cli(capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
             "--benchmark", "vecadd", "--dir", str(tmp_path))
     code, out, _err = run_cli(
         capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
-        "--benchmark", "vecadd", "--resume", str(tmp_path))
-    assert code == 0
-    assert "3 resumed" in out
-
-
-def test_sweep_refuses_stale_directory_without_resume(capsys, tmp_path):
-    run_cli(capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
-            "--benchmark", "vecadd", "--dir", str(tmp_path))
-    code, _out, err = run_cli(
-        capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
         "--benchmark", "vecadd", "--dir", str(tmp_path))
-    assert code == 1
-    assert "resume" in err
-
-
-def test_sweep_dir_and_resume_conflict(capsys, tmp_path):
-    code, _out, err = run_cli(
-        capsys, "sweep", "--dir", str(tmp_path), "--resume", str(tmp_path / "x"))
-    assert code == 2
-    assert "not both" in err
+    assert code == 0
+    assert "3 cached" in out
 
 
 @pytest.mark.parametrize("bad", [
@@ -267,7 +253,8 @@ def test_sweep_reports_failed_cells(capsys, tmp_path):
         "--retries", "0", "--dir", str(tmp_path))
     assert code == 1
     assert "FAILED(timeout)" in out
-    assert (tmp_path / "dumps").exists()
+    assert len(list((tmp_path / "dumps").glob("*.txt"))) == 3
+    assert len(list((tmp_path / "failures").glob("*.json"))) == 3
 
 
 def test_sweep_json_format_emits_machine_summary(capsys, tmp_path):
@@ -275,11 +262,11 @@ def test_sweep_json_format_emits_machine_summary(capsys, tmp_path):
 
     code, out, err = run_cli(
         capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
-        "--benchmark", "vecadd", "--dir", str(tmp_path / "j"),
-        "--store", str(tmp_path / "store"), "--format", "json")
+        "--benchmark", "vecadd", "--dir", str(tmp_path / "store"),
+        "--format", "json")
     assert code == 0
     summary = json.loads(out)  # stdout is ONLY the summary document
-    assert summary["v"] == 1 and summary["ok"] is True
+    assert summary["v"] == 2 and summary["ok"] is True
     assert summary["counts"]["total"] == 3
     assert summary["store"]["puts"] == 3
     assert all(c["stats_sha256"].startswith("sha256:")
@@ -291,12 +278,11 @@ def test_sweep_store_makes_rerun_cache_reads(capsys, tmp_path):
     import json
 
     run_cli(capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
-            "--benchmark", "vecadd", "--dir", str(tmp_path / "j1"),
-            "--store", str(tmp_path / "store"))
+            "--benchmark", "vecadd", "--dir", str(tmp_path / "store"))
     code, out, _err = run_cli(
         capsys, "sweep", "--serial", "--scale", "0.25", "--sms", "1",
-        "--benchmark", "vecadd", "--dir", str(tmp_path / "j2"),
-        "--store", str(tmp_path / "store"), "--format", "json")
+        "--benchmark", "vecadd", "--dir", str(tmp_path / "store"),
+        "--format", "json")
     assert code == 0
     summary = json.loads(out)
     assert summary["counts"]["cached"] == 3
@@ -315,10 +301,10 @@ def test_doctor_fails_on_sick_store(capsys, tmp_path):
     from repro.store import chaos
     from repro.store.cas import ResultStore
 
+    from repro.records import cell_fingerprint
+
     store = ResultStore(tmp_path / "store")
     record = chaos.synthetic_record(3)
-    from repro.analysis.journal import cell_fingerprint
-
     fp = cell_fingerprint(record.benchmark, record.config, 1.0, 3)
     store.put(fp, record)
     chaos.corrupt_entry(store, fp, seed=1)
@@ -337,6 +323,23 @@ def test_experiment_jobs_flag_parses():
     args = build_parser().parse_args(
         ["sweep", "--jobs", "3", "--wall-timeout", "60.5", "--retries", "2"])
     assert args.jobs == 3 and args.wall_timeout == 60.5 and args.retries == 2
+
+
+def test_experiment_dir_routes_cells_through_the_store(capsys, monkeypatch,
+                                                       tmp_path):
+    import repro.cli
+
+    seen = {}
+
+    def fake(cfg=None, scale=1.0, keep_going=True, jobs=None, directory=None):
+        seen.update(jobs=jobs, directory=directory)
+        return "fake E5 report", {}
+
+    monkeypatch.setitem(repro.cli.ALL_EXPERIMENTS, "E5", fake)
+    code, out, _err = run_cli(capsys, "experiment", "e5", "--scale", "0.1",
+                              "--dir", str(tmp_path))
+    assert code == 0 and "fake E5 report" in out
+    assert seen == {"jobs": None, "directory": str(tmp_path)}
 
 
 # -- lint: the static kernel verifier ----------------------------------------
@@ -420,7 +423,7 @@ def test_predict_unknown_benchmark(capsys):
 
 
 def _fake_x4(cells, disagreements, failures):
-    def fake(cfg=None, scale=1.0, keep_going=True, jobs=None, sweep_dir=None):
+    def fake(cfg=None, scale=1.0, keep_going=True, jobs=None, directory=None):
         return "fake X4 report", {"cells": cells,
                                   "disagreements": disagreements,
                                   "failures": failures,

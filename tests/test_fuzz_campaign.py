@@ -1,5 +1,6 @@
-"""Campaign driver: orchestrator wiring, journal resume, reproducer
-dumps, deterministic replay, and the stale-fingerprint discipline."""
+"""Campaign driver: orchestrator wiring, resume from a result-store
+directory, reproducer dumps, deterministic replay, and the
+stale-fingerprint discipline."""
 
 import json
 from pathlib import Path
@@ -51,17 +52,34 @@ def test_run_fuzz_cell_divergence_record_carries_dump():
     assert "stats-mismatch" in record.dump
 
 
-def test_clean_campaign_and_journal_resume(tmp_path):
+def test_clean_campaign_and_directory_resume(tmp_path, monkeypatch):
+    from repro.store.cas import ResultStore
+
     directory = tmp_path / "camp"
     result = run_campaign(3, seed=50, jobs=0, directory=directory)
     assert result.ok, result.divergent
     assert result.stats["cases"] == 3 and result.stats["divergent"] == 0
-    assert (directory / "journal.jsonl").exists()
+    assert ResultStore(directory).verify().verified == 3
 
-    # Resuming re-runs nothing and reaches the same verdict.
-    again = run_campaign(3, seed=50, jobs=0, directory=directory, resume=True)
+    # Re-running into the directory re-runs nothing and reaches the same
+    # verdict.
+    def no_rerun(payload):
+        raise AssertionError(f"{payload['benchmark']} re-ran")
+
+    monkeypatch.setattr("repro.fuzz.campaign.run_fuzz_cell", no_rerun)
+    again = run_campaign(3, seed=50, jobs=0, directory=directory)
     assert again.ok
     assert set(again.records) == set(result.records)
+
+
+def test_canary_and_clean_campaigns_share_a_directory(tmp_path):
+    """The injected fault is part of each case's identity: a canary run
+    into a directory holding clean verdicts still detects its fault."""
+    directory = tmp_path / "shared"
+    assert run_campaign(1, seed=0, jobs=0, directory=directory).ok
+    canary = run_campaign(1, seed=0, jobs=0, directory=directory,
+                          fault=CANARY_FAULT, shrink=False)
+    assert not canary.ok and canary.reproducer_paths
 
 
 def test_canary_campaign_writes_minimal_replayable_reproducer(tmp_path):
@@ -109,15 +127,14 @@ def test_doctor_lists_fuzz_reproducers(tmp_path):
 
 def test_time_budget_leaves_remaining_seeds_resumable(tmp_path):
     # A zero budget expires after the first batch (batches of 2 at jobs=0):
-    # seeds 50..51 run, 52 is left journaled-out but resumable.
+    # seeds 50..51 run, 52 is left unrun but resumable.
     directory = tmp_path / "budget"
     result = run_campaign(3, seed=50, jobs=0, time_budget=0.0,
                           directory=directory)
     assert result.seeds_skipped == [52]
     assert sorted(result.seeds_run) == [50, 51]
 
-    resumed = run_campaign(3, seed=50, jobs=0, directory=directory,
-                           resume=True)
+    resumed = run_campaign(3, seed=50, jobs=0, directory=directory)
     assert resumed.ok and not resumed.seeds_skipped
 
 

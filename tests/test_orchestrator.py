@@ -1,6 +1,6 @@
 """Process-isolated sweep orchestrator: worker determinism, wall-clock
-kill, per-status retries, journal resume, quarantine, and graceful pool
-degradation.
+kill, per-status retries, resume from a result-store directory,
+quarantine, and graceful pool degradation.
 
 These tests spawn real worker subprocesses (multiprocessing *spawn*), so
 each costs ~a second of interpreter start-up; cell counts are kept tiny.
@@ -8,7 +8,6 @@ each costs ~a second of interpreter start-up; cell counts are kept tiny.
 
 import pytest
 
-from repro.analysis.journal import Journal
 from repro.analysis.orchestrator import (
     RETRY_POLICY,
     SweepCell,
@@ -19,6 +18,8 @@ from repro.analysis.runner import STATUSES, run_benchmark, run_matrix
 from repro.kernels.registry import get
 from repro.sim.config import scaled_fermi
 from repro.sim.faults import FaultPlan
+from repro.store import chaos
+from repro.store.cas import ResultStore
 
 
 @pytest.fixture
@@ -108,73 +109,85 @@ def test_duplicate_cells_rejected(cfg):
 
 
 def test_resume_skips_completed_cells(cfg, tmp_path):
-    """A journaled sweep interrupted partway re-runs only what is missing,
-    and the resumed cells' stats are byte-identical to the first run."""
+    """A sweep interrupted partway re-runs only what is missing when re-run
+    into the same directory, and the stored cells' stats are
+    byte-identical to the first run."""
     benches = [get("vecadd"), get("saxpy")]
     first = run_sweep(matrix_cells(benches[:1], ["baseline", "vt"], cfg, 0.25),
-                      jobs=0, journal_dir=tmp_path)
-    assert first.ok and not first.resumed
+                      jobs=0, directory=tmp_path)
+    assert first.ok and not first.cached
     # "Crash": a second sweep over a superset of the matrix resumes.
     full = matrix_cells(benches, ["baseline", "vt"], cfg, 0.25)
-    second = run_sweep(full, jobs=0, journal_dir=tmp_path, resume=True)
-    assert sorted(second.resumed) == [("vecadd", "baseline"), ("vecadd", "vt")]
+    second = run_sweep(full, jobs=0, directory=tmp_path)
+    assert sorted(second.cached) == [("vecadd", "baseline"), ("vecadd", "vt")]
+    assert second.store_stats["puts"] == 2  # only the saxpy cells ran
     assert second.ok
     for key, record in first.records.items():
         assert second.records[key].stats.to_dict() == record.stats.to_dict()
 
 
 def test_resume_refuses_stale_fingerprints(cfg, tmp_path):
-    """Changing any config knob changes the fingerprint, so old journal
+    """Changing any config knob changes the fingerprint, so old stored
     entries are not reused for the changed matrix."""
     cells = matrix_cells([get("vecadd")], ["baseline"], cfg, 0.25)
-    run_sweep(cells, jobs=0, journal_dir=tmp_path)
+    run_sweep(cells, jobs=0, directory=tmp_path)
     changed = matrix_cells([get("vecadd")], ["baseline"],
                            cfg.with_(dram_latency=600), 0.25)
-    result = run_sweep(changed, jobs=0, journal_dir=tmp_path, resume=True)
-    assert not result.resumed  # stale entry ignored, cell re-ran
+    result = run_sweep(changed, jobs=0, directory=tmp_path)
+    assert not result.cached  # stale entry ignored, cell re-ran
     assert result.ok
 
 
-def test_corrupted_journal_line_quarantined_on_resume(cfg, tmp_path):
-    cells = matrix_cells([get("vecadd")], ["baseline", "vt"], cfg, 0.25)
-    run_sweep(cells, jobs=0, journal_dir=tmp_path)
-    journal_path = tmp_path / "journal.jsonl"
-    with journal_path.open("a") as handle:
-        handle.write('{"fingerprint": "torn-by-sigkill", "status"')
-    result = run_sweep(cells, jobs=0, journal_dir=tmp_path, resume=True)
-    assert result.quarantined_lines == 1
-    assert len(result.resumed) == 2  # intact entries still resumed
-    assert (tmp_path / "journal.jsonl.quarantine").exists()
+def test_corrupted_failure_entry_quarantined_on_resume(cfg, tmp_path):
+    """A corrupted failure entry is quarantined and its cell recomputed;
+    intact entries are still read back."""
+    cells = [SweepCell("vecadd", cfg, scale=0.25, max_cycles=100),
+             SweepCell("saxpy", cfg, scale=0.25)]
+    first = run_sweep(cells, jobs=0, retries=0, directory=tmp_path)
+    failed = cells[0]
+    assert first.records[failed.key].status == "timeout"
+    chaos.truncate_file(ResultStore(tmp_path).failure_path(failed.fingerprint),
+                        25)
+    result = run_sweep(cells, jobs=0, retries=0, directory=tmp_path)
+    assert result.cached == [cells[1].key]  # intact entry still resumed
+    assert result.records[failed.key].status == "timeout"  # recomputed
+    assert result.store_stats["corrupt"] == 1
+    assert list((tmp_path / "quarantine").iterdir())
+    assert "quarantined and recomputed" in result.summary_table()
 
 
-def test_run_matrix_journal_mode(cfg, tmp_path):
-    """run_matrix's journal/parallel mode returns the same shape as the
+def test_run_matrix_directory_mode(cfg, tmp_path):
+    """run_matrix's directory/parallel mode returns the same shape as the
     serial keep_going path and is resumable."""
     benches = [get("vecadd")]
     records = run_matrix(benches, ["baseline", "vt"], cfg, scale=0.25,
-                         keep_going=True, parallel=0, journal_dir=tmp_path)
+                         keep_going=True, parallel=0, directory=tmp_path)
     assert set(records) == {("vecadd", "baseline"), ("vecadd", "vt")}
     assert all(r.ok for r in records.values())
     again = run_matrix(benches, ["baseline", "vt"], cfg, scale=0.25,
-                       parallel=0, journal_dir=tmp_path, resume=True)
+                       parallel=0, directory=tmp_path)
     assert {k: r.cycles for k, r in again.items()} == \
         {k: r.cycles for k, r in records.items()}
-    journal = Journal.open(tmp_path, resume=True)
-    assert len(journal.entries) == 2
+    assert len(ResultStore(tmp_path)) == 2
 
 
-def test_failed_cells_are_journaled_with_dumps(cfg, tmp_path):
-    """A terminally failing cell lands in the journal too (resume must not
-    re-run it), with its forensic dump persisted under dumps/."""
+def test_failed_cells_are_stored_with_dumps(cfg, tmp_path):
+    """A terminally failing cell lands in failures/ (a re-run must not run
+    it again), with its forensic dump persisted under dumps/."""
     cell = SweepCell("vecadd", cfg, scale=0.25, max_cycles=100)
-    result = run_sweep([cell], jobs=0, journal_dir=tmp_path)
+    result = run_sweep([cell], jobs=0, directory=tmp_path)
     record = result.records[cell.key]
     assert record.status == "timeout"
-    assert result.dump_paths[cell.key]
-    assert (tmp_path / "dumps").exists()
-    again = run_sweep([cell], jobs=0, journal_dir=tmp_path, resume=True)
-    assert again.resumed == [cell.key]
+    dump = result.dump_paths[cell.key]
+    assert dump == str(tmp_path / "dumps" / f"{cell.fingerprint}.txt")
+    assert "deadlock forensics" in open(dump).read()
+    store = ResultStore(tmp_path)
+    assert store.get(cell.fingerprint) is None  # never a global truth
+    again = run_sweep([cell], jobs=0, directory=store)
+    assert again.cached == [cell.key]
     assert again.records[cell.key].status == "timeout"
+    assert again.dump_paths[cell.key] == dump  # the dump persisted
+    assert store.stats.puts == 0  # nothing re-ran
 
 
 def test_summary_table_marks_retries(cfg):

@@ -90,7 +90,7 @@ def test_summary_renders():
 
 
 # ---------------------------------------------------------------------------
-# to_dict / from_dict round-trip (the sweep journal depends on this)
+# to_dict / from_dict round-trip (the result store depends on this)
 # ---------------------------------------------------------------------------
 
 def _populated_sm() -> SMStats:

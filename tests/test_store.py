@@ -1,17 +1,20 @@
 """Content-addressed result store: commit discipline, checksum-verified
-reads, corruption quarantine, GC, and audit artifacts.  (Crash/fault
-injection lives in tests/test_store_chaos.py.)"""
+reads, terminal-failure entries, durable dumps, corruption quarantine, GC,
+and audit artifacts.  (Crash/fault injection lives in
+tests/test_store_chaos.py.)"""
 
 import json
 import os
+import stat
 
 import pytest
 
-from repro.analysis.journal import cell_fingerprint
+from repro.records import cell_fingerprint
 from repro.store import chaos
 from repro.store.cas import (
     SCHEMA_VERSION,
     ResultStore,
+    _git_commit,
     build_artifact,
     checksum_payload,
     code_version,
@@ -62,6 +65,114 @@ def test_failed_records_are_refused(store, record):
     record.stats = None
     assert store.put(_fingerprint(record), record) is None
     assert len(store) == 0
+
+
+def _failed(record, status="timeout"):
+    record.status = status
+    record.stats = None
+    record.error = "SimulationTimeout: budget of 100 cycles exhausted"
+    record.dump = "deadlock forensics"
+    return record
+
+
+# ---------------------------------------------------------------------------
+# terminal failures: failures/<fp>.json, never served by get()
+# ---------------------------------------------------------------------------
+
+def test_failure_entry_round_trips(store, record):
+    fp = _fingerprint(record)
+    path = store.put_failure(fp, _failed(record), seed=7, attempts=2,
+                             elapsed_s=1.5)
+    assert path == store.failure_path(fp) and path.is_file()
+    entry = store.get_failure(fp)
+    assert entry is not None
+    assert entry.record.status == "timeout"
+    assert entry.record.dump == "deadlock forensics"
+    assert (entry.seed, entry.attempts, entry.elapsed_s) == (7, 2, 1.5)
+    # same checksummed envelope as an ok entry
+    document = json.loads(path.read_text())
+    assert document["checksum"] == checksum_payload(document["payload"])
+
+
+def test_get_never_serves_a_failure(store, record):
+    fp = _fingerprint(record)
+    store.put_failure(fp, _failed(record))
+    assert store.get(fp) is None  # budget-dependent: not a global truth
+    assert len(store) == 0
+    assert store.stats.corrupt == 0  # a plain miss, not corruption
+
+
+@pytest.mark.parametrize("mode", ["bitflip", "truncate", "newer-schema"])
+def test_corrupted_failure_entry_is_quarantined(store, record, mode):
+    fp = _fingerprint(record)
+    path = store.put_failure(fp, _failed(record))
+    if mode == "bitflip":
+        chaos.flip_bit(path, 40, 3)
+    elif mode == "truncate":
+        chaos.truncate_file(path, path.stat().st_size // 2)
+    else:  # a newer writer's entry is not guessed at
+        document = json.loads(path.read_text())
+        document["v"] = SCHEMA_VERSION + 1
+        path.write_text(json.dumps(document))
+    assert store.get_failure(fp) is None
+    assert not path.exists()
+    assert store.stats.corrupt == 1
+    assert len(list((store.root / "quarantine").iterdir())) == 1
+
+
+def test_success_under_failures_is_refused(store, record):
+    # An ok entry copied into failures/ (or a failure into objects/) is not
+    # what either reader was asked for: quarantine, never misread.
+    fp = _fingerprint(record)
+    store.put(fp, record)
+    os.replace(store.entry_path(fp), store.failure_path(fp))
+    assert store.get_failure(fp) is None
+    assert store.stats.corrupt == 1
+
+
+def test_verify_and_gc_cover_failures_and_dumps(store, record):
+    fp = _fingerprint(record)
+    store.put_failure(fp, _failed(record))
+    store.write_dump(fp, "forensics")
+    for sub in ("failures", "dumps"):
+        (store.root / sub / f"{TMP_PREFIX}orphan.1").write_bytes(b"junk")
+    report = store.verify()
+    assert report.entries == 1 and report.verified == 1
+    assert report.orphan_temps_removed == 2
+    chaos.flip_bit(store.failure_path(fp), 30, 1)
+    report = store.verify()
+    assert report.quarantined_now == [fp] and not report.healthy
+
+
+# ---------------------------------------------------------------------------
+# forensic dumps
+# ---------------------------------------------------------------------------
+
+def test_write_dump(store):
+    path = store.write_dump("feedbeef", "stack of forensics")
+    assert path == str(store.dump_path("feedbeef"))
+    assert "forensics" in open(path).read()
+    assert store.write_dump("feedbeef", None) is None
+
+
+def test_dump_write_fsyncs_file_and_directory(store, monkeypatch):
+    """A dump must be durable before the failure entry that points at it:
+    the file itself is fsynced (not only its directory), then the rename
+    is made durable by fsyncing dumps/."""
+    synced = []
+    real_fsync = os.fsync
+
+    def spy_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        synced.append((kind, os.readlink(f"/proc/self/fd/{fd}")))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    path = store.write_dump("feedbeef", "stack of forensics")
+    files = [target for kind, target in synced if kind == "file"]
+    assert len(files) == 1 and "feedbeef" in files[0]
+    assert ("dir", str(store.root / "dumps")) in synced
+    assert open(path).read() == "stack of forensics\n"
 
 
 def test_reput_replaces_atomically(store, record):
@@ -189,7 +300,7 @@ def test_artifact_round_trip_and_schema(store, record):
                               elapsed_s=2.0, started_at=10.0, finished_at=12.0,
                               store_path=str(path))
     store.write_artifact(fp, artifact)
-    back = store.read_artifact(fp)
+    back = json.loads(store.artifact_path(fp).read_text())
     assert back == artifact
     assert back["kind"] == "repro-run-artifact"
     assert back["run"]["fingerprint"] == fp
@@ -204,6 +315,30 @@ def test_code_version_reports_package_version():
     from repro import __version__
 
     assert code_version()["version"] == __version__
+
+
+def test_git_commit_falls_back_to_packed_refs(tmp_path):
+    """After `git gc` / `git pack-refs` a branch has no loose ref file;
+    the audit record must still carry the commit."""
+    git_dir = tmp_path / ".git"
+    git_dir.mkdir()
+    (git_dir / "HEAD").write_text("ref: refs/heads/main\n")
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    (git_dir / "packed-refs").write_text(
+        "# pack-refs with: peeled fully-peeled sorted\n"
+        f"{'f' * 40} refs/heads/other\n"
+        f"{sha} refs/heads/main\n"
+        f"^{'e' * 40}\n")
+    assert _git_commit(git_dir) == sha
+    # a loose ref, when present, wins over the packed one
+    (git_dir / "refs" / "heads").mkdir(parents=True)
+    (git_dir / "refs" / "heads" / "main").write_text("a" * 40 + "\n")
+    assert _git_commit(git_dir) == "a" * 40
+    # detached HEAD and an unknown branch
+    (git_dir / "HEAD").write_text("b" * 40 + "\n")
+    assert _git_commit(git_dir) == "b" * 40
+    (git_dir / "HEAD").write_text("ref: refs/heads/gone\n")
+    assert _git_commit(git_dir) is None
 
 
 def test_checksum_is_canonical_not_formatting_sensitive():

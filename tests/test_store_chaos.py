@@ -1,32 +1,30 @@
-"""Chaos harness: every robustness claim of the store + serve stack with
-the fault actually fired.
+"""Chaos harness: every robustness claim of the result store with the
+fault actually fired.
 
 * crash-consistency property: a writer SIGKILLed at seeded byte offsets /
   commit stages leaves the store fully absent or fully valid for that
   key — never torn;
 * storage corruption (bit flip, truncation) mid-campaign self-heals:
   quarantine + recompute, byte-identical result;
-* a served campaign killed mid-run resumes after restart, and
-  resubmitting a completed campaign is >= 90% cache reads with zero
-  re-simulation.
+* a sweep SIGKILLed mid-run and re-run into the same directory runs only
+  the missing cells, and re-running a completed sweep into its directory
+  is 100% cache reads with zero re-simulation.
 
 Everything is seeded; a failure replays exactly.
 """
 
-import json
 import os
 import signal
 import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
-from repro.analysis.journal import cell_fingerprint
+from repro.analysis.experiments import sweep_report
 from repro.analysis.orchestrator import matrix_cells, run_sweep
 from repro.kernels.registry import get
+from repro.records import cell_fingerprint
 from repro.sim.config import scaled_fermi
 from repro.store import chaos
 from repro.store.cas import ResultStore, stats_digest
@@ -110,7 +108,7 @@ def test_killed_writer_sweep_of_seeded_offsets(tmp_path):
 def test_corrupted_entry_is_requarantined_and_recomputed(tmp_path, cfg, mode):
     store = ResultStore(tmp_path / "store")
     cells = matrix_cells([get("vecadd")], ["baseline"], cfg, 0.25)
-    result = run_sweep(cells, jobs=0, store=store)
+    result = run_sweep(cells, jobs=0, directory=store)
     record = result.records[("vecadd", "baseline")]
     assert record.ok and store.stats.puts == 1
     fingerprint = cells[0].fingerprint
@@ -119,7 +117,7 @@ def test_corrupted_entry_is_requarantined_and_recomputed(tmp_path, cfg, mode):
     chaos.corrupt_entry(store, fingerprint, seed=9, mode=mode)
 
     rerun = run_sweep(matrix_cells([get("vecadd")], ["baseline"], cfg, 0.25),
-                      jobs=0, store=store)
+                      jobs=0, directory=store)
     healed = rerun.records[("vecadd", "baseline")]
     assert healed.ok
     assert ("vecadd", "baseline") not in rerun.cached  # it really re-ran
@@ -129,22 +127,23 @@ def test_corrupted_entry_is_requarantined_and_recomputed(tmp_path, cfg, mode):
     assert stats_digest(healed.stats.to_dict()) == pristine_digest
     # and the store is whole again: a third pass is a pure cache read
     third = run_sweep(matrix_cells([get("vecadd")], ["baseline"], cfg, 0.25),
-                      jobs=0, store=store)
+                      jobs=0, directory=store)
     assert ("vecadd", "baseline") in third.cached
 
 
 def test_resubmitted_campaign_is_all_cache_reads(tmp_path, cfg):
-    """The acceptance bar: resubmitting a completed sweep must be >= 90%
-    store reads with zero simulation re-executed (here: 100%)."""
-    store = ResultStore(tmp_path / "store")
+    """The acceptance bar: re-running a completed sweep into its directory
+    must be >= 90% store reads with zero simulation re-executed (here:
+    100%)."""
+    store = ResultStore(tmp_path / "sweep")
     benches = [get("vecadd"), get("stride")]
     cells = matrix_cells(benches, ["baseline", "vt"], cfg, 0.25)
-    cold = run_sweep(cells, jobs=0, store=store, journal_dir=tmp_path / "s1")
+    cold = run_sweep(cells, jobs=0, directory=store)
     assert cold.ok and len(cold.cached) == 0
 
-    warm_store = ResultStore(tmp_path / "store")
+    warm_store = ResultStore(tmp_path / "sweep")
     warm = run_sweep(matrix_cells(benches, ["baseline", "vt"], cfg, 0.25),
-                     jobs=0, store=warm_store, journal_dir=tmp_path / "s2")
+                     jobs=0, directory=warm_store)
     assert warm.ok
     cache_ratio = len(warm.cached) / len(cells)
     assert cache_ratio >= 0.9
@@ -158,92 +157,44 @@ def test_resubmitted_campaign_is_all_cache_reads(tmp_path, cfg):
 
 
 # ---------------------------------------------------------------------------
-# the served campaign: SIGKILL the server mid-run, restart, resume
+# a sweep SIGKILLed mid-run resumes by re-running into the same directory
 # ---------------------------------------------------------------------------
 
-SERVE_SPECS = [
-    {"benchmark": "vecadd", "arch": "baseline", "scale": 0.25, "sms": 1},
-    {"benchmark": "vecadd", "arch": "vt", "scale": 0.25, "sms": 1},
-    {"benchmark": "stride", "arch": "baseline", "scale": 0.25, "sms": 1},
-]
+KILL_BENCHES = ["vecadd", "saxpy", "stride"]
 
 
-def _start_server(store_dir):
+def test_killed_sweep_resumes_only_missing_cells(tmp_path):
+    sweep_dir = tmp_path / "sweep"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.abspath(src), PYTHONUNBUFFERED="1")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--dir", str(store_dir),
-         "--port", "0", "--jobs", "0"],
-        stdout=subprocess.PIPE, text=True, env=env)
-    banner = proc.stdout.readline()
-    assert "listening on http://127.0.0.1:" in banner, banner
-    port = int(banner.split("http://127.0.0.1:")[1].split()[0])
-    return proc, f"http://127.0.0.1:{port}"
-
-
-def _post_jobs(base, specs):
-    request = urllib.request.Request(
-        base + "/v1/jobs", data=json.dumps({"jobs": specs}).encode(),
-        method="POST")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-m", "repro", "sweep", "--serial",
+            "--scale", "0.25", "--sms", "1", "--dir", str(sweep_dir)]
+    for name in KILL_BENCHES:
+        argv += ["--benchmark", name]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    objects = sweep_dir / "objects"
+    deadline = time.monotonic() + 120
     try:
-        with urllib.request.urlopen(request, timeout=60) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-def _poll(base, fingerprint, timeout=120.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with urllib.request.urlopen(
-                    base + f"/v1/jobs/{fingerprint}", timeout=10) as response:
-                view = json.loads(response.read())
-        except (urllib.error.URLError, ConnectionError):
-            return None
-        if view["state"] == "done":
-            return view
-        time.sleep(0.1)
-    return None
-
-
-def test_server_killed_mid_campaign_resumes_after_restart(tmp_path):
-    store_dir = tmp_path / "store"
-    proc, base = _start_server(store_dir)
-    try:
-        status, body = _post_jobs(base, SERVE_SPECS)
-        assert status == 200
-        fingerprints = [r["job"]["fingerprint"] for r in body["results"]]
-        # wait for the first job to complete, then kill mid-campaign
-        first = _poll(base, fingerprints[0], timeout=120)
-        assert first is not None and first["ok"]
+        while not list(objects.glob("*/*.json")):
+            assert proc.poll() is None, "sweep finished before the kill"
+            assert time.monotonic() < deadline, "no cell ever committed"
+            time.sleep(0.01)
     finally:
-        proc.kill()
+        proc.send_signal(signal.SIGKILL)
         proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    survived = {p.stem for p in objects.glob("*/*.json")}
+    assert ResultStore(sweep_dir).verify().quarantined_now == []
 
-    # completed cells are already durable in the store
-    store = ResultStore(store_dir)
-    assert store.get(fingerprints[0]) is not None
-    assert store.verify().quarantined_now == []  # the kill tore nothing
-
-    proc, base = _start_server(store_dir)
-    try:
-        status, body = _post_jobs(base, SERVE_SPECS)
-        assert status == 200
-        outcomes = [r["outcome"] for r in body["results"]]
-        # the finished cell is served from the store, not recomputed
-        assert outcomes[0] == "cached"
-        views = [_poll(base, fp, timeout=120) for fp in fingerprints]
-        assert all(v is not None and v["ok"] for v in views)
-        assert views[0]["stats_sha256"] == first["stats_sha256"]
-
-        # the whole campaign resubmitted once more: pure cache, identical
-        status, body = _post_jobs(base, SERVE_SPECS)
-        assert status == 200
-        assert [r["outcome"] for r in body["results"]] == ["cached"] * 3
-        for result, view in zip(body["results"], views):
-            assert result["job"]["stats_sha256"] == view["stats_sha256"]
-    finally:
-        proc.kill()
-        proc.wait()
+    _report, resumed = sweep_report(benches=KILL_BENCHES, scale=0.25, sms=1,
+                                    jobs=0, directory=sweep_dir)
+    assert resumed.ok and len(resumed.records) == 3 * len(KILL_BENCHES)
+    cached = {resumed.fingerprints[key] for key in resumed.cached}
+    assert cached == survived  # only the missing cells ran
+    assert resumed.store_stats["puts"] == len(resumed.records) - len(survived)
+    # byte-identical to an uninterrupted, unpersisted sweep
+    _report, clean = sweep_report(benches=KILL_BENCHES, scale=0.25, sms=1,
+                                  jobs=0)
+    for key, record in clean.records.items():
+        assert resumed.records[key].stats.to_dict() == record.stats.to_dict()
