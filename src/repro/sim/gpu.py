@@ -16,13 +16,14 @@ reproducible and architecture comparisons fair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from repro.isa.kernel import Kernel
 from repro.sim.config import ArchMode, GPUConfig
 from repro.sim.cta import CTA
 from repro.sim.memory import GlobalMemory
 from repro.sim.memsys import MemoryModel
-from repro.sim.sanitizer import ProgressTracker, Sanitizer, diagnostic_dump
+from repro.sim.sanitizer import Sanitizer, diagnostic_dump
 from repro.sim.smcore import SMCore
 from repro.sim.stats import SimStats
 
@@ -44,6 +45,62 @@ class ProgressDeadlock(SimulationTimeout):
     ``progress_window`` consecutive cycles.  Raised long before
     ``max_cycles``, with the same forensic ``dump`` attached — a true
     deadlock never gets better with a bigger cycle budget."""
+
+
+class ProgressTracker:
+    """Forward-progress bookkeeping for the deadlock watchdog.
+
+    ``progress_window`` consecutive cycles without progress is a deadlock,
+    diagnosed long before ``max_cycles``.  A cycle counts as progress when
+    an instruction issued anywhere, a CTA was dispatched, the swap engine
+    was busy, or a memory response is still legitimately in flight
+    (``mem_horizon``, already capped by ``max_pending_latency`` at record
+    time, lies in the future).
+    """
+
+    def __init__(self, window: int):
+        self.window = window
+        self.last_progress = 0
+        self.horizon = 0
+
+    def observe(self, now: int, issued: int, swap_busy: bool, dispatched: bool,
+                mem_horizon: int) -> None:
+        if mem_horizon > self.horizon:
+            self.horizon = mem_horizon
+        if issued or swap_busy or dispatched or now < self.horizon:
+            self.last_progress = now
+
+    def observe_span(self, start: int, stop: int, swap_busy: bool) -> None:
+        """Bulk equivalent of per-cycle :meth:`observe` over the dead span
+        ``[start, stop)`` skipped by the fast-forward engine.
+
+        During such a span nothing issues and nothing dispatches, the
+        swap-engine state is constant (a phase boundary would have ended
+        the span), and ``mem_horizon`` cannot grow (it only moves on
+        issue) — so progress at cycle ``t`` reduces to ``swap_busy or
+        t < horizon`` and the latest progressing cycle is closed-form."""
+        if swap_busy:
+            self.last_progress = stop - 1
+        elif self.horizon > start:
+            latest = min(stop - 1, self.horizon - 1)
+            if latest > self.last_progress:
+                self.last_progress = latest
+
+    def stall_deadline(self) -> int:
+        """First cycle at which :meth:`deadlocked` would fire assuming no
+        issue, dispatch, or swap activity from here on (memory responses
+        already in flight keep counting as progress until ``horizon``).
+        The fast-forward engine never skips past this cycle, so a deadlock
+        raises at exactly the same cycle as under the reference engine."""
+        if self.window <= 0:
+            return 1 << 60
+        return max(self.last_progress, self.horizon - 1) + self.window + 1
+
+    def stalled_cycles(self, now: int) -> int:
+        return now - self.last_progress
+
+    def deadlocked(self, now: int) -> bool:
+        return self.window > 0 and now - self.last_progress > self.window
 
 
 @dataclass
@@ -131,9 +188,9 @@ class GPU:
             sm.gmem = gmem
 
         progress = ProgressTracker(cfg.progress_window)
-        # The fast-forward engine skips provably-dead cycles; anything that
-        # observes individual cycles (sanitizer, fault plans, tracers) pins
-        # the per-cycle reference path.
+        # The fast-forward engine lets SMs sleep through provably-dead
+        # cycles; anything that observes individual cycles (sanitizer,
+        # fault plans, tracers) pins the per-cycle reference path.
         fast_forward = (cfg.fast_forward and tracer is None and faults is None
                         and not cfg.sanitize)
         for sm in sms:
@@ -146,6 +203,41 @@ class GPU:
         # Only the VT manager ever has a context switch in flight; skip the
         # per-SM query entirely on the other architectures.
         vt_mode = cfg.arch == ArchMode.VT
+        # Wake queue: a heap with one valid ``(due, sm_id)`` entry per
+        # non-idle SM, packed into the int ``due * num_sms + sm_id`` (same
+        # order, no tuple per push).  ``due[i]`` is SM i's step cycle (None
+        # while idle); an entry whose cycle no longer matches it is stale
+        # and skipped.  ``credited[i]`` is the first cycle SM i has not
+        # accounted for: cycles it sleeps through are lag-credited in bulk
+        # when it is next touched.
+        wake = []
+        due = [None] * num_sms
+        credited = [0] * num_sms
+        live = 0
+        # Watchdog inputs, maintained incrementally: which SMs had a swap
+        # in flight after their last full step (constant while they sleep:
+        # a swap-phase end is a manager event, so it wakes the SM), and
+        # the running maximum of every SM's ``mem_horizon``.
+        swapping = [False] * num_sms
+        swaps = 0
+        horizon = 0
+
+        def seat(sm, cta_id: int) -> None:
+            # A CTA seated on a sleeping SM makes it due now; its skipped
+            # span is credited first, against the pre-assign state.
+            nonlocal live
+            i = sm.sm_id
+            if due[i] is None:
+                live += 1
+                credited[i] = now
+            elif credited[i] < now:
+                sm.fast_forward(credited[i], now)
+                credited[i] = now
+            if due[i] != now:
+                due[i] = now
+                heappush(wake, now * num_sms + i)
+            sm.assign_cta(self._make_cta(cta_id, kernel, grid, params, now), now)
+
         while True:
             # Dispatch: at most one CTA per SM per cycle.  Round-robin
             # rotates the starting SM each cycle (GigaThread-style fairness);
@@ -157,9 +249,7 @@ class GPU:
                     # lowest-numbered SM with room.
                     for sm in sms:
                         if sm.manager.can_accept(kernel):
-                            sm.assign_cta(
-                                self._make_cta(next_cta, kernel, grid, params, now),
-                                now)
+                            seat(sm, next_cta)
                             next_cta += 1
                             dispatched = True
                             break
@@ -174,66 +264,85 @@ class GPU:
                             break
                         sm = sms[(start + i) % num_sms]
                         if sm.manager.can_accept(kernel):
-                            sm.assign_cta(
-                                self._make_cta(next_cta, kernel, grid, params, now),
-                                now)
+                            seat(sm, next_cta)
                             next_cta += 1
                             dispatched = True
 
+            # Step the SMs due now, in sm_id order: together with the
+            # cycle order this keeps memory requests in the serial
+            # (cycle, sm_id, seq) order, so every completion time (fixed
+            # at issue by MemoryModel.read) matches the reference engine.
             issued = 0
-            swap_busy = False
-            mem_horizon = 0
-            for sm in sms:
-                if not sm.idle:
-                    issued += sm.step(now)
-                    if vt_mode and sm.manager.swap_in_flight():
-                        swap_busy = True
-                if sm.mem_horizon > mem_horizon:
-                    mem_horizon = sm.mem_horizon
+            first_due = now * num_sms
+            first_after = first_due + num_sms
+            while wake and wake[0] < first_after:
+                i = heappop(wake) - first_due
+                if due[i] != now:
+                    continue  # stale entry
+                sm = sms[i]
+                if credited[i] < now:
+                    sm.fast_forward(credited[i], now)
+                issued += sm.step(now)
+                credited[i] = now + 1
+                if vt_mode and sm.manager.swap_in_flight() != swapping[i]:
+                    swapping[i] = not swapping[i]
+                    swaps += 1 if swapping[i] else -1
+                if sm.mem_horizon > horizon:
+                    horizon = sm.mem_horizon
+                if sm.idle:
+                    due[i] = None
+                    live -= 1
+                else:
+                    # A zero-issue step primed next_wake with the SM's next
+                    # event; otherwise (or on the reference engine, which
+                    # never primes it) the SM is due next cycle.
+                    wake_at = sm.next_wake
+                    if wake_at <= now:
+                        wake_at = now + 1
+                    due[i] = wake_at
+                    heappush(wake, wake_at * num_sms + i)
+            observed = horizon
             if dispatched:
                 # A freshly seated CTA only becomes schedulable after the
                 # dispatcher latency; cover the gap in the horizon.
-                mem_horizon = max(mem_horizon, now + cfg.cta_launch_latency)
-            progress.observe(now, issued, swap_busy, dispatched, mem_horizon)
+                observed = max(horizon, now + cfg.cta_launch_latency)
+            progress.observe(now, issued, swaps > 0, dispatched, observed)
             if tracer is not None:
                 tracer.on_cycle(now, sms)
 
-            if next_cta >= total_ctas and all(sm.idle for sm in sms):
+            if next_cta >= total_ctas and not live:
                 break
 
-            if fast_forward and not issued and not (
-                    next_cta < total_ctas
-                    and any(sm.manager.can_accept(kernel) for sm in sms)):
-                # This cycle was dead and the next one cannot dispatch:
-                # jump to the earliest event across SMs, bulk-crediting the
-                # skipped span.  Every non-idle SM just took a zero-issue
-                # step, so its cached ``next_wake`` is fresh.  Capped at the
-                # watchdog deadline and the hard cycle budget so both fire
-                # at reference-exact cycles.
-                target = limit
-                for sm in sms:
-                    if not sm.idle and sm.next_wake < target:
-                        target = sm.next_wake
-                if not swap_busy:
+            # Advance to the next cycle anything can happen: the earliest
+            # due SM, unless a CTA can be dispatched next cycle.  Capped at
+            # the watchdog deadline and the hard cycle budget so both fire
+            # at reference-exact cycles.  (can_accept only changes on
+            # assign/finish, i.e. in a step, so it is fixed until then.)
+            target = now + 1
+            if fast_forward:
+                target = wake[0] // num_sms if wake else limit
+                if target > limit:
+                    target = limit
+                if not swaps and target > now + 1:
                     deadline = progress.stall_deadline()
                     if deadline < target:
                         target = deadline
                 if target > now + 1:
-                    for sm in sms:
-                        if not sm.idle:
-                            sm.fast_forward(now + 1, target)
-                    progress.observe_span(now + 1, target, swap_busy)
-                    if next_cta < total_ctas and not fill_first:
-                        rr_offset = (rr_offset + target - now - 1) % num_sms
-                    now = target - 1
-
-            now += 1
+                    if next_cta < total_ctas and any(
+                            sm.manager.can_accept(kernel) for sm in sms):
+                        target = now + 1
+                    else:
+                        progress.observe_span(now + 1, target, swaps > 0)
+                        if next_cta < total_ctas and not fill_first:
+                            rr_offset = (rr_offset + target - now - 1) % num_sms
+            now = target
             if progress.deadlocked(now):
                 reason = (
                     f"kernel {kernel.name!r} made no forward progress for "
                     f"{progress.stalled_cycles(now)} cycles "
                     f"({next_cta}/{total_ctas} CTAs dispatched)"
                 )
+                self._credit_lag(sms, due, credited, now)
                 raise ProgressDeadlock(
                     reason, dump=diagnostic_dump(sms, now, reason, faults=faults))
             if now >= limit:
@@ -241,6 +350,7 @@ class GPU:
                     f"kernel {kernel.name!r} exceeded {limit} cycles "
                     f"({next_cta}/{total_ctas} CTAs dispatched)"
                 )
+                self._credit_lag(sms, due, credited, now)
                 raise SimulationTimeout(
                     reason, dump=diagnostic_dump(sms, now, reason, faults=faults))
 
@@ -252,6 +362,16 @@ class GPU:
         )
 
     # -- helpers ---------------------------------------------------------------
+
+    @staticmethod
+    def _credit_lag(sms, due, credited, now: int) -> None:
+        """Bring every sleeping SM's accounting up to ``now`` (exclusive),
+        so a watchdog dump sees the reference engine's state."""
+        for sm in sms:
+            i = sm.sm_id
+            if due[i] is not None and credited[i] < now:
+                sm.fast_forward(credited[i], now)
+                credited[i] = now
 
     def _make_cta(self, cta_id: int, kernel: Kernel, grid, params, now: int) -> CTA:
         return CTA(

@@ -1,9 +1,8 @@
 """Sharded parallel multi-SM engine with deterministic epoch synchronization.
 
-The serial engine in :meth:`repro.sim.gpu.GPU.launch` interleaves every SM
-cycle by cycle, so per-cycle cost grows linearly with SM count even though
-most SMs spend most cycles provably dead (waiting on memory).  This engine
-partitions the SM cores into *shards* that advance independently across an
+The serial engine in :meth:`repro.sim.gpu.GPU.launch` interleaves the SMs
+cycle by cycle on one core (its wake queue steps only the SMs due each
+cycle).  This engine partitions the SM cores into *shards* that advance independently across an
 *epoch* — a span of cycles short enough that no information can cross
 between SMs inside it — and exchanges all cross-SM interaction exactly at
 epoch boundaries.  Statistics stay byte-identical to the serial engine
@@ -49,9 +48,10 @@ Why an epoch is safe (the determinism argument, see docs/ARCHITECTURE.md):
   scoreboard-blocked on that register past the epoch's end).
 
 Backends: ``sim_jobs == 1`` runs one shard containing every SM inline in
-this process — no IPC, but each SM still fast-forwards over its own dead
-spans instead of being O(1)-stepped every chip cycle, which is where the
-multi-SM speedup comes from on few-core hosts.  ``sim_jobs > 1`` forks
+this process — no IPC; each SM fast-forwards over its own dead spans, the
+same per-SM dormancy the serial engine's wake queue gives, so this backend
+is no faster than serial (``scripts/bench_simspeed.py`` gates serial >=
+parallel on the wide ``chase`` chip).  ``sim_jobs > 1`` forks
 worker processes (copy-on-write shard state), each owning a slice of SMs,
 with the same epoch protocol over pipes; a dead worker degrades to the
 serial rerun path.
@@ -63,10 +63,10 @@ import numpy as np
 
 from repro.sim.config import ArchMode
 from repro.sim.cta import CTA
-from repro.sim.gpu import (LaunchResult, ProgressDeadlock, SimulationTimeout,
-                           _manager_factory)
+from repro.sim.gpu import (LaunchResult, ProgressDeadlock, ProgressTracker,
+                           SimulationTimeout, _manager_factory)
 from repro.sim.memsys import MemoryModel, min_cross_rtt
-from repro.sim.sanitizer import ProgressTracker, diagnostic_dump
+from repro.sim.sanitizer import diagnostic_dump
 from repro.sim.smcore import SMCore
 from repro.sim.stats import SimStats
 
@@ -335,8 +335,8 @@ class _Shard:
         credited lazily — the first epoch that contains its wake fast-
         forwards the whole multi-epoch dead span in one call (the span is
         provably event-free, so the bulk accounting is exact).  This keeps
-        the per-epoch cost proportional to the *active* cores, which is
-        what lets the engine beat the serial chip on stall-heavy chips.
+        the per-epoch cost proportional to the *active* cores, as the
+        serial engine's wake queue keeps its per-cycle cost.
         """
         halts = []
         e1 = self.e1
@@ -386,25 +386,18 @@ class _Shard:
                 return None
             wake = sm.next_wake
             if wake > t:
+                # Provably-dead span: bulk-credit it.  Identical to the
+                # serial engine's lag credit because all sampled state is
+                # frozen until the next event (the wake-queue argument in
+                # GPU.launch).  A dormant core flushing its lag starts below
+                # e0; its span is swap-free (dormancy excludes in-flight
+                # swaps and the span is event-free), so the slice clamp is
+                # safe.
                 stop = wake if wake < e1 else e1
-                if stop - t >= 2:
-                    # Provably-dead span: bulk-credit it.  Identical to the
-                    # serial engine's per-cycle O(1) dead steps because all
-                    # sampled state is frozen until the next event (same
-                    # argument as the chip-level fast-forward).  A dormant
-                    # core flushing its lag starts below e0; its span is
-                    # swap-free (dormancy excludes in-flight swaps and the
-                    # span is event-free), so the slice clamp is safe.
-                    sm.fast_forward(t, stop)
-                    if vt and manager.swap_in_flight():
-                        swap_arr[max(t - e0, 0):stop - e0] = True
-                    t = stop
-                    continue
-                self.cycle = t
-                sm.step(t)  # single dead cycle: O(1) path
+                sm.fast_forward(t, stop)
                 if vt and manager.swap_in_flight():
-                    swap_arr[t - e0] = True
-                t += 1
+                    swap_arr[max(t - e0, 0):stop - e0] = True
+                t = stop
                 continue
             self.cycle = t
             if sm.step(t):
@@ -556,8 +549,8 @@ class _Shard:
             # The cached next event crossed the boundary, so the scan that
             # produced it may have had sentinel wake times masking the true
             # (earlier) event.  Re-run it as of the original scan cycle:
-            # the SM's state has been frozen since (all later cycles took
-            # the O(1) dead path), so this reproduces serial's scan.
+            # the SM's state has been frozen since (all later cycles were
+            # bulk-credited), so this reproduces serial's scan.
             sm.reprime_after_patch()
 
     # -- termination ---------------------------------------------------------

@@ -60,10 +60,11 @@ class SMCore:
         # watchdog treats cycles before this horizon as forward progress.
         self.mem_horizon = 0
         # Fast-forward engine state (see GPU.launch): after a zero-issue
-        # step the SM caches its next-event cycle and idle class; while
-        # ``next_wake > now`` every step is provably dead and collapses to
-        # O(1) accounting.  ``allow_fast`` is set by the launch loop; the
-        # reference engine never primes the cache.
+        # step the SM caches its next-event cycle and idle class; the wake
+        # queue does not step it before ``next_wake`` and credits the
+        # cycles it sleeps through with :meth:`fast_forward`.
+        # ``allow_fast`` is set by the launch loop; the reference engine
+        # never primes the cache.
         self.allow_fast = False
         self.next_wake = 0
         self._idle_kind = "empty"
@@ -248,21 +249,6 @@ class SMCore:
         """Advance one cycle; returns the number of instructions issued
         (the launch loop's forward-progress signal)."""
         stats = self.stats
-        if self.next_wake > now:
-            # Provably-dead cycle: a previous zero-issue step computed the
-            # next event and nothing can change before it, so the reference
-            # path's per-cycle accounting collapses to O(1) bookkeeping —
-            # no scheduler scan, no scoreboard reads, no manager update
-            # (whose only per-cycle effect before the event is the swap
-            # engine's busy credit, replicated here).
-            stats.cycles += 1
-            stats.issue_slots += len(self.schedulers)
-            if now % _OCCUPANCY_STRIDE == 0:
-                self._sample_occupancy(now)
-            stats.add_idle(self._idle_kind, 1)
-            if self.manager.swap_in_flight():
-                stats.swap_busy_cycles += 1
-            return 0
         stats.cycles += 1
         self._occ_cache = None  # a live cycle may change any sampled count
         self.manager.update(now, lambda warp: self._status(warp, now))
@@ -284,8 +270,8 @@ class SMCore:
             if self.allow_fast:
                 # Prime the dead-cycle cache in the same pass that
                 # classifies the idle cycle: statuses cannot change before
-                # the next event, so until then steps replay this cycle's
-                # accounting verbatim.
+                # the next event, so until then every cycle repeats this
+                # cycle's accounting verbatim.
                 kind, event = self._dead_scan(now)
                 self._idle_kind = kind
                 self.next_wake = event
@@ -329,12 +315,15 @@ class SMCore:
 
     # -- fast-forward support -----------------------------------------------------
 
-    def next_event(self, now: int) -> int:
-        """Earliest future cycle at which this SM's observable behaviour can
-        change, assuming no warp issues anywhere before it.
+    def _dead_scan(self, now: int) -> tuple[str, int]:
+        """``(idle class, next event)`` for a zero-issue cycle at ``now``,
+        in one pass over the resident warps (every dead-cycle discovery
+        needs both).
 
-        This is the SM's half of the next-event contract (see
-        docs/ARCHITECTURE.md): the minimum over
+        The next event is this SM's half of the next-event contract (see
+        docs/ARCHITECTURE.md): the earliest future cycle at which its
+        observable behaviour can change, assuming no warp issues anywhere
+        before it — the minimum over
 
         * the manager's own horizon (VT swap-engine phase end, inactive-CTA
           activation readiness, timeout-trigger deadlines),
@@ -350,13 +339,6 @@ class SMCore:
         returning too-late cycles would skip a live cycle and break the
         byte-identical-stats guarantee.
         """
-        return self._dead_scan(now)[1]
-
-    def _dead_scan(self, now: int) -> tuple[str, int]:
-        """One pass over resident warps computing ``(idle class, next
-        event)`` for a zero-issue cycle — the hot primitive behind both
-        :meth:`_idle_class` and :meth:`next_event`, fused because every
-        dead-cycle discovery needs both."""
         manager = self.manager
         event = manager.next_event(now)
         n_ready = n_alu = n_mem = n_barrier = 0
@@ -415,7 +397,7 @@ class SMCore:
         completion patch (parallel engine only).
 
         The SM's state has been frozen since the zero-issue step at
-        ``_scan_cycle`` (every later cycle took the O(1) dead path), so
+        ``_scan_cycle`` (every later cycle was bulk-credited), so
         re-running the scan *as of that cycle* against the now-exact
         scoreboard/MSHR values reproduces exactly what the serial engine's
         scan computed there."""
@@ -443,8 +425,8 @@ class SMCore:
     def fast_forward(self, start: int, stop: int) -> None:
         """Credit cycles ``[start, stop)`` as verified-dead cycles.
 
-        The caller (the fast-forward engine in :meth:`GPU.launch`)
-        guarantees no event falls inside the span, so every per-cycle
+        The caller (the wake queue in :meth:`GPU.launch`, or a parallel
+        shard) guarantees no event falls inside the span, so every per-cycle
         quantity is constant across it and the reference engine's
         cycle-by-cycle accounting collapses to arithmetic: cycle and
         issue-slot counters, occupancy samples on the

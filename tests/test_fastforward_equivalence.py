@@ -15,8 +15,7 @@ import pytest
 
 from repro.kernels import all_benchmarks, get
 from repro.sim.config import ArchMode, scaled_fermi
-from repro.sim.gpu import GPU, SimulationTimeout
-from repro.sim.sanitizer import ProgressTracker
+from repro.sim.gpu import GPU, ProgressDeadlock, ProgressTracker, SimulationTimeout
 
 BENCHES = all_benchmarks()
 SCALE = 0.25
@@ -140,3 +139,198 @@ def test_results_still_correct_under_fast_forward():
     cfg = scaled_fermi(num_sms=2, arch="vt", fast_forward=True)
     result = GPU(cfg).launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
     prep.check(result)
+
+
+# -- wide chips: the wake queue ------------------------------------------------
+#
+# On two SMs every live SM is due almost every cycle, so the cases below
+# use wider chips, where SMs sleep while others issue: CTAs are seated on
+# sleeping SMs, swaps drain on SMs that are not stepped, and a watchdog
+# can fire while most SMs still owe lag credit.
+
+# scripts/bench_simspeed.py's chase chip: one slow DRAM channel.
+SLOW_DRAM = {"dram_latency": 800, "dram_channels": 1,
+             "dram_service_cycles": 40, "lat_alu": 1}
+
+
+def run_prepared(bench, scale, fast_forward, num_sms, max_cycles=None,
+                 **overrides):
+    prep = bench.prepare(scale)
+    cfg = scaled_fermi(num_sms=num_sms, fast_forward=fast_forward,
+                       **overrides)
+    return GPU(cfg).launch(bench.kernel, prep.grid_dim, prep.gmem,
+                           prep.params, max_cycles=max_cycles)
+
+
+def assert_engines_identical(bench, scale, num_sms, **overrides):
+    ref = run_prepared(bench, scale, False, num_sms, **overrides)
+    fast = run_prepared(bench, scale, True, num_sms, **overrides)
+    assert fast.stats.to_dict() == ref.stats.to_dict()
+    assert np.array_equal(fast.gmem.data, ref.gmem.data)
+
+
+@pytest.fixture
+def wake_events(monkeypatch):
+    """Counts the wake-queue situations a run went through: a CTA seated
+    on a sleeping SM (lag credited up to the seat cycle just before the
+    assign), and lag credited while a swap was in flight."""
+    from repro.sim.smcore import SMCore
+
+    counts = {"seat_sleeping": 0, "swap_lag": 0}
+    assign, fast_forward = SMCore.assign_cta, SMCore.fast_forward
+
+    def counting_fast_forward(sm, start, stop):
+        sm.lag_credited_to = stop
+        if sm.manager.swap_in_flight():
+            counts["swap_lag"] += 1
+        fast_forward(sm, start, stop)
+
+    def counting_assign(sm, cta, now):
+        if getattr(sm, "lag_credited_to", None) == now:
+            counts["seat_sleeping"] += 1
+        assign(sm, cta, now)
+
+    monkeypatch.setattr(SMCore, "fast_forward", counting_fast_forward)
+    monkeypatch.setattr(SMCore, "assign_cta", counting_assign)
+    return counts
+
+
+@pytest.fixture
+def watchdog_log(monkeypatch):
+    """Records what the launch loop tells the progress watchdog: per
+    observed cycle, ``(issued, swap busy, dispatched, horizon)``; a
+    bulk-observed span is expanded to its cycles (nothing issues or
+    dispatches in it)."""
+    log = []
+
+    def observe(self, now, issued, swap_busy, dispatched, mem_horizon):
+        observe_cycle(self, now, issued, swap_busy, dispatched, mem_horizon)
+        log[-1][now] = (bool(issued), swap_busy, dispatched, self.horizon)
+
+    def observe_span(self, start, stop, swap_busy):
+        observe_range(self, start, stop, swap_busy)
+        for t in range(start, stop):
+            log[-1][t] = (False, swap_busy, False, self.horizon)
+
+    observe_cycle = ProgressTracker.observe
+    observe_range = ProgressTracker.observe_span
+    monkeypatch.setattr(ProgressTracker, "observe", observe)
+    monkeypatch.setattr(ProgressTracker, "observe_span", observe_span)
+    return log
+
+
+@pytest.mark.parametrize("arch", ["baseline", "vt"])
+def test_chase_slow_dram_16_sms_byte_identical(arch):
+    """The queue-staggered chase chip: some SM issues almost every cycle
+    while most sleep on the single DRAM channel."""
+    assert_engines_identical(get("chase"), 16 / 32, 16, arch=arch,
+                             **SLOW_DRAM)
+
+
+@pytest.mark.parametrize("name, scale, num_sms",
+                         [("srad", 2.0, 8), ("stride", 2.0, 4)])
+def test_vt_swaps_on_sleeping_sms_byte_identical(name, scale, num_sms,
+                                                  wake_events, watchdog_log):
+    """Several CTAs per SM under VT: swap phases drain on SMs the queue is
+    not stepping.  The watchdog inputs the loop keeps incrementally (the
+    swap-in-flight count, the memory horizon) must equal the reference
+    engine's per-cycle values on every cycle."""
+    bench = get(name)
+    results = []
+    for fast_forward in (False, True):
+        watchdog_log.append({})
+        results.append(run_prepared(bench, scale, fast_forward, num_sms,
+                                    arch="vt"))
+    ref, fast = results
+    assert fast.stats.to_dict() == ref.stats.to_dict()
+    assert np.array_equal(fast.gmem.data, ref.gmem.data)
+    assert watchdog_log[1] == watchdog_log[0]
+    assert any(swap for _, swap, _, _ in watchdog_log[0].values())
+    assert wake_events["swap_lag"] > 0
+
+
+def test_fill_first_dispatch_8_sms_byte_identical():
+    """Fill-first on a wide VT chip: several CTAs per SM, swaps."""
+    assert_engines_identical(get("srad"), 2.0, 8, arch="vt",
+                             cta_dispatch="fill-first")
+
+
+# Every third CTA chases a pointer through eight slow loads; the others
+# exit at once.  Round-robin dispatch never seats a CTA on a sleeping SM
+# (an SM can only start accepting in a step, and round-robin serves every
+# accepting SM the next cycle).  Fill-first serves one SM per cycle, so
+# here early exits on low SMs delay the fill of higher SMs that already
+# sleep on their first CTA's start latency or loads.
+SLEEP_SEAT_ASM = """
+.kernel sleepseat
+.regs 6
+.cta 32
+    S2R   r0, %ctaid_x
+    IREM  r1, r0, #3
+    SETP.NE r2, r1, #0
+@r2 BRA   done
+    S2R   r3, %param0
+    MOV   r4, #0
+loop:
+    LDG   r3, [r3]
+    IADD  r4, r4, #1
+    SETP.LT r5, r4, #8
+@r5 BRA   loop
+done:
+    EXIT
+"""
+
+
+def test_fill_first_seats_on_sleeping_sms_byte_identical(wake_events):
+    """A CTA seated on a sleeping SM: the SM's skipped span is credited
+    against its pre-assign state, then it steps at the seat cycle."""
+    from repro.isa.assembler import assemble
+    from repro.sim.memory import GlobalMemory
+
+    kernel = assemble(SLEEP_SEAT_ASM)
+    results = []
+    for fast_forward in (False, True):
+        gmem = GlobalMemory(1 << 16)
+        gmem.alloc("x", 32)
+        base = gmem.base("x")
+        gmem.write("x", np.full(32, float(base)))  # a self-loop chain
+        cfg = scaled_fermi(num_sms=8, arch="baseline",
+                           fast_forward=fast_forward,
+                           cta_dispatch="fill-first", max_ctas_per_sm=4,
+                           **SLOW_DRAM)
+        results.append(GPU(cfg).launch(kernel, 48, gmem, (base,)))
+    ref, fast = results
+    assert fast.stats.to_dict() == ref.stats.to_dict()
+    assert wake_events["seat_sleeping"] > 0
+
+
+def _raised(bench, scale, fast_forward, exc_type, **kwargs):
+    with pytest.raises(exc_type) as excinfo:
+        run_prepared(bench, scale, fast_forward, 8, **kwargs)
+    return excinfo.value
+
+
+@pytest.mark.parametrize("exc_type, kwargs", [
+    # Memory responses stop counting as progress after 30 cycles, far
+    # inside the DRAM round trip, so the deadlock watchdog fires while
+    # SMs sleep on their loads.
+    (ProgressDeadlock, {"progress_window": 60, "max_pending_latency": 30}),
+    (SimulationTimeout, {"max_cycles": 2500}),
+], ids=["deadlock", "timeout"])
+def test_watchdogs_exact_with_lagging_sms(exc_type, kwargs):
+    """Both watchdogs fire at the reference cycle, with the reference
+    message and the reference forensic dump (lag is credited first)."""
+    bench = get("chase")
+    ref = _raised(bench, 8 / 32, False, exc_type, **SLOW_DRAM, **kwargs)
+    fast = _raised(bench, 8 / 32, True, exc_type, **SLOW_DRAM, **kwargs)
+    assert type(fast) is type(ref)
+    assert str(fast) == str(ref)
+    assert fast.dump == ref.dump
+
+
+def test_memory_in_flight_keeps_watchdog_quiet_8_sms():
+    """A progress window far shorter than the 800-cycle DRAM latency: the
+    running memory horizon must count every SM's in-flight loads as
+    progress, so neither engine fires and their stats still match."""
+    assert_engines_identical(get("chase"), 8 / 32, 8, progress_window=200,
+                             **SLOW_DRAM)

@@ -22,3 +22,20 @@ from repro.analysis.profiling import _bucket_for
 ])
 def test_bucket_for(path, bucket):
     assert _bucket_for(path) == bucket
+
+
+def test_default_run_books_nothing_to_sanitizer():
+    """The progress watchdog runs on every launch; with sanitizing off the
+    ``sanitizer`` bucket must stay empty (the watchdog lives in gpu.py)."""
+    from repro.analysis.profiling import profile_run
+    from repro.kernels import get
+    from repro.sim.config import scaled_fermi
+    from repro.sim.gpu import GPU
+
+    bench = get("vecadd")
+    prep = bench.prepare(0.25)
+    gpu = GPU(scaled_fermi(num_sms=2))
+    _, report = profile_run(lambda: gpu.launch(
+        bench.kernel, prep.grid_dim, prep.gmem, prep.params))
+    assert report["buckets"].get("sanitizer", {"seconds": 0.0})["seconds"] == 0
+    assert report["buckets"]["gpu_loop"]["seconds"] > 0

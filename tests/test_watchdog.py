@@ -83,7 +83,7 @@ def test_watchdog_disabled_with_zero_window():
 
 
 def test_progress_tracker_unit():
-    from repro.sim.sanitizer import ProgressTracker
+    from repro.sim.gpu import ProgressTracker
 
     tracker = ProgressTracker(window=100)
     tracker.observe(0, issued=1, swap_busy=False, dispatched=False, mem_horizon=0)
