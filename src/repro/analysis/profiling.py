@@ -6,6 +6,10 @@ and caches, the memory system, functional execution, sanitizer, VT
 machinery — so "where does simulation wall time go?" has a one-command
 answer.  Attribution uses *total time per function* (``tottime``), so the
 buckets are disjoint and sum (plus ``other``) to the profiled total.
+Builtins (``dict.get``, ``min``, numpy calls) and library frames outside
+the ``repro`` package are not a component of their own: their time is
+charged to the buckets of the functions that call them, split in
+proportion to the time cProfile records per caller.
 
 The numbers carry cProfile's instrumentation overhead (a few-x slowdown
 on this workload mix); they are for comparing components against each
@@ -51,6 +55,56 @@ def _bucket_for(filename: str) -> str:
     return "other"
 
 
+def _in_repro(filename: str) -> bool:
+    return "/repro/" in filename.replace("\\", "/")
+
+
+def _charges(func, stats: dict, memo: dict,
+             active: set) -> tuple[dict[str, float], set]:
+    """``(bucket -> fraction of func's own time, skipped cycle frames)``.
+
+    A ``repro`` frame keeps its time in its own bucket; a builtin or
+    library frame passes it up to its callers (transitively, through
+    other foreign frames), weighted by the time it spent per caller.
+    A caller already on the walk (recursion among foreign frames) is
+    skipped and the other callers' weights renormalized, so recursive
+    time reaches whoever entered the recursion.  The second element
+    names the frames skipped that way other than ``func``: a result
+    that skipped an outer frame depends on the walk that reached it and
+    is not memoized.
+    """
+    if func in memo:
+        return memo[func], set()
+    if _in_repro(func[0]):
+        memo[func] = {_bucket_for(func[0]): 1.0}
+        return memo[func], set()
+    skipped = active.intersection(stats[func][4])
+    callers = {caller: times for caller, times in stats[func][4].items()
+               if caller not in skipped}
+    weights = {caller: tt for caller, (_nc, _cc, tt, _ct) in callers.items()}
+    if not sum(weights.values()):  # a zero-self-time frame: split by ct
+        weights = {caller: ct
+                   for caller, (_nc, _cc, _tt, ct) in callers.items()}
+    total = sum(weights.values())
+    out: dict[str, float] = {}
+    if not total:  # the profile's root frame
+        out["other"] = 1.0
+    else:
+        active.add(func)
+        for caller, weight in weights.items():
+            share: dict[str, float] = {"other": 1.0}
+            if caller in stats:
+                share, caller_skipped = _charges(caller, stats, memo, active)
+                skipped |= caller_skipped
+            for bucket, fraction in share.items():
+                out[bucket] = out.get(bucket, 0.0) + fraction * weight / total
+        active.discard(func)
+    skipped.discard(func)
+    if not skipped:
+        memo[func] = out
+    return out, skipped
+
+
 def profile_run(fn: Callable[[], object]) -> tuple[object, dict]:
     """Run ``fn`` under cProfile; return ``(fn's result, profile dict)``.
 
@@ -64,20 +118,23 @@ def profile_run(fn: Callable[[], object]) -> tuple[object, dict]:
         result = fn()
     finally:
         profiler.disable()
-    stats = pstats.Stats(profiler)
+    stats = pstats.Stats(profiler).stats  # type: ignore[attr-defined]
     buckets: dict[str, dict] = {}
     total = 0.0
     rows = []
-    for (filename, lineno, name), (cc, _nc, tottime, _cum, _callers) in \
-            stats.stats.items():  # type: ignore[attr-defined]
-        bucket = _bucket_for(filename)
-        entry = buckets.setdefault(bucket, {"seconds": 0.0, "calls": 0})
-        entry["seconds"] += tottime
-        entry["calls"] += cc
+    memo: dict = {}
+    for func, (cc, _nc, tottime, _cum, _callers) in stats.items():
+        shares, _skipped = _charges(func, stats, memo, set())
+        for bucket, fraction in shares.items():
+            entry = buckets.setdefault(bucket, {"seconds": 0.0, "calls": 0.0})
+            entry["seconds"] += fraction * tottime
+            entry["calls"] += fraction * cc
         total += tottime
+        filename, lineno, name = func
         rows.append((tottime, f"{pathlib.Path(filename).name}:{lineno}:{name}", cc))
     for entry in buckets.values():
         entry["seconds"] = round(entry["seconds"], 6)
+        entry["calls"] = round(entry["calls"])
         entry["share"] = round(entry["seconds"] / total, 4) if total else 0.0
     rows.sort(reverse=True)
     report = {

@@ -456,6 +456,7 @@ def cmd_predict(args) -> int:
         # The agreement gate: run the simulator on every predicted cell
         # and require the static oracle to match (X4 is the same code).
         from repro.analysis.experiments import x4_prediction_table
+        from repro.isa.analysis.perf import MAX_TIE_CELLS
 
         benches_names = {bench.name for bench in benches}
         report, data = x4_prediction_table(cfg=cfg, scale=args.scale,
@@ -467,20 +468,32 @@ def cmd_predict(args) -> int:
             data["failures"] = {key: record
                                 for key, record in data["failures"].items()
                                 if key[0] in benches_names}
+        cells = {f"{name}/{arch}": cell
+                 for (name, arch), cell in data["cells"].items()
+                 if name in benches_names}
+        ties = sorted(key for key, cell in cells.items()
+                      if cell["predicted_idle"] != cell["measured_idle"])
         if args.format == "json":
-            cells = {f"{name}/{arch}": cell
-                     for (name, arch), cell in data["cells"].items()
-                     if name in benches_names}
             print(json.dumps({"cells": cells,
                               "disagreements": data["disagreements"]},
                              indent=2))
         else:
             print(report)
+            print(f"\n{len(ties)} cell(s) agree only within tie tolerance "
+                  f"(at most {MAX_TIE_CELLS} allowed)")
         if data["failures"]:
             failed = ", ".join(f"{n}/{a}" for n, a in data["failures"])
             print(f"\nFAIL (simulation failures): {failed}", file=sys.stderr)
             return 1
         if data["disagreements"]:
+            failed = ", ".join(f"{n}/{a}" for n, a in data["disagreements"])
+            print(f"\nFAIL (oracle disagrees with the simulator): {failed}",
+                  file=sys.stderr)
+            return 1
+        if len(ties) > MAX_TIE_CELLS:
+            print(f"\nFAIL ({len(ties)} tie-tolerance cells, at most "
+                  f"{MAX_TIE_CELLS} allowed): {', '.join(ties)}",
+                  file=sys.stderr)
             return 1
         if args.format != "json":
             print("\nOK: static oracle agrees with the simulator on every cell")

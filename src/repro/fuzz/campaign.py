@@ -256,7 +256,6 @@ def _corpus_stats(cells, records) -> dict:
     """Aggregate corpus statistics for reporting (EXPERIMENTS.md)."""
     kinds: dict[str, int] = {}
     instructions = []
-    agree = {"baseline": [0, 0], "vt": [0, 0]}
     for cell in cells:
         spec = cell.extra["spec"]
         for segment in spec["segments"]:

@@ -23,7 +23,9 @@ recurrence ``w -> [ceil(w/2) - 1, floor(w/2)]`` is iterated exactly);
 and declared *workload caps* for loops whose bound is loaded from memory
 but is bounded by the workload generator's construction (bfs row degrees
 ``<= 2 * avg_degree``, spmv row population ``in [1, 2 * avg_nnz]`` — see
-``repro.workloads.graphs`` / ``matrices``).
+``repro.workloads.graphs`` / ``matrices``).  The performance oracle
+takes its trip counts from the same per-loop :func:`trip_bound` (the
+``hi`` end), so the repository has one counted-loop recognizer.
 
 **Path bounds.**  A forward-only DAG over the kernel (back edges cut)
 gives, by big-integer path counting, the *unavoidable* instructions (on
@@ -375,36 +377,45 @@ def _bracket_trips(kernel, analysis, ienvs, param_values, bpc, setp_pc):
                      t_lo == t_hi, "bracket")
 
 
-def trip_bounds(kernel, analysis, ienvs, param_values=None,
-                *, kernel_name: str | None = None) -> dict[int, TripBound]:
+def back_edges(kernel) -> list[int]:
+    """PCs of every backward branch, in program order."""
+    return [pc for pc, instr in enumerate(kernel.instrs)
+            if instr.is_branch and instr.target is not None
+            and instr.target <= pc]
+
+
+def trip_bound(kernel, analysis, ienvs, bpc: int,
+               param_values=None) -> TripBound | None:
+    """:class:`TripBound` of the backward branch at ``bpc``, or ``None``
+    when no resolver (nor a declared workload cap) bounds it."""
+    setp_pc = _find_setp(kernel, bpc)
+    if setp_pc is not None:
+        for resolver in (_additive_trips, _geometric_trips, _bracket_trips):
+            bound = resolver(kernel, analysis, ienvs, param_values or {},
+                             bpc, setp_pc)
+            if bound is not None:
+                return bound
+    cap = DATA_TRIP_CAPS.get(kernel.name)
+    if cap is None:
+        return None
+    lo, hi, _why = cap
+    return TripBound(bpc, lo, hi, lo == hi, "workload-cap")
+
+
+def trip_bounds(kernel, analysis, ienvs,
+                param_values=None) -> dict[int, TripBound]:
     """``branch pc -> TripBound`` for every backward branch.
 
     Raises :class:`UnboundedLoop` when no resolver (nor a declared
     workload cap) bounds a loop — an unsound upper bound is never
     silently produced.
     """
-    param_values = param_values or {}
-    name = kernel_name or kernel.name
     trips: dict[int, TripBound] = {}
-    for bpc, instr in enumerate(kernel.instrs):
-        if not (instr.is_branch and instr.target is not None
-                and instr.target <= bpc):
-            continue
-        setp_pc = _find_setp(kernel, bpc)
-        bound = None
-        if setp_pc is not None:
-            for resolver in (_additive_trips, _geometric_trips,
-                             _bracket_trips):
-                bound = resolver(kernel, analysis, ienvs, param_values,
-                                 bpc, setp_pc)
-                if bound is not None:
-                    break
-        if bound is None and name in DATA_TRIP_CAPS:
-            lo, hi, _why = DATA_TRIP_CAPS[name]
-            bound = TripBound(bpc, lo, hi, lo == hi, "workload-cap")
+    for bpc in back_edges(kernel):
+        bound = trip_bound(kernel, analysis, ienvs, bpc, param_values)
         if bound is None:
             raise UnboundedLoop(
-                f"{name}: backward branch at pc {bpc} has no resolvable "
+                f"{kernel.name}: backward branch at pc {bpc} has no resolvable "
                 f"trip bound (and no workload cap is declared)")
         trips[bpc] = bound
     return trips
@@ -415,8 +426,7 @@ def trip_bounds(kernel, analysis, ienvs, param_values=None,
 
 def _loops(kernel) -> list[tuple[int, int]]:
     """All ``(target, branch_pc)`` loop regions, properly nested."""
-    loops = [(i.target, pc) for pc, i in enumerate(kernel.instrs)
-             if i.is_branch and i.target is not None and i.target <= pc]
+    loops = [(kernel.instrs[pc].target, pc) for pc in back_edges(kernel)]
     for a_t, a_b in loops:
         for b_t, b_b in loops:
             if (a_t, a_b) == (b_t, b_b):

@@ -16,13 +16,15 @@ paper's argument turns on — without running the simulator:
 
 Model structure, in the spirit of Hong & Kim's MWP/CWP analysis:
 
-1. One warp's execution is expanded into a straight-line *trace* (loop
-   trip counts recovered from the counted-loop idiom, with launch
-   parameter values substituted for symbolic bounds when a layout is
-   known) and walked with scoreboard semantics, yielding issue slots,
-   dependence-stall cycles split by producer kind *and by barrier
-   phase*, and the peak number of outstanding miss *lines* (same-line
-   sites merge, mirroring the L1's MSHR coalescing).
+1. One warp's execution is expanded into a straight-line *trace* (each
+   loop runs the upper end of its :mod:`.bounds` trip interval, i.e. its
+   worst case rather than its mean — the same resolvers the sound cycle
+   bounds use, fed the launch parameter values when a layout is known —
+   or :data:`DEFAULT_TRIPS` when no resolver bounds it) and walked with
+   scoreboard semantics, yielding issue slots, dependence-stall cycles
+   split by producer kind *and by barrier phase*, and the peak number of
+   outstanding miss *lines* (same-line sites merge, mirroring the L1's
+   MSHR coalescing).
 2. Every memory access site is costed by :mod:`.memaccess` (symbolic
    coalescing / bank-conflict bounds) and *attributed* to the global
    buffer it targets through the affine ``%param`` terms, so a
@@ -47,18 +49,20 @@ from dataclasses import dataclass, field
 
 from repro.core.occupancy import OccupancyResult, occupancy
 from repro.isa.analysis.affine import affine_solution, is_top
+from repro.isa.analysis.bounds import back_edges, trip_bound
 from repro.isa.analysis.dataflow import CFGView
 from repro.isa.analysis.interval import interval_solution
 from repro.isa.analysis.memaccess import AccessCost, access_costs
-from repro.isa.instruction import Imm, MemRef, Reg
+from repro.isa.instruction import MemRef, Reg
 from repro.isa.opcodes import Op, OpClass
 from repro.sim.config import GPUConfig
 
-#: Trip count assumed for loops whose bound is data-dependent (binary
-#: search, CSR row walks, frontier scans).  Registry workloads put such
-#: loops in the ~10-20 iteration range (``log2(16K)`` for btree, mean
-#: nnz/row for spmv), and the steady-state bounds only need the loop
-#: body to dominate the straight-line prologue.
+#: Trip count assumed for a loop that no :mod:`.bounds` resolver or
+#: workload cap bounds: a loaded bound in a generated kernel, or a
+#: parameter bound without a layout.  The registry's data-dependent loops
+#: run ~1-16 iterations (btree's binary search, spmv's row walk), and the
+#: steady-state bounds only need the loop body to dominate the
+#: straight-line prologue.
 DEFAULT_TRIPS = 12
 
 #: Point estimate of transactions per warp access for addresses the
@@ -121,9 +125,10 @@ class KernelLayout:
 
     Built by :func:`layout_for` from a prepared benchmark; lets the
     model attribute access sites to buffers, estimate cache residency,
-    and resolve parameter-valued loop bounds.  Without a layout every
-    global access is assumed to miss and symbolic bounds fall back to
-    :data:`DEFAULT_TRIPS`.
+    and hand :func:`~.bounds.trip_bound` the values of parameter-valued
+    loop bounds.  Without a layout every global access is assumed to
+    miss, and a loop whose bound is a parameter runs
+    :data:`DEFAULT_TRIPS` times.
     """
 
     #: param index -> buffer size in bytes (pointer params only).
@@ -219,91 +224,20 @@ class PerfPrediction:
 # -- loop structure ----------------------------------------------------------
 
 
-def _affine_param_value(value, param_values: dict) -> int | None:
-    """Concrete value of an affine form ``const + paramN`` when the
-    parameter's launch value is known (loop bounds held in registers)."""
-    if value is None or is_top(value) or value.fuzzy or value.tid:
-        return None
-    if len(value.uni) != 1:
-        return None
-    sym, coef = value.uni[0]
-    if coef != 1 or not sym.startswith("param"):
-        return None
-    v = param_values.get(int(sym[len("param"):]))
-    return None if v is None else v + int(value.const)
+def _loop_trips(kernel, analysis, ienvs, param_values) -> dict[int, int]:
+    """``branch pc -> trip count`` for every backward branch: the upper
+    end of :func:`~.bounds.trip_bound`'s interval, or
+    :data:`DEFAULT_TRIPS` for a loop no resolver (nor workload cap)
+    bounds.
 
-
-def _loop_trip_counts(kernel, envs=None, param_values=None) -> dict[int, int]:
-    """``branch pc -> trip count`` for every backward branch.
-
-    Recognizes the registry's counted-loop idiom: a counter initialized
-    by ``MOV rC, #init`` before the loop, stepped by ``IADD rC, rC, #s``
-    inside it, compared by ``SETP.cmp rP, rC, bound``, looped by
-    ``@rP BRA``.  An immediate bound is exact; a register bound resolves
-    through the affine environment when it is a known launch parameter.
-    Anything else gets :data:`DEFAULT_TRIPS`.
+    A loop with a trip *interval* is modelled at its worst case, not its
+    mean: spmv's row walk (workload cap ``[1, 16]``, mean ~8.5 rows)
+    runs 16 times, btree's bracket search (``[14, 15]``) 15 times.
     """
-    instrs = kernel.instrs
-    trips: dict[int, int] = {}
-    param_values = param_values or {}
-    for pc, instr in enumerate(instrs):
-        if not (instr.is_branch and instr.target is not None
-                and instr.target <= pc):
-            continue
-        trips[pc] = DEFAULT_TRIPS
-        if instr.pred is None:
-            continue
-        body = range(instr.target, pc + 1)
-        setp_pc = next((i for i in reversed(body)
-                        if instrs[i].op is Op.SETP and instrs[i].dst is not None
-                        and instrs[i].dst.idx == instr.pred.idx), None)
-        if setp_pc is None or len(instrs[setp_pc].srcs) != 2:
-            continue
-        setp = instrs[setp_pc]
-        lhs, rhs = setp.srcs
-        if not isinstance(lhs, Reg):
-            continue
-        bound = None
-        if isinstance(rhs, Imm):
-            bound = float(rhs.value)
-        elif isinstance(rhs, Reg) and envs is not None and envs[setp_pc] is not None:
-            v = _affine_param_value(envs[setp_pc].get(rhs.idx), param_values)
-            if v is not None:
-                bound = float(v)
-        if bound is None:
-            continue
-        counter = lhs.idx
-        step = 0
-        for i in body:
-            s = instrs[i]
-            if (s.op is Op.IADD and s.dst is not None and s.dst.idx == counter
-                    and isinstance(s.srcs[0], Reg) and s.srcs[0].idx == counter
-                    and isinstance(s.srcs[1], Imm)):
-                step += int(s.srcs[1].value)
-        init = None
-        for i in range(instr.target):
-            s = instrs[i]
-            if s.dst is not None and s.dst.idx == counter:
-                init = (float(s.srcs[0].value)
-                        if s.op is Op.MOV and isinstance(s.srcs[0], Imm)
-                        else None)
-        if init is None or step == 0:
-            continue
-        cmp = setp.cmp.value if setp.cmp is not None else ""
-        if instr.pred_neg:  # @!p BRA: loops while the comparison is false
-            cmp = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt",
-                   "eq": "ne", "ne": "eq"}.get(cmp, "")
-        span = None
-        if cmp == "lt" and step > 0:
-            span = bound - init
-        elif cmp == "le" and step > 0:
-            span = bound - init + 1
-        elif cmp == "gt" and step < 0:
-            span = init - bound
-        elif cmp == "ge" and step < 0:
-            span = init - bound + 1
-        if span is not None and span > 0:
-            trips[pc] = max(1, -(-int(span) // abs(step)))
+    trips = {}
+    for bpc in back_edges(kernel):
+        bound = trip_bound(kernel, analysis, ienvs, bpc, param_values)
+        trips[bpc] = bound.hi if bound is not None else DEFAULT_TRIPS
     return trips
 
 
@@ -562,14 +496,13 @@ def warp_profile(kernel, cfg: GPUConfig,
     cfg_view = CFGView(kernel.instrs)
     affine, envs = affine_solution(kernel, cfg_view)
     ianalysis, ienvs = interval_solution(kernel, cfg_view)
+    params = layout.param_values if layout else None
     costs = {c.pc: c for c in access_costs(
         kernel, cfg_view, affine, envs, line_bytes=cfg.line_bytes,
         num_banks=cfg.shared_mem_banks, intervals=(ianalysis, ienvs),
-        param_values=layout.param_values if layout else None)}
+        param_values=params)}
     tainted = _taint_regs(kernel, cfg_view)
-    trips = _loop_trip_counts(kernel, envs,
-                              layout.param_values if layout else None)
-    trace = _linear_trace(kernel, trips)
+    trace = _linear_trace(kernel, _loop_trips(kernel, ianalysis, ienvs, params))
     max_lanes = min(32, kernel.threads_per_cta)
 
     site_weight: dict[int, int] = {}
@@ -917,6 +850,11 @@ def predict_kernel(kernel, cfg: GPUConfig | None = None,
 #: 3-class argmax is measurement noise, not model error; anything below
 #: this ratio is a real disagreement and fails the gate.
 AGREEMENT_TIE = 0.65
+
+#: Most registry cells the gate lets agree *only* through
+#: :data:`AGREEMENT_TIE` (predicted class != dominant measured class).
+#: More than this means the model drifted even if no cell disagrees.
+MAX_TIE_CELLS = 7
 
 #: Measured VT-benefit tier cut points (baseline/VT cycle ratio).
 TIER_HIGH = 1.30

@@ -455,6 +455,27 @@ def test_predict_check_gate_fails_on_disagreement(capsys, monkeypatch):
     assert "OK" not in out
 
 
+def test_predict_check_gate_fails_on_too_many_ties(capsys, monkeypatch):
+    # Every cell agrees, but more than MAX_TIE_CELLS only via the tie rule.
+    import repro.analysis.experiments as ex
+    from repro.isa.analysis.perf import MAX_TIE_CELLS
+    from repro.kernels import all_benchmarks
+    names = [bench.name for bench in all_benchmarks()][:MAX_TIE_CELLS + 1]
+    tie = dict(CELL, measured_idle="alu", tie_ratio=0.8)
+    cells = {(name, "vt"): tie for name in names[:-1]}
+    monkeypatch.setattr(ex, "x4_prediction_table", _fake_x4(cells, [], {}))
+    code, out, _err = run_cli(capsys, "predict", "--all", "--check")
+    assert code == 0
+    assert f"{MAX_TIE_CELLS} cell(s) agree only within tie tolerance" in out
+
+    cells[(names[-1], "vt")] = tie
+    monkeypatch.setattr(ex, "x4_prediction_table", _fake_x4(cells, [], {}))
+    code, out, err = run_cli(capsys, "predict", "--all", "--check",
+                             "--format", "json")
+    assert code == 1
+    assert "tie-tolerance cells" in err
+
+
 def test_predict_check_single_bench_filters_other_cells(capsys, monkeypatch):
     # Gating one benchmark must ignore another kernel's disagreement.
     import json

@@ -4,13 +4,17 @@ and the agreement-gate helpers it shares with ``repro predict --check``."""
 import pytest
 
 from repro.core.occupancy import limiter_summary
-from repro.isa.analysis import (layout_for, predict, predict_kernel,
+from repro.isa.analysis import (layout_for, perf, predict, predict_kernel,
                                 warp_profile)
-from repro.isa.analysis.perf import (AGREEMENT_TIE, IDLE_CLASSES, TIER_HIGH,
-                                     TIER_MODERATE, idle_agreement,
-                                     measured_idle_class, measured_vt_tier)
+from repro.isa.analysis.bounds import UnboundedLoop, trip_bounds
+from repro.isa.analysis.interval import interval_solution
+from repro.isa.analysis.perf import (AGREEMENT_TIE, DEFAULT_TRIPS,
+                                     IDLE_CLASSES, TIER_HIGH, TIER_MODERATE,
+                                     idle_agreement, measured_idle_class,
+                                     measured_vt_tier)
+from repro.isa.assembler import assemble
 from repro.kernels.registry import all_benchmarks, get
-from repro.sim.config import GPUConfig
+from repro.sim.config import GPUConfig, scaled_fermi
 
 BENCHES = all_benchmarks()
 
@@ -110,6 +114,129 @@ def test_prediction_without_layout_still_classifies():
     # a well-formed prediction (lint uses this path).
     p = predict(get("saxpy").kernel)
     assert p.idle_class in IDLE_CLASSES
+
+
+# -- loop trip counts ---------------------------------------------------------
+# The oracle takes its trip counts from the bound analyzer's resolvers.
+
+
+def oracle_trips(monkeypatch, kernel, layout=None) -> dict[int, int]:
+    """The ``back-edge pc -> trips`` map :func:`warp_profile` expands."""
+    seen = {}
+    real = perf._linear_trace
+
+    def spy(kernel, trips):
+        seen.update(trips)
+        return real(kernel, trips)
+
+    monkeypatch.setattr(perf, "_linear_trace", spy)
+    warp_profile(kernel, GPUConfig(), layout)
+    return seen
+
+
+@pytest.mark.parametrize("bench", BENCHES, ids=lambda b: b.name)
+def test_oracle_trips_are_the_bound_analyzers_hi(monkeypatch, bench):
+    layout = layout_for(bench)
+    analysis, ienvs = interval_solution(bench.kernel)
+    bounds = trip_bounds(bench.kernel, analysis, ienvs, layout.param_values)
+    assert oracle_trips(monkeypatch, bench.kernel, layout) == {
+        pc: bound.hi for pc, bound in bounds.items()}
+
+
+MIXED_LOOPS = """
+.kernel mixedloops
+.regs 8
+.cta 32
+    MOV r1, #0
+    LDG r3, [r1]
+count:
+    IADD r1, r1, #1
+    SETP.LT r2, r1, #5
+@r2 BRA count
+    MOV r4, #0
+walk:
+    IADD r4, r4, #1
+    SETP.LT r5, r4, r3
+@r5 BRA walk
+    EXIT
+"""
+
+
+def test_unbounded_loop_falls_back_per_loop(monkeypatch):
+    kernel = assemble(MIXED_LOOPS)
+    analysis, ienvs = interval_solution(kernel)
+    with pytest.raises(UnboundedLoop):  # the sound analyzer refuses ...
+        trip_bounds(kernel, analysis, ienvs)
+    # ... while the oracle keeps the counted loop exact and guesses only
+    # the loop bounded by a loaded value.
+    assert oracle_trips(monkeypatch, kernel) == {4: 5, 8: DEFAULT_TRIPS}
+    profile = warp_profile(kernel, GPUConfig())
+    assert profile.instructions == 2 + 3 * 5 + 1 + 3 * DEFAULT_TRIPS + 1
+
+
+#: (limiter, idle class, VT tier, binding rule) per kernel x arch at the
+#: ``repro predict`` defaults (``scaled_fermi(num_sms=2)``, scale 1.0).
+#: A change to the loop model may move ``busy`` and ``bounds``; a class
+#: change must be measured against the simulator (``predict --check``)
+#: before this table is re-recorded.
+SNAPSHOT = """
+bfs            baseline  scheduling  alu     neutral   dependence-residual
+bfs            vt        scheduling  alu     neutral   dependence-residual
+btree          baseline  scheduling  struct  neutral   port:ldst
+btree          vt        scheduling  struct  neutral   port:ldst
+stride         baseline  scheduling  mem     high      exposed-latency
+stride         vt        scheduling  mem     high      cold-convoy
+chase          baseline  scheduling  mem     high      exposed-latency
+chase          vt        scheduling  mem     high      cold-convoy
+hotspot        baseline  scheduling  mem     moderate  cold-start
+hotspot        vt        scheduling  mem     moderate  cold-start
+kmeans         baseline  scheduling  mem     high      exposed-latency
+kmeans         vt        scheduling  mem     high      cold-convoy
+spmv           baseline  scheduling  struct  neutral   port:ldst
+spmv           vt        scheduling  struct  neutral   port:ldst
+srad           baseline  scheduling  alu     neutral   dependence-residual
+srad           vt        scheduling  struct  neutral   sfu-queue
+streamcluster  baseline  scheduling  mem     high      exposed-latency
+streamcluster  vt        scheduling  mem     high      cold-convoy
+pathfinder     baseline  scheduling  mem     moderate  exposed-latency
+pathfinder     vt        scheduling  alu     moderate  dependence-residual
+scan           baseline  scheduling  mem     moderate  exposed-latency
+scan           vt        scheduling  mem     moderate  cold-convoy
+reduction      baseline  scheduling  mem     moderate  exposed-latency
+reduction      vt        scheduling  struct  moderate  mshr-convoy
+backprop       baseline  balanced    struct  neutral   aligned-burst
+backprop       vt        balanced    struct  neutral   aligned-burst
+histogram      baseline  scheduling  mem     high      exposed-latency
+histogram      vt        scheduling  alu     high      dependence-residual
+saxpy          baseline  scheduling  mem     high      exposed-latency
+saxpy          vt        scheduling  struct  high      mshr-convoy
+vecadd         baseline  scheduling  mem     high      exposed-latency
+vecadd         vt        scheduling  struct  high      mshr-convoy
+nn             baseline  scheduling  mem     high      exposed-latency
+nn             vt        scheduling  struct  high      sfu-queue
+transpose      baseline  scheduling  mem     moderate  exposed-latency
+transpose      vt        scheduling  mem     moderate  cold-convoy
+mm_tiled       baseline  capacity    alu     neutral   dependence-residual
+mm_tiled       vt        capacity    alu     neutral   dependence-residual
+mriq           baseline  scheduling  struct  neutral   port:sfu
+mriq           vt        scheduling  struct  neutral   port:sfu
+nw             baseline  capacity    mem     neutral   exposed-latency
+nw             vt        capacity    mem     neutral   exposed-latency
+regheavy       baseline  capacity    mem     neutral   exposed-latency
+regheavy       vt        capacity    mem     neutral   exposed-latency
+"""
+
+
+def test_predictions_match_snapshot():
+    cfg = scaled_fermi(num_sms=2)
+    expected = {(kernel, arch): tuple(rest) for kernel, arch, *rest
+                in map(str.split, SNAPSHOT.strip().splitlines())}
+    got = {}
+    for bench in BENCHES:
+        for p in predict_kernel(bench.kernel, cfg, layout=layout_for(bench)):
+            got[p.kernel, p.arch] = (p.limiter, p.idle_class, p.vt_tier,
+                                     p.binding)
+    assert got == expected
 
 
 # -- agreement-gate helpers ---------------------------------------------------
