@@ -74,10 +74,9 @@ def run_fuzz_cell(payload: dict):
     ``divergence``, with a forensic dump attached on divergence)."""
     cfg = config_from_dict(payload["config"])
     spec = payload["extra"]["spec"]
-    oracle = payload["extra"].get("oracle", "record")
     result = run_case(spec, cfg,
                       max_cycles=payload["max_cycles"] or DEFAULT_MAX_CYCLES,
-                      fault=payload["faults"], oracle=oracle)
+                      fault=payload["faults"])
     if result.ok:
         stats = (SimStats.from_dict(result.ref_stats)
                  if result.ref_stats else None)
@@ -90,7 +89,7 @@ def run_fuzz_cell(payload: dict):
 
 
 def make_cells(seeds, gen: GenConfig, *, max_cycles: int = DEFAULT_MAX_CYCLES,
-               fault: dict | None = None, oracle: str = "record") -> list:
+               fault: dict | None = None) -> list:
     """Sweep cells for ``seeds``: one differential case each, config
     sampled per seed."""
     from repro.analysis.orchestrator import SweepCell
@@ -102,7 +101,7 @@ def make_cells(seeds, gen: GenConfig, *, max_cycles: int = DEFAULT_MAX_CYCLES,
         cells.append(SweepCell(
             benchmark=name, cfg=sample_config(seed), max_cycles=max_cycles,
             faults=fault, workload_seed=seed, key=(name,), runner="fuzz",
-            extra={"spec": spec, "oracle": oracle}))
+            extra={"spec": spec}))
     return cells
 
 
@@ -142,8 +141,7 @@ def format_fuzz_dump(spec: dict, cfg, result: DiffResult,
 
 def write_reproducer(path, *, spec: dict, original_spec: dict, gen: GenConfig,
                      cfg, seed: int, divergences: list[Divergence],
-                     shrink_info: dict, fault: dict | None = None,
-                     oracle: str = "record") -> Path:
+                     shrink_info: dict, fault: dict | None = None) -> Path:
     """Write a replayable reproducer JSON; returns its path."""
     config = config_to_dict(cfg)
     try:
@@ -162,7 +160,6 @@ def write_reproducer(path, *, spec: dict, original_spec: dict, gen: GenConfig,
         "config": config,
         "fingerprint": reproducer_fingerprint(spec, config, seed),
         "fault": fault,
-        "oracle": oracle,
         "divergences": [d.to_dict() for d in divergences],
         "shrink": shrink_info,
         "instructions": instructions,
@@ -203,8 +200,7 @@ def replay_reproducer(path, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> DiffResu
             f"dumped spec/config (recomputed {expected}); the dump is stale "
             f"or was edited — regenerate it with a fresh campaign")
     return run_case(data["spec"], config_from_dict(data["config"]),
-                    max_cycles=max_cycles, fault=data.get("fault"),
-                    oracle=data.get("oracle", "record"))
+                    max_cycles=max_cycles, fault=data.get("fault"))
 
 
 def list_reproducers(directory) -> list[dict]:
@@ -281,7 +277,6 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
                  jobs: int = 1, wall_timeout: float | None = 120.0,
                  time_budget: float | None = None, directory=None,
                  fault: dict | None = None,
-                 oracle: str = "record",
                  max_cycles: int = DEFAULT_MAX_CYCLES, shrink: bool = True,
                  shrink_tests: int = 120, retries: int = 1,
                  progress=None) -> CampaignResult:
@@ -300,8 +295,7 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
 
     gen = gen if gen is not None else GenConfig()
     seeds = list(range(seed, seed + n))
-    cells = make_cells(seeds, gen, max_cycles=max_cycles, fault=fault,
-                       oracle=oracle)
+    cells = make_cells(seeds, gen, max_cycles=max_cycles, fault=fault)
     by_key = {cell.key: cell for cell in cells}
     result = CampaignResult(
         corpus={c.workload_seed: spec_fingerprint(c.extra["spec"])
@@ -340,7 +334,7 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
 
         def is_bad(candidate: dict) -> bool:
             return not run_case(candidate, cfg, max_cycles=max_cycles,
-                                fault=fault, oracle=oracle).ok
+                                fault=fault).ok
 
         if shrink:
             note(f"shrinking {key[0]} ...")
@@ -349,8 +343,7 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
             small, info = spec, {"reproduced": True, "tests": 0,
                                  "segments_before": len(spec["segments"]),
                                  "segments_after": len(spec["segments"])}
-        final = run_case(small, cfg, max_cycles=max_cycles, fault=fault,
-                         oracle=oracle)
+        final = run_case(small, cfg, max_cycles=max_cycles, fault=fault)
         entry = {"key": key[0], "seed": case_seed,
                  "divergences": [d.to_dict() for d in final.divergences],
                  "instructions": final.instructions, "shrink": info}
@@ -360,7 +353,7 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
                 Path(directory) / REPRO_DIR / f"{key[0]}.json",
                 spec=small, original_spec=spec, gen=gen, cfg=cfg,
                 seed=case_seed, divergences=final.divergences,
-                shrink_info=info, fault=fault, oracle=oracle)
+                shrink_info=info, fault=fault)
             entry["path"] = str(path)
             result.reproducer_paths.append(str(path))
             note(f"reproducer written: {path}")

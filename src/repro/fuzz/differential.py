@@ -2,23 +2,26 @@
 
 For one spec, :func:`run_case` runs the full cross product:
 
-* **engines**: the per-cycle reference engine vs the event-driven
-  fast-forward engine (``cfg.fast_forward``) vs the sharded parallel
-  engine (``cfg.engine = "parallel"``, shard count derived from the
-  seed), whose statistics must be byte-identical
-  (``SimStats.to_dict()`` equality);
-* **architectures**: ``baseline`` and ``vt`` (each with its own engine
-  pair and sanitizer run);
-* **sanitizer**: a ``sanitize=True`` leg per architecture, which both
-  checks the per-cycle invariants *and* cross-checks every observed
-  memory access cost against the static ``memaccess`` lo..hi bounds
-  (rule ``exec-access-cost``) — the oracle-bounds part of the contract;
+* **engines**: three legs per architecture, whose statistics must be
+  byte-identical (``SimStats.to_dict()`` equality):
+
+  - ``reference``: the per-cycle engine, unsanitized — the timing oracle;
+  - ``fast-forward``: the event-driven default engine
+    (``cfg.fast_forward``) with ``sanitize=True``, so it checks the
+    invariants on every stepped cycle *and* cross-checks every observed
+    memory access cost against the static ``memaccess`` lo..hi bounds
+    (rule ``exec-access-cost``) — the oracle-bounds part of the
+    contract.  Its stats matching the reference leg also shows that the
+    sanitizer does not perturb timing;
+  - ``parallel``: the sharded engine (``cfg.engine = "parallel"``,
+    shard count derived from the seed);
+* **architectures**: ``baseline`` and ``vt``;
 * **semantics**: every leg's final global memory must equal the
   pure-python reference executor's (:mod:`repro.fuzz.reference`),
   compared bit-exactly (``NaN`` positions included);
 * **static oracle**: the performance oracle's idle-class prediction is
-  compared against the measured idle breakdown (recorded always;
-  enforced when ``oracle="check"``);
+  recorded beside the measured idle breakdown (a ``predict`` crash is an
+  ``oracle-idle`` divergence);
 * **cycle bounds**: per architecture, the reference leg's total cycle
   count must fall inside the sound static interval from
   :func:`repro.isa.analysis.bounds.kernel_bounds` — *hard-enforced*:
@@ -34,7 +37,7 @@ dependent engine bugs cannot hide behind one fixed configuration.
 A ``fault`` plan (a :class:`repro.sim.faults.FaultPlan` as a dict) is
 applied to the fast-forward leg only — the planted-bug canary: injected
 fill delays silently change that leg's timing, which the stats
-comparison must detect.
+comparison must detect.  A plan pins that leg to the per-cycle engine.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class Divergence:
     """One detected disagreement between two views of the same kernel."""
 
     kind: str  # see KINDS
-    leg: str  # e.g. "vt/fast-forward", "baseline/sanitize", "case"
+    leg: str  # e.g. "vt/fast-forward", "baseline/bound", "case"
     detail: str
 
     def to_dict(self) -> dict:
@@ -162,12 +165,10 @@ def _output_diff(got: np.ndarray, expected: np.ndarray) -> str:
 
 def run_case(spec: dict, cfg: GPUConfig | None = None, *,
              max_cycles: int = DEFAULT_MAX_CYCLES, fault: dict | None = None,
-             oracle: str = "record", archs: tuple[str, ...] = ARCHS) -> DiffResult:
+             archs: tuple[str, ...] = ARCHS) -> DiffResult:
     """Run the full differential matrix for one spec; never raises for a
     kernel-level problem — everything lands in ``result.divergences``.
 
-    ``oracle="check"`` turns an idle-class disagreement into a divergence;
-    the default records the prediction alongside the measurement.
     ``fault`` (a :class:`FaultPlan` field dict) is injected into the
     fast-forward leg only.
     """
@@ -235,10 +236,8 @@ def run_case(spec: dict, cfg: GPUConfig | None = None, *,
             result.ref_stats = ref_stats
         fault_plan = FaultPlan(**fault) if fault else None
         ff_stats, ff_data = launch(
-            f"{arch}/fast-forward", base.with_(fast_forward=True),
-            faults=fault_plan)
-        san_stats, san_data = launch(
-            f"{arch}/sanitize", base.with_(sanitize=True, fast_forward=False))
+            f"{arch}/fast-forward",
+            base.with_(fast_forward=True, sanitize=True), faults=fault_plan)
         # Sharded-engine leg: shard count varies with the seed so both the
         # in-process (1) and forked (2) drivers see fuzz traffic.  The
         # engine may decline and rerun serially — still required to match.
@@ -250,16 +249,12 @@ def run_case(spec: dict, cfg: GPUConfig | None = None, *,
             result.divergences.append(Divergence(
                 "stats-mismatch", f"{arch}/fast-forward",
                 _first_stat_diff(ff_stats, ref_stats)))
-        if ref_stats is not None and san_stats is not None and ref_stats != san_stats:
-            result.divergences.append(Divergence(
-                "stats-mismatch", f"{arch}/sanitize",
-                _first_stat_diff(san_stats, ref_stats)))
         if par_stats is not None and ref_stats is not None and par_stats != ref_stats:
             result.divergences.append(Divergence(
                 "stats-mismatch", f"{arch}/parallel",
                 _first_stat_diff(par_stats, ref_stats)))
         for leg, data in (("reference", ref_data), ("fast-forward", ff_data),
-                          ("sanitize", san_data), ("parallel", par_data)):
+                          ("parallel", par_data)):
             if data is not None and not np.array_equal(data, expected,
                                                        equal_nan=True):
                 result.divergences.append(Divergence(
@@ -317,10 +312,5 @@ def run_case(spec: dict, cfg: GPUConfig | None = None, *,
                 "agreement_ratio": round(ratio, 3),
                 "agrees": bool(agrees),
             }
-            if oracle == "check" and not agrees:
-                result.divergences.append(Divergence(
-                    "oracle-idle", f"{arch}/oracle",
-                    f"predicted {prediction.idle_class}, measured {dominant} "
-                    f"(ratio {ratio:.2f})"))
 
     return result

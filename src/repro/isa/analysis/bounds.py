@@ -43,10 +43,10 @@ mirror ``sim/smcore.py``'s structural ports — issue (one instruction per
 scheduler per cycle), LD/ST (one transaction per SM per cycle), shared
 memory (one bank pass per SM per cycle), SFU (one op per
 ``sfu_issue_interval``) — and a per-warp dependence-chain floor: CTA
-launch latency plus, for each unavoidable basic block, its earliest
-in-order issue schedule under best-case latencies (L1 hit for global
-loads, ``lat_smem`` for shared, per-class ALU latencies), which no
-in-order warp can beat.  The upper bound is a bucket sum: every cycle of
+launch latency less one plus, for each unavoidable basic block, its
+earliest in-order issue schedule under best-case latencies (L1 hit for
+global loads, ``lat_smem`` for shared, per-class ALU latencies), which
+no in-order warp can beat.  The upper bound is a bucket sum: every cycle of
 the makespan either issues an instruction somewhere (at most the total
 maximum issue slots), or every resident warp is blocked on something
 whose total supply is itself bounded — an outstanding latency window, a
@@ -642,8 +642,11 @@ def _block_span(kernel, cfg: GPUConfig, costs, start: int, end: int) -> int:
 
 def chain_floor(kernel, cfg: GPUConfig, cfg_view: CFGView, costs, trips,
                 loops, unavoidable) -> int:
-    """Launch latency plus every unavoidable block's minimum schedule."""
-    total = cfg.cta_launch_latency
+    """Launch latency less one (the simulated count is the cycle of the
+    last issue), every unavoidable block's minimum schedule, and each
+    BAR's release delay beyond the in-order +1."""
+    total = cfg.cta_launch_latency - 1
+    bar_delay = max(0, cfg.barrier_release_latency - 1)
     expanded = 0
     for block in cfg_view.blocks:
         if block.start not in unavoidable:
@@ -658,7 +661,7 @@ def chain_floor(kernel, cfg: GPUConfig, cfg_view: CFGView, costs, trips,
         total += mult * span
         for pc in range(block.start, block.end):
             if kernel.instrs[pc].op is Op.BAR:
-                total += mult * cfg.barrier_release_latency
+                total += mult * bar_delay
     return total
 
 

@@ -116,8 +116,8 @@ class GPUConfig:
     #: skipped span into the idle/occupancy counters.  Statistics are
     #: byte-identical to the per-cycle reference path (asserted by
     #: tests/test_fastforward_equivalence.py); only wall-clock time changes.
-    #: The sanitizer, fault injection, and tracers pin the reference path
-    #: regardless of this flag, since they observe individual cycles.
+    #: Fault injection and tracers pin the reference path regardless of
+    #: this flag, since they observe individual cycles.
     fast_forward: bool = True
     #: Simulation engine: "serial" (the historical single-loop engine) or
     #: "parallel" (the sharded epoch engine in :mod:`repro.sim.parallel`,
@@ -132,8 +132,8 @@ class GPUConfig:
     sim_jobs: int = 1
 
     # ---- robustness ---------------------------------------------------------
-    #: Run the per-cycle invariant sanitizer (see :mod:`repro.sim.sanitizer`).
-    #: Off by default: it costs simulation speed, not correctness.
+    #: Run the invariant sanitizer (:mod:`repro.sim.sanitizer`) on every
+    #: stepped cycle.  Off by default: it costs speed, not correctness.
     sanitize: bool = False
     #: Progress watchdog: a launch that makes no forward progress (no issue,
     #: no dispatch, no swap in flight, no memory response outstanding) for

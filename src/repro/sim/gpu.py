@@ -153,7 +153,7 @@ class GPU:
         """Run ``kernel`` over ``grid_dim`` CTAs to completion.
 
         ``faults`` optionally injects failures (:class:`repro.sim.faults.FaultPlan`);
-        with ``cfg.sanitize`` the per-cycle invariant sanitizer runs too.
+        with ``cfg.sanitize`` the invariant sanitizer runs too.
         """
         cfg = self.cfg
         grid = self._normalize_grid(grid_dim)
@@ -189,10 +189,9 @@ class GPU:
 
         progress = ProgressTracker(cfg.progress_window)
         # The fast-forward engine lets SMs sleep through provably-dead
-        # cycles; anything that observes individual cycles (sanitizer,
-        # fault plans, tracers) pins the per-cycle reference path.
-        fast_forward = (cfg.fast_forward and tracer is None and faults is None
-                        and not cfg.sanitize)
+        # (frozen) cycles, so the sanitizer runs on it; fault plans and
+        # tracers observe individual cycles and pin the reference path.
+        fast_forward = cfg.fast_forward and tracer is None and faults is None
         for sm in sms:
             sm.allow_fast = fast_forward
         next_cta = 0

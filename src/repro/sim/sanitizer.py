@@ -1,4 +1,4 @@
-"""Per-cycle invariant sanitizer and deadlock forensics.
+"""Invariant sanitizer and deadlock forensics.
 
 Long simulations fail in two ways: *corruption* (an accounting bug or an
 injected fault silently breaks a conservation law, poisoning every number
@@ -7,7 +7,7 @@ the launch until the hard cycle limit fires, hours later, with no clue).
 This module defends against both:
 
 * :class:`Sanitizer` — an opt-in checker (``GPUConfig.sanitize=True``)
-  invoked by :meth:`SMCore.step` every cycle and at every CTA retirement.
+  invoked by :meth:`SMCore.step` each stepped cycle and per CTA retirement.
   It asserts microarchitectural conservation laws and raises a structured
   :class:`InvariantViolation` (SM id, cycle, invariant name) the moment one
   breaks, instead of letting the run limp on.
@@ -18,7 +18,7 @@ This module defends against both:
   per-warp PC/state/stall reason, outstanding memory requests,
   swap-engine state, and any injected faults.
 
-Invariants checked every cycle:
+Invariants checked every stepped cycle:
 
 1. **Capacity conservation** — register-file and shared-memory charges
    never exceed SM capacity, never go negative, and always equal the sum
@@ -74,7 +74,7 @@ class InvariantViolation(RuntimeError):
 
 
 class Sanitizer:
-    """Opt-in per-cycle invariant checker shared by all SMs of a launch."""
+    """Opt-in invariant checker shared by all SMs of a launch."""
 
     def __init__(self, cfg):
         self.cfg = cfg

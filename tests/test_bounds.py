@@ -239,6 +239,36 @@ def test_sfu_queue_saturation_floor():
     assert kb.contains(cycles), (kb.lo, cycles, kb.hi)
 
 
+TINY_BODIES = {
+    "exit": [],
+    "s2r": ["S2R r0, %tid_x"],
+    "s2r-bar": ["S2R r0, %tid_x", "BAR"],
+    "s2r-iadd-iadd": ["S2R r0, %tid_x", "IADD r1, r0, #1", "IADD r2, r1, #1"],
+}
+
+
+@pytest.mark.parametrize("barrier_latency", [1, 3])
+@pytest.mark.parametrize("mode", ["baseline", "vt"])
+@pytest.mark.parametrize("ctas,sms", [(1, 1), (4, 1), (4, 2)])
+@pytest.mark.parametrize("body", sorted(TINY_BODIES))
+def test_tiny_kernel_bounds_contain_simulation(body, ctas, sms, mode,
+                                               barrier_latency):
+    # The dependence-chain floor is tight on one CTA: the launch adds
+    # cta_launch_latency - 1 before the first issue is counted, and a BAR
+    # adds barrier_release_latency - 1 beyond the in-order +1.
+    text = ".kernel tiny\n.regs 8\n.cta 32\n" + "".join(
+        f"    {line}\n" for line in TINY_BODIES[body]) + "    EXIT\n"
+    kernel = assemble(text)
+    cfg = scaled_fermi(num_sms=sms, arch=mode,
+                       barrier_release_latency=barrier_latency)
+    cycles = GPU(cfg).launch(kernel, (ctas, 1, 1),
+                             GlobalMemory(4096), ()).stats.cycles
+    kb = kernel_bounds(kernel, cfg, mode=mode, ctas=ctas)
+    assert kb.lo <= cycles <= kb.hi, (kb.lo, cycles, kb.hi)
+    if ctas == 1:
+        assert kb.lo == cycles
+
+
 # ---------------------------------------------------------------------------
 # registry soundness spot checks (the full matrix runs in CI: repro bound)
 # ---------------------------------------------------------------------------

@@ -123,11 +123,32 @@ def test_observe_span_matches_observe_sequence():
 
 
 def test_sanitize_pins_reference_path():
-    """cfg.sanitize forces the per-cycle engine even when fast_forward is
-    on; the run must still match the reference engine's stats."""
+    """A sanitized run with fast_forward on must still match the reference
+    engine's stats: the sanitizer observes the run without changing it."""
     bench = get("vecadd")
     ref = run(bench, "vt", fast_forward=False)
     sanitized = run(bench, "vt", fast_forward=True, sanitize=True)
+    assert sanitized.stats.to_dict() == ref.stats.to_dict()
+
+
+def test_sanitized_run_fast_forwards(monkeypatch):
+    """cfg.sanitize no longer pins the per-cycle engine: a sanitized run
+    on the default engine still skips dead spans, and its stats match the
+    unsanitized reference engine's."""
+    from repro.sim.smcore import SMCore
+
+    bench = get("stride")
+    ref = run(bench, "vt", fast_forward=False)
+    spans = []
+    original = SMCore.fast_forward
+
+    def spying(self, start, stop):
+        spans.append((start, stop))
+        original(self, start, stop)
+
+    monkeypatch.setattr(SMCore, "fast_forward", spying)
+    sanitized = run(bench, "vt", fast_forward=True, sanitize=True)
+    assert spans, "the sanitized run never fast-forwarded"
     assert sanitized.stats.to_dict() == ref.stats.to_dict()
 
 

@@ -91,13 +91,26 @@ def test_canary_campaign_writes_minimal_replayable_reproducer(tmp_path):
     data = load_reproducer(result.reproducer_paths[0])
     assert data["instructions"] <= 8
     assert data["fault"] == CANARY_FAULT
+    # The shrinker kept the planted bug, not some other divergence.
     assert data["divergences"]
+    assert all(d["kind"] == "stats-mismatch"
+               and d["leg"].endswith("/fast-forward")
+               for d in data["divergences"]), data["divergences"]
+
+    assert "oracle" not in data
 
     first = replay_reproducer(result.reproducer_paths[0])
     second = replay_reproducer(result.reproducer_paths[0])
     assert not first.ok and not second.ok
     assert ([d.to_dict() for d in first.divergences]
             == [d.to_dict() for d in second.divergences])
+
+    # Older reproducers carry an "oracle" field; they still replay.
+    path = Path(result.reproducer_paths[0])
+    path.write_text(json.dumps(dict(data, oracle="check")))
+    old = replay_reproducer(path)
+    assert ([d.to_dict() for d in old.divergences]
+            == [d.to_dict() for d in first.divergences])
 
 
 def test_tampered_reproducer_is_refused_as_stale(tmp_path):

@@ -85,4 +85,7 @@ def test_canary_shrinks_to_minimal_load_kernel():
     small, info = shrink_spec(spec, is_bad, max_tests=120)
     assert info["reproduced"]
     assert len(materialize(small).kernel.instrs) <= 8
-    assert not run_case(small, fault=CANARY_FAULT).ok
+    final = run_case(small, fault=CANARY_FAULT)
+    assert final.divergences
+    assert all(d.kind == "stats-mismatch" and d.leg.endswith("/fast-forward")
+               for d in final.divergences), final.summary()

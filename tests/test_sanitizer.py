@@ -1,5 +1,6 @@
-"""The per-cycle invariant sanitizer: clean runs stay clean, corruption
-is caught the cycle it happens."""
+"""The invariant sanitizer: clean runs stay clean, corruption is caught
+the cycle it happens — on the per-cycle reference engine and on the
+default fast-forward engine, which skips only frozen spans."""
 
 import pytest
 
@@ -43,7 +44,8 @@ def test_whole_suite_clean_under_sanitizer(arch):
 
 
 def test_sanitizer_runs_every_cycle(monkeypatch):
-    """The checker is really invoked per (non-idle) SM cycle."""
+    """On the reference engine the checker is invoked per (non-idle) SM
+    cycle."""
     seen = []
     original = Sanitizer.check_sm
 
@@ -52,9 +54,32 @@ def test_sanitizer_runs_every_cycle(monkeypatch):
         original(self, sm, now)
 
     monkeypatch.setattr(Sanitizer, "check_sm", spying)
-    result = _run("stride", "vt")
+    result = _run("stride", "vt", fast_forward=False)
     assert len(seen) > 1000
     assert result.stats.cycles >= len(seen) - 1
+
+
+def test_sanitizer_checks_every_step_on_default_engine(monkeypatch):
+    """On the default engine the checker runs at the end of every
+    ``SMCore.step`` — and the engine still skips dead spans, so that is
+    fewer checks than simulated cycles."""
+    steps, checks = [], []
+    original_step = SMCore.step
+    original_check = Sanitizer.check_sm
+
+    def stepping(self, now):
+        steps.append(now)
+        return original_step(self, now)
+
+    def checking(self, sm, now):
+        checks.append(now)
+        original_check(self, sm, now)
+
+    monkeypatch.setattr(SMCore, "step", stepping)
+    monkeypatch.setattr(Sanitizer, "check_sm", checking)
+    result = _run("stride", "vt")
+    assert checks == steps
+    assert 0 < len(checks) < result.stats.cycles
 
 
 def _launch_corrupted(corruption, arch="baseline", bench_name="vecadd",
@@ -93,6 +118,29 @@ def test_detects_register_leak():
     assert exc.invariant == "capacity-accounting"
     assert exc.sm_id == 0
     assert exc.cycle == 200
+
+
+def test_detects_corruption_planted_inside_dead_span(monkeypatch):
+    """A leak planted while the default engine skips a dead span is caught
+    at the span's end: the first cycle the SM is stepped again."""
+    bench = get("stride")
+    prep = bench.prepare(0.25)
+    gpu = GPU(scaled_fermi(num_sms=1, arch="vt", sanitize=True))
+    original = SMCore.fast_forward
+    planted = []
+
+    def leaking(self, start, stop):
+        original(self, start, stop)
+        if not planted and stop - start > 1:
+            self.manager.resources.regs_used += 64
+            planted.append(stop)
+
+    monkeypatch.setattr(SMCore, "fast_forward", leaking)
+    with pytest.raises(InvariantViolation) as excinfo:
+        gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
+    assert planted, "no dead span was skipped; test is vacuous"
+    assert excinfo.value.invariant == "capacity-accounting"
+    assert excinfo.value.cycle == planted[0]
 
 
 def test_detects_double_release():
