@@ -46,9 +46,18 @@ def _has_true_mem_stall(cta, warp_status) -> bool:
 
 def trigger_all_stalled(cta, warp_status, now: int, cfg) -> bool:
     """The paper's trigger: every unfinished warp is long-latency stalled
-    (or barrier-parked behind one), with at least one true memory stall."""
-    mem, other, unfinished = cta_stall_profile(cta, warp_status)
-    return unfinished > 0 and other == 0 and _has_true_mem_stall(cta, warp_status)
+    (or barrier-parked behind one), with at least one true memory stall.
+
+    Returns at the first READY or ALU-blocked warp: an ACTIVE CTA usually
+    has one, and the answer is then known without the full profile."""
+    any_mem = False
+    for warp in cta.warps:
+        status = warp_status(warp)
+        if status == ST_MEM:
+            any_mem = True
+        elif status == ST_READY or status == ST_ALU:
+            return False
+    return any_mem
 
 
 def trigger_majority_stalled(cta, warp_status, now: int, cfg) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro.core.policies import SELECT_POLICIES, TRIGGER_POLICIES
 from repro.sim.cta import CTA, CTAState
 from repro.sim.ctamanager import FOREVER, CTAManagerBase
+from repro.sim.schedulers import arm_cta
 
 
 class VirtualThreadManager(CTAManagerBase):
@@ -38,15 +39,22 @@ class VirtualThreadManager(CTAManagerBase):
         self._swap_victim: CTA | None = None
         self._swap_incoming: CTA | None = None
         self._swap_phase_end = 0
+        # active_limit memo: (kernel, limit) of the last kernel asked about.
+        self._limit_memo: tuple[object, int] | None = None
 
     # -- limits -------------------------------------------------------------------
 
     def active_limit(self, kernel) -> int:
         """Scheduling-limit CTA count for this kernel (max ACTIVE CTAs)."""
+        memo = self._limit_memo
+        if memo is not None and memo[0] is kernel:
+            return memo[1]
         cfg = self.cfg
         per_warps = cfg.max_warps_per_sm // kernel.warps_per_cta(cfg.warp_size)
         per_threads = cfg.max_threads_per_sm // kernel.threads_per_cta
-        return max(1, min(cfg.max_ctas_per_sm, per_warps, per_threads))
+        limit = max(1, min(cfg.max_ctas_per_sm, per_warps, per_threads))
+        self._limit_memo = (kernel, limit)
+        return limit
 
     def resident_limit(self, kernel) -> int:
         """Backup-slot provisioning cap on total resident (virtual) CTAs."""
@@ -62,10 +70,8 @@ class VirtualThreadManager(CTAManagerBase):
 
     def on_assign(self, cta: CTA, now: int) -> None:
         super().on_assign(cta, now)
-        if self.active_cta_count <= self.active_limit(cta.kernel):
-            cta.state = CTAState.ACTIVE
-        else:
-            cta.state = CTAState.INACTIVE
+        if self.active_cta_count > self.active_limit(cta.kernel):
+            self._set_state(cta, CTAState.INACTIVE)
             cta.became_inactive_at = now
 
     def on_cta_finish(self, cta: CTA, now: int) -> None:
@@ -150,7 +156,7 @@ class VirtualThreadManager(CTAManagerBase):
         if self._swap_victim is not None:
             # Save phase done: victim's scheduling state is in backup SRAM.
             victim = self._swap_victim
-            victim.state = CTAState.INACTIVE
+            self._set_state(victim, CTAState.INACTIVE)
             victim.became_inactive_at = now
             victim.stall_since = None
             self._swap_victim = None
@@ -159,20 +165,22 @@ class VirtualThreadManager(CTAManagerBase):
                 # Injected fault: the backup-SRAM valid bit flips and the
                 # victim reappears ACTIVE without a SWAP_IN restore — an
                 # illegal state-machine edge the sanitizer must catch.
-                victim.state = CTAState.ACTIVE
+                self._set_state(victim, CTAState.ACTIVE)
+                arm_cta(victim)
             if self._swap_incoming is not None:
                 incoming = self._swap_incoming
-                incoming.state = CTAState.SWAP_IN
+                self._set_state(incoming, CTAState.SWAP_IN)
                 _save, restore = self.cfg.vt_swap_cycles_for(incoming.num_warps)
                 self._swap_phase_end = now + restore
                 self.stats.swap_busy_cycles += 1
                 return
         if self._swap_incoming is not None:
             incoming = self._swap_incoming
-            incoming.state = CTAState.ACTIVE
+            self._set_state(incoming, CTAState.ACTIVE)
             for warp in incoming.warps:
                 warp.status_until = -1
             self._swap_incoming = None
+            arm_cta(incoming)  # back in the schedulers' ready sets
 
     def _fill_empty_active_slots(self, now: int) -> None:
         """Promote a ready inactive CTA when an active slot is free (a CTA
@@ -189,7 +197,7 @@ class VirtualThreadManager(CTAManagerBase):
         if not candidates:
             return
         incoming = self._select(candidates, now)
-        incoming.state = CTAState.SWAP_IN
+        self._set_state(incoming, CTAState.SWAP_IN)
         _save, restore = self.cfg.vt_swap_cycles_for(incoming.num_warps)
         self._swap_incoming = incoming
         self._swap_phase_end = now + restore
@@ -213,7 +221,7 @@ class VirtualThreadManager(CTAManagerBase):
             return
 
     def _begin_swap(self, victim: CTA, incoming: CTA, now: int) -> None:
-        victim.state = CTAState.SWAP_OUT
+        self._set_state(victim, CTAState.SWAP_OUT)
         victim.times_swapped_out += 1
         save, _restore = self.cfg.vt_swap_cycles_for(victim.num_warps)
         self._swap_victim = victim

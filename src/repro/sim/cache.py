@@ -7,9 +7,29 @@ bandwidth contention), and the line is recorded as *pending* until then.
 Subsequent accesses to a pending line merge (MSHR behaviour) and complete
 at the same time.  Tags are installed at request time — a standard
 simplification that keeps hit/miss classification deterministic.
+
+Pending files (the L1 MSHRs here, the L2's in-flight fills in
+:mod:`repro.sim.memsys`) are a dict plus a ``(completion, line)`` heap:
+retiring completed entries pops the heap instead of rescanning the dict,
+so an access pays per retired fill, not per outstanding one.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
+
+
+def retire_fills(pending: dict[int, int], order: list[tuple[int, int]],
+                 now: int) -> None:
+    """Delete every ``pending`` entry that completes at or before ``now``.
+
+    ``order`` holds a ``(completion, line)`` pair for every entry ever
+    stored in ``pending``; a popped pair whose line now maps to another
+    completion (the entry was overwritten) is stale and skipped."""
+    while order and order[0][0] <= now:
+        completion, line = heappop(order)
+        if pending.get(line) == completion:
+            del pending[line]
 
 
 class SetAssocCache:
@@ -70,19 +90,25 @@ class L1Cache:
         self.memory_model = memory_model
         self.sm_id = sm_id
         self.faults = faults  # optional FaultPlan filtering fill responses
-        # line_addr -> fill completion cycle (the MSHR file)
+        # line_addr -> fill completion cycle (the MSHR file), and its
+        # completion-ordered heap (see retire_fills); write through
+        # :meth:`set_fill` so the two stay in step.
         self.pending: dict[int, int] = {}
+        self._fills: list[tuple[int, int]] = []
         # Latest fill completion ever recorded; monotonic, so the sanitizer
         # can detect a lost response in O(1) (a legitimate fill is never
         # more than the memory system's worst latency in the future).
         self.max_fill_completion = 0
 
     def _purge(self, now: int) -> None:
-        if not self.pending:
-            return
-        done = [line for line, t in self.pending.items() if t <= now]
-        for line in done:
-            del self.pending[line]
+        fills = self._fills
+        if fills and fills[0][0] <= now:
+            retire_fills(self.pending, fills, now)
+
+    def set_fill(self, line_addr: int, completion: int) -> None:
+        """Record (or correct) the completion cycle of an in-flight fill."""
+        self.pending[line_addr] = completion
+        heappush(self._fills, (completion, line_addr))
 
     def mshr_available(self, now: int) -> bool:
         self._purge(now)
@@ -106,7 +132,7 @@ class L1Cache:
         completion = self.memory_model.read(line_addr, now)
         if self.faults is not None:
             completion = self.faults.filter_fill(self.sm_id, line_addr, now, completion)
-        self.pending[line_addr] = completion
+        self.set_fill(line_addr, completion)
         if completion > self.max_fill_completion:
             self.max_fill_completion = completion
         return completion

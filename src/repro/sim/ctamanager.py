@@ -65,6 +65,9 @@ class CTAManagerBase:
         self.stats = stats
         self.resources = ResourceAccounting(cfg)
         self.resident: list[CTA] = []
+        # Resident CTAs in state ACTIVE, kept on every state transition
+        # (:meth:`_set_state`) rather than recounted per cycle.
+        self.active_cta_count = 0
         self.faults = None  # optional FaultPlan, attached by the SM core
         self.sm_id = -1  # set by the owning SM core
 
@@ -76,9 +79,11 @@ class CTAManagerBase:
     def on_assign(self, cta: CTA, now: int) -> None:
         self.resources.charge(cta.kernel)
         self.resident.append(cta)
+        if cta.state is CTAState.ACTIVE:
+            self.active_cta_count += 1
 
     def on_cta_finish(self, cta: CTA, now: int) -> None:
-        cta.state = CTAState.FINISHED
+        self._set_state(cta, CTAState.FINISHED)
         self.resources.release(cta)
         self.resident.remove(cta)
         self.stats.ctas_completed += 1
@@ -111,11 +116,15 @@ class CTAManagerBase:
         counts as forward progress for the deadlock watchdog."""
         return False
 
-    # -- occupancy reporting ---------------------------------------------------
+    def _set_state(self, cta: CTA, state: CTAState) -> None:
+        """Move a resident CTA to ``state``, keeping ``active_cta_count``."""
+        if cta.state is CTAState.ACTIVE:
+            self.active_cta_count -= 1
+        if state is CTAState.ACTIVE:
+            self.active_cta_count += 1
+        cta.state = state
 
-    @property
-    def active_cta_count(self) -> int:
-        return sum(1 for c in self.resident if c.state is CTAState.ACTIVE)
+    # -- occupancy reporting ---------------------------------------------------
 
     def schedulable_warp_count(self, now: int) -> int:
         return sum(

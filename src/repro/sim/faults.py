@@ -21,7 +21,8 @@ Injection points:
   each completed save phase; ``True`` resurrects the victim CTA to
   ``ACTIVE`` without a restore, an illegal state-machine edge.
 * :meth:`FaultPlan.warp_stalled` — consulted by the SM issue logic; a
-  matching warp is unissuable from ``stall_at_cycle`` onwards.
+  matching warp is unissuable from ``stall_at_cycle`` onwards
+  (:meth:`FaultPlan.pins` keeps it in its scheduler's ready set).
 """
 
 from __future__ import annotations
@@ -110,6 +111,17 @@ class FaultPlan:
                 f"sm{sm_id} cta {cta_id}: victim resurrected ACTIVE without restore"))
             return True
         return False
+
+    def pins(self, sm_id: int, warp) -> bool:
+        """Whether ``warp`` is the one this plan freezes (at any cycle).
+
+        The SM keeps that warp in its scheduler's ready set for the whole
+        run, so :meth:`warp_stalled` is consulted every cycle a scheduler
+        walk reaches the warp and the ``stall-warp`` event is logged at the
+        same cycle as by a walk over every resident warp."""
+        spec = self.stall_warp
+        return (spec is not None and sm_id == spec[0]
+                and warp.cta.cta_id == spec[1] and warp.local_wid == spec[2])
 
     def warp_stalled(self, sm_id: int, warp, now: int) -> bool:
         """Whether ``warp`` is frozen by this plan at ``now``."""

@@ -16,20 +16,25 @@ from __future__ import annotations
 
 import numpy as np
 
+# Both helpers run once per memory instruction issued, on at most 32 lane
+# addresses: Python sets over ``tolist()`` beat ``np.unique``'s sort and
+# array allocations at that size.  Sorting the distinct values keeps every
+# result independent of set iteration order.
+
 
 def coalesce(byte_addrs: np.ndarray, line_bytes: int) -> list[int]:
-    """Unique aligned segment base addresses touched by the lanes."""
-    if byte_addrs.size == 0:
-        return []
-    lines = np.unique(byte_addrs // line_bytes)
-    return [int(line) * line_bytes for line in lines]
+    """Unique aligned segment base addresses touched by the lanes, in
+    ascending order (integer byte addresses)."""
+    lines = {addr // line_bytes for addr in byte_addrs.tolist()}
+    return [line * line_bytes for line in sorted(lines)]
 
 
 def bank_conflict_passes(byte_addrs: np.ndarray, num_banks: int, word_bytes: int = 4) -> int:
     """Number of serialized passes needed to satisfy a shared access."""
     if byte_addrs.size == 0:
         return 1
-    words = np.unique(byte_addrs // word_bytes)
-    banks = words % num_banks
-    _unique, counts = np.unique(banks, return_counts=True)
-    return int(counts.max())
+    per_bank: dict[int, int] = {}
+    for word in sorted({addr // word_bytes for addr in byte_addrs.tolist()}):
+        bank = word % num_banks
+        per_bank[bank] = per_bank.get(bank, 0) + 1
+    return max(per_bank.values())

@@ -20,7 +20,9 @@ full chip.
 
 from __future__ import annotations
 
-from repro.sim.cache import SetAssocCache
+from heapq import heappush
+
+from repro.sim.cache import SetAssocCache, retire_fills
 from repro.sim.dram import DramModel
 from repro.sim.icnt import Link
 
@@ -45,24 +47,19 @@ class MemoryModel:
         self._request_links = [Link(cfg.icnt_latency, 1) for _ in range(partitions)]
         self._response_links = [Link(cfg.icnt_latency, 1) for _ in range(partitions)]
         self._l2_port_free = [0] * partitions
-        # L2-level miss merging: line -> DRAM fill completion at L2.
+        # L2-level miss merging: line -> DRAM fill completion at L2, and
+        # its completion-ordered heap (see repro.sim.cache.retire_fills).
         self._l2_pending: dict[int, int] = {}
+        self._l2_fills: list[tuple[int, int]] = []
 
     def _partition(self, line_addr: int) -> int:
         return self.dram.channel_of(line_addr)
-
-    def _purge(self, now: int) -> None:
-        if not self._l2_pending:
-            return
-        done = [line for line, t in self._l2_pending.items() if t <= now]
-        for line in done:
-            del self._l2_pending[line]
 
     def _l2_lookup(self, line_addr: int, arrival: int, partition: int) -> int:
         """Time at which the line's data is available at its L2 slice."""
         start = max(arrival, self._l2_port_free[partition])
         self._l2_port_free[partition] = start + self.cfg.l2_service_cycles
-        self._purge(arrival)
+        retire_fills(self._l2_pending, self._l2_fills, arrival)
         pending = self._l2_pending.get(line_addr)
         if pending is not None:
             self.l2.access(line_addr)  # counts as an access; data in flight
@@ -71,6 +68,7 @@ class MemoryModel:
             return start + self.cfg.l2_hit_latency
         fill = self.dram.access(line_addr, start + self.cfg.l2_hit_latency)
         self._l2_pending[line_addr] = fill
+        heappush(self._l2_fills, (fill, line_addr))
         return fill
 
     def read(self, line_addr: int, now: int) -> int:

@@ -59,6 +59,8 @@ serial rerun path.
 
 from __future__ import annotations
 
+from heapq import heapify
+
 import numpy as np
 
 from repro.sim.config import ArchMode
@@ -259,6 +261,13 @@ class _Core:
         self.cursor = 0  # next cycle this SM will run
         self.max_fill = 0  # exact cumulative L1 max_fill_completion
         self.horizon = 0  # exact cumulative mem_horizon
+
+
+def _drop_sentinels(heap: list) -> None:
+    """Remove the entries keyed at a sentinel cycle from a ``(cycle, ...)``
+    heap, in place, once the epoch patch has queued their exact times."""
+    heap[:] = [entry for entry in heap if entry[0] < SENTINEL_BASE]
+    heapify(heap)
 
 
 class _Shard:
@@ -487,17 +496,23 @@ class _Shard:
 
         # L1 MSHR file: a pending entry still holding its sentinel is this
         # epoch's read miss — swap in the exact fill time.  (Merges never
-        # overwrite the entry; atomics never create one.)
+        # overwrite the entry; atomics never create one.)  ``set_fill``
+        # also queues the exact time in the file's completion heap; the
+        # sentinel's own heap entry would never come due, so it is dropped.
         l1 = sm.l1
         pending = l1.pending
+        patched = False
         for ridx, (_cycle, _seq, kind, line, _t) in enumerate(defer.requests):
             if kind != "r":
                 continue
             if pending.get(line) == SENTINEL_BASE + ridx:
                 actual = actuals[ridx]
-                pending[line] = actual
+                l1.set_fill(line, actual)
+                patched = True
                 if actual > core.max_fill:
                     core.max_fill = actual
+        if patched:
+            _drop_sentinels(l1._fills)
         l1.max_fill_completion = core.max_fill
 
         # Scoreboard groups: compute each group's exact ready time; groups
@@ -544,7 +559,12 @@ class _Shard:
             sb._mem_pending_until = mpu
             # Drop the cached status: it embedded a sentinel horizon.  The
             # recompute against exact values is what serial would cache.
+            # A wake-heap entry at that sentinel would never come due, so
+            # re-arm the warp instead (the next scheduler walk re-parks it
+            # at the exact release cycle) and drop the entry below.
             warp.status_until = -1
+            sm.arm(warp)
+        _drop_sentinels(sm._wake)
         if sm.allow_fast and sm.next_wake >= e1:
             # The cached next event crossed the boundary, so the scan that
             # produced it may have had sentinel wake times masking the true

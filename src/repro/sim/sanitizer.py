@@ -32,9 +32,14 @@ Invariants checked every stepped cycle:
    future (a dropped response is caught the cycle it is recorded).
 4. **VT state-machine legality** — resident CTAs only follow the edges
    ``ACTIVE -> SWAP_OUT -> INACTIVE -> SWAP_IN -> ACTIVE``, at most one
-   context switch is in flight, and no CTA sits in a ``SWAP_*`` state
-   outside the swap engine.
-5. **Clean retirement** — a retiring CTA has every warp finished, owns no
+   context switch is in flight, no CTA sits in a ``SWAP_*`` state
+   outside the swap engine, and the manager's ACTIVE-CTA counter equals
+   a recount.
+5. **Ready-set superset** — every warp outside its scheduler's ready set
+   is finished, barrier-parked, in a non-ACTIVE CTA, or queued in the
+   SM's wake heap no later than its cached ``status_until`` (its CTA's
+   ``start_cycle`` before launch), so no issuable warp is ever skipped.
+6. **Clean retirement** — a retiring CTA has every warp finished, owns no
    scheduler slots, leaks no scoreboard entries, and its release leaves
    the resource accounts non-negative.
 """
@@ -42,6 +47,7 @@ Invariants checked every stepped cycle:
 from __future__ import annotations
 
 from repro.sim.cta import CTAState
+from repro.sim.ctamanager import FOREVER
 
 #: Legal VT lifecycle edges (self-loops are implicit).
 _LEGAL_EDGES = {
@@ -160,6 +166,9 @@ class Sanitizer:
         # 4. VT state machine ----------------------------------------------
         self._check_states(sm, manager, resident, now)
 
+        # 5. ready sets -----------------------------------------------------
+        self._check_ready_sets(sm, now)
+
         # Cross-check the manager's own invariant hook when it has one.
         assert_invariants = getattr(manager, "assert_invariants", None)
         if assert_invariants is not None:
@@ -251,6 +260,39 @@ class Sanitizer:
                 self._fail("swap-engine",
                            f"cta {cta.cta_id} is SWAP_IN outside the swap engine",
                            sm.sm_id, now)
+        active = sum(1 for cta in resident if cta.state is CTAState.ACTIVE)
+        if manager.active_cta_count != active:
+            self._fail("active-count",
+                       f"manager counts {manager.active_cta_count} ACTIVE CTAs, "
+                       f"{active} are resident", sm.sm_id, now,
+                       resource="CTA slots")
+
+    def _check_ready_sets(self, sm, now: int) -> None:
+        queued: dict[object, int] = {}
+        for cycle, warp in sm.wake_entries():
+            if cycle < queued.get(warp, FOREVER):
+                queued[warp] = cycle
+        for scheduler in sm.schedulers:
+            armed = [warp for warp in scheduler.warps if warp.armed]
+            if armed != scheduler.ready:
+                self._fail("ready-set",
+                           "a scheduler's ready list disagrees with its warps' "
+                           "ready bits", sm.sm_id, now, resource="scheduler")
+            for warp in scheduler.warps:
+                if warp.armed or warp.finished or warp.at_barrier:
+                    continue
+                cta = warp.cta
+                if cta.state is not CTAState.ACTIVE:
+                    continue  # re-armed when the CTA is activated
+                due = cta.start_cycle if now < cta.start_cycle else warp.status_until
+                # A cached READY (due FOREVER) or invalidated (-1) status
+                # has no wake-up that could ever re-arm the warp.
+                if due >= FOREVER or queued.get(warp, FOREVER) > due:
+                    self._fail(
+                        "ready-set",
+                        f"cta {cta.cta_id} warp {warp.local_wid} left the ready "
+                        f"set with no wake-up queued by cycle {due}",
+                        sm.sm_id, now, resource="scheduler")
 
     # -- execution cross-check ---------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Warp-scheduler policies.
+"""Warp-scheduler policies over per-scheduler ready sets.
 
 Each SM has ``num_warp_schedulers`` schedulers; resident warps are
 partitioned among them by warp-slot index.  Every cycle each scheduler
@@ -13,26 +13,66 @@ picks at most one issuable warp according to its policy:
 
 Schedulers only *order* candidates; issuability is decided by the SM core
 via the ``issuable(warp)`` callback so policy code stays timing-agnostic.
+
+**Ready sets.**  Besides ``warps`` (every owned warp, in age order) each
+scheduler keeps ``ready``: the owned warps not yet proven unissuable, also
+in age order, with ``warp.armed`` as the membership bit.  It is a
+*superset* of the issuable warps, so ``pick`` walks its policy order over
+``ready`` only and chooses exactly the warp a walk over ``warps`` would.
+The SM core (:mod:`repro.sim.smcore`) disarms a warp when it finds it
+blocked and arms it again on the event that can unblock it.  A scheduler
+whose ready set is empty cannot issue: the SM calls its :meth:`idle`
+instead of ``pick``, which applies only the policy's nothing-issued
+bookkeeping (GTO drops its greedy warp, two-level demotes its active set).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.sim.warp import Warp
 
+_age = attrgetter("age")
+
 
 class SchedulerBase:
-    """Common bookkeeping: the set of warps owned by this scheduler."""
+    """Common bookkeeping: owned warps and their ready set."""
 
     def __init__(self):
         self.warps: list[Warp] = []
+        self.ready: list[Warp] = []
+        self._ages = 0
 
     def add_warp(self, warp: Warp) -> None:
+        warp.sched = self
+        warp.age = self._ages
+        self._ages += 1
         self.warps.append(warp)
+        warp.armed = True
+        self.ready.append(warp)  # the youngest warp: age order holds
 
     def remove_warp(self, warp: Warp) -> None:
         self.warps.remove(warp)
+        warp.sched = None
+        self.disarm(warp)
+
+    def arm(self, warp: Warp) -> None:
+        """(Re-)admit ``warp`` to the ready set."""
+        if not warp.armed:
+            warp.armed = True
+            insort(self.ready, warp, key=_age)
+
+    def disarm(self, warp: Warp) -> None:
+        """Drop ``warp`` from the ready set (it cannot issue yet)."""
+        if warp.armed:
+            warp.armed = False
+            self.ready.remove(warp)
+
+    def idle(self) -> None:
+        """What a ``pick`` that finds nothing issuable does to the policy
+        state; the SM calls it instead of ``pick`` on an empty ready set."""
 
     def pick(self, issuable: Callable[[Warp], bool]) -> Optional[Warp]:
         raise NotImplementedError
@@ -46,12 +86,17 @@ class LrrScheduler(SchedulerBase):
         self._next = 0
 
     def pick(self, issuable):
-        n = len(self.warps)
-        for offset in range(n):
-            idx = (self._next + offset) % n
-            warp = self.warps[idx]
+        warps = self.warps
+        n = len(warps)
+        if not n:
+            return None
+        # The rotation starts at warp slot ``_next``; ready members from
+        # that warp's age onwards come first, then the wrapped-around rest.
+        ready = self.ready
+        split = bisect_left(ready, warps[self._next % n].age, key=_age)
+        for warp in ready[split:] + ready[:split]:
             if issuable(warp):
-                self._next = (idx + 1) % n
+                self._next = (warps.index(warp) + 1) % n
                 return warp
         return None
 
@@ -59,9 +104,8 @@ class LrrScheduler(SchedulerBase):
 class GtoScheduler(SchedulerBase):
     """Greedy-then-oldest.
 
-    ``self.warps`` is kept in assignment (age) order — warps are appended
-    on add and order is preserved on removal — so the oldest-first
-    fallback is a plain in-order scan.
+    ``self.ready`` is kept in assignment (age) order, so the oldest-first
+    fallback is a plain in-order walk.
     """
 
     def __init__(self):
@@ -73,10 +117,14 @@ class GtoScheduler(SchedulerBase):
         if self._greedy is warp:
             self._greedy = None
 
+    def idle(self):
+        self._greedy = None
+
     def pick(self, issuable):
-        if self._greedy is not None and issuable(self._greedy):
-            return self._greedy
-        for warp in self.warps:  # oldest (earliest-assigned) first
+        greedy = self._greedy
+        if greedy is not None and greedy.armed and issuable(greedy):
+            return greedy
+        for warp in tuple(self.ready):  # oldest (earliest-assigned) first
             if issuable(warp):
                 self._greedy = warp
                 return warp
@@ -88,8 +136,7 @@ class TwoLevelScheduler(SchedulerBase):
     """Two-level scheduler with a bounded active set.
 
     ``_active`` keeps promotion order for the LRR rotation; ``_active_set``
-    mirrors it for O(1) membership, so one refill pass over ``n`` resident
-    warps is O(n) instead of the O(n·active_size) list scan it used to be.
+    mirrors it for O(1) membership.
     """
 
     def __init__(self, active_size: int = 8):
@@ -105,32 +152,49 @@ class TwoLevelScheduler(SchedulerBase):
             self._active.remove(warp)
             self._active_set.discard(warp)
 
+    def idle(self):
+        if self._active:
+            self._active = []
+            self._active_set = set()
+        self._next = 0
+
     def _refill(self, issuable):
-        if len(self._active) >= self.active_size:
+        active = self._active
+        if len(active) >= self.active_size:
             return
-        for warp in self.warps:
-            if warp not in self._active_set and issuable(warp):
-                self._active.append(warp)
-                self._active_set.add(warp)
-                if len(self._active) >= self.active_size:
+        members = self._active_set
+        for warp in tuple(self.ready):
+            if warp not in members and issuable(warp):
+                active.append(warp)
+                members.add(warp)
+                if len(active) >= self.active_size:
                     return
 
     def pick(self, issuable):
         for _attempt in range(2):
             self._refill(issuable)
-            n = len(self._active)
+            active = self._active
+            start = self._next
+            n = len(active)
             for offset in range(n):
-                idx = (self._next + offset) % n
-                warp = self._active[idx]
-                if issuable(warp):
+                idx = (start + offset) % n
+                warp = active[idx]
+                if warp.armed and issuable(warp):
                     self._next = (idx + 1) % n
                     return warp
-            # Demote stalled warps and retry once so a pending ready warp
-            # can be promoted within the same cycle.
-            self._active = [w for w in self._active if issuable(w)]
-            self._active_set = set(self._active)
-            self._next = 0
+            # No active warp can issue this cycle: demote them all and
+            # retry once so a pending ready warp can be promoted within
+            # the same cycle.
+            self.idle()
         return None
+
+
+def arm_cta(cta) -> None:
+    """Re-arm every unfinished warp of ``cta`` in its scheduler's ready set
+    (barrier release, CTA activation)."""
+    for warp in cta.warps:
+        if warp.sched is not None and not warp.finished:
+            warp.sched.arm(warp)
 
 
 def make_scheduler(policy: str) -> SchedulerBase:

@@ -11,9 +11,22 @@ at once: the issue logic, the idle-cycle accounting (paper motivation
 figure), and the Virtual Thread swap trigger ("every warp of the CTA is
 long-latency stalled").  Statuses are cached with a validity horizon so
 idle SMs do not rescan scoreboards every cycle.
+
+The issue logic pays per event, not per resident warp.  Each scheduler
+walks only its *ready set* (see :mod:`repro.sim.schedulers`), a superset
+of the issuable warps.  When :meth:`SMCore._issuable` proves a warp
+blocked, the warp leaves the set; if the block ends at a known cycle
+(scoreboard release, barrier-release wake, CTA launch latency) it goes
+into the SM's wake heap for that cycle.  Blocks without a known end
+re-arm the warp on their event instead: barrier release (in
+:meth:`SMCore._issue`) and CTA activation (the VT manager), both through
+:func:`repro.sim.schedulers.arm_cta`.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from heapq import heappop, heappush
 
 from repro.isa.opcodes import Op, OpClass
 from repro.sim.cache import L1Cache
@@ -21,7 +34,7 @@ from repro.sim.cta import CTA, CTAState
 from repro.sim.ctamanager import FOREVER as _FOREVER
 from repro.sim.exec import functional_step
 from repro.sim.ldst import bank_conflict_passes, coalesce
-from repro.sim.schedulers import make_scheduler
+from repro.sim.schedulers import arm_cta, make_scheduler
 from repro.sim.stats import SMStats
 
 # Warp status codes (ints for speed; cached on the warp object).
@@ -53,6 +66,10 @@ class SMCore:
         self._ldst_free = 0  # global-memory pipeline
         self._smem_free = 0  # shared-memory pipeline (separate on Fermi)
         self._sfu_free = 0
+        # Wake heap: ``(cycle, seq, warp)`` for disarmed warps whose block
+        # ends at a known cycle; ``seq`` keeps entries totally ordered.
+        self._wake: list[tuple[int, int, object]] = []
+        self._wake_seq = 0
         self.gmem = None  # set at launch
         self._live_ctas = 0
         # Latest cycle at which an outstanding memory response may still
@@ -93,10 +110,7 @@ class SMCore:
 
     def _finish_cta(self, cta: CTA, now: int) -> None:
         for warp in cta.warps:
-            for scheduler in self.schedulers:
-                if warp in scheduler.warps:
-                    scheduler.remove_warp(warp)
-                    break
+            warp.sched.remove_warp(warp)
         self.manager.on_cta_finish(cta, now)
         self._live_ctas -= 1
         if self.sanitizer is not None:
@@ -106,9 +120,36 @@ class SMCore:
     def idle(self) -> bool:
         return self._live_ctas == 0
 
+    # -- ready sets -----------------------------------------------------------
+
+    def arm(self, warp) -> None:
+        """Re-arm one warp whose cached status was invalidated from outside
+        the issue logic (the parallel engine's completion patch)."""
+        if warp.sched is not None:  # None once its CTA retired
+            warp.sched.arm(warp)
+
+    def _park(self, warp, until: int) -> None:
+        """Disarm a warp found unissuable; queue a wake-up at ``until``
+        unless the block has no known end (``_FOREVER``: barrier-parked,
+        finished, or in a CTA that must be activated first).
+
+        A fault plan's frozen warp is never parked: the plan logs its
+        ``stall-warp`` event when the scheduler walk reaches the warp, and
+        a walk over every resident warp would reach it each cycle."""
+        if self.faults is not None and self.faults.pins(self.sm_id, warp):
+            return
+        warp.sched.disarm(warp)
+        if until < _FOREVER:
+            heappush(self._wake, (until, self._wake_seq, warp))
+            self._wake_seq += 1
+
+    def wake_entries(self) -> list[tuple[int, object]]:
+        """``(cycle, warp)`` for every queued wake-up (sanitizer view)."""
+        return [(cycle, warp) for cycle, _seq, warp in self._wake]
+
     # -- warp status ------------------------------------------------------------
 
-    def _status(self, warp, now: int) -> int:
+    def _status(self, now: int, warp) -> int:
         if now < warp.status_until:
             return warp.cached_status
         if warp.finished:
@@ -144,12 +185,17 @@ class SMCore:
             return self._sfu_free <= now
         return True
 
-    def _issuable(self, warp, now: int) -> bool:
+    def _issuable(self, now: int, warp) -> bool:
         if self.faults is not None and self.faults.warp_stalled(self.sm_id, warp, now):
             return False
-        if not self.manager.is_schedulable(warp.cta, now):
+        cta = warp.cta
+        if not self.manager.is_schedulable(cta, now):
+            # Not launched yet: wake at the start cycle.  INACTIVE/SWAP_*:
+            # re-armed when the VT manager activates the CTA.
+            self._park(warp, cta.start_cycle if now < cta.start_cycle else _FOREVER)
             return False
-        if self._status(warp, now) != ST_READY:
+        if self._status(now, warp) != ST_READY:
+            self._park(warp, warp.status_until)
             return False
         return self._structural_ok(warp, now)
 
@@ -174,15 +220,16 @@ class SMCore:
         op_class = info.op_class
 
         if result.did_barrier:
-            cta.barrier_arrive(warp, now)
+            if cta.barrier_arrive(warp, now):
+                arm_cta(cta)
             return
         if result.did_exit:
             if warp.finished:
                 if cta.finished:
                     self._finish_cta(cta, now)
-                else:
+                elif cta.check_barrier_release(now):
                     # A finished warp may be the last arrival a barrier waits for.
-                    cta.check_barrier_release(now)
+                    arm_cta(cta)
             return
 
         if result.addresses is None and info.is_mem:
@@ -251,14 +298,21 @@ class SMCore:
         stats = self.stats
         stats.cycles += 1
         self._occ_cache = None  # a live cycle may change any sampled count
-        self.manager.update(now, lambda warp: self._status(warp, now))
+        wake = self._wake
+        while wake and wake[0][0] <= now:
+            self.arm(heappop(wake)[2])
+        self.manager.update(now, partial(self._status, now))
 
         issued = 0
+        issuable = None
         for scheduler in self.schedulers:
             stats.issue_slots += 1
-            if not scheduler.warps:
+            if not scheduler.ready:
+                scheduler.idle()
                 continue
-            warp = scheduler.pick(lambda w: self._issuable(w, now))
+            if issuable is None:
+                issuable = partial(self._issuable, now)
+            warp = scheduler.pick(issuable)
             if warp is not None:
                 self._issue(warp, now)
                 issued += 1
@@ -357,7 +411,7 @@ class SMCore:
                 # INACTIVE/SWAP_* CTAs wake through the manager's horizon.
                 continue
             for warp in cta.warps:
-                status = self._status(warp, now)
+                status = self._status(now, warp)
                 if status == ST_FINISHED:
                     continue
                 any_resident = True

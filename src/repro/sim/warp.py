@@ -80,6 +80,9 @@ class Warp:
         "cached_status",
         "status_until",
         "instructions_issued",
+        "sched",
+        "age",
+        "armed",
     )
 
     def __init__(self, cta, local_wid: int, regs_per_thread: int, live_lanes: int, warp_size: int):
@@ -98,6 +101,11 @@ class Warp:
         self.cached_status: int = -1
         self.status_until: int = -1
         self.instructions_issued = 0
+        # Ready-set membership, managed by the owning warp scheduler (see
+        # repro.sim.schedulers): owner, age rank, and "in the ready set".
+        self.sched = None
+        self.age = 0
+        self.armed = False
 
     # -- derived state --------------------------------------------------------
 

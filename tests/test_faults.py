@@ -3,6 +3,9 @@ with each fault class: delayed fills degrade gracefully, dropped fills are
 caught (by the sanitizer immediately, by the watchdog eventually), corrupt
 swap metadata trips the state machine, and a stalled warp deadlocks."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.kernels import get
@@ -116,3 +119,27 @@ def test_faults_recorded_as_events():
     assert event.kind == "delay-response"
     assert event.cycle == 42
     assert "42" in str(event)
+
+
+_TIMING = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "fixtures" / "fault_timing.json").read_text())
+
+
+@pytest.mark.parametrize("cell", _TIMING, ids=lambda c: (
+    f"{c['benchmark']}-{c['arch']}-{c['scheduler']}-@{c['stall_at_cycle']}"))
+def test_fault_event_cycles_are_pinned(cell):
+    """Forensic timing: every injected-fault event keeps the cycle it was
+    logged at before the schedulers walked ready sets only.  The frozen
+    warp's ``stall-warp`` event must appear at the first cycle a scheduler
+    walk reaches it at or after ``stall_at_cycle`` — not when it would
+    next have become ready — also when delayed fills interleave (each
+    interleaving re-logs the freeze)."""
+    plan = FaultPlan(seed=1, stall_warp=tuple(cell["stall_warp"]),
+                     stall_at_cycle=cell["stall_at_cycle"],
+                     delay_every=cell["delay_every"], delay_cycles=150)
+    with pytest.raises(ProgressDeadlock) as excinfo:
+        _launch(cell["benchmark"], cell["arch"], plan, check=False,
+                warp_scheduler=cell["scheduler"], progress_window=2000)
+    outcome = f"ProgressDeadlock: {str(excinfo.value).splitlines()[0]}"
+    assert outcome == cell["outcome"]
+    assert [[e.cycle, e.kind, e.detail] for e in plan.events] == cell["events"]

@@ -1,6 +1,8 @@
 """Coalescer and shared-memory bank-conflict analysis."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.ldst import bank_conflict_passes, coalesce
 
@@ -104,3 +106,38 @@ def test_transpose_padding_property():
         padded = (lanes * 33 + row) * 4
         assert bank_conflict_passes(unpadded, 32) == 32, row
         assert bank_conflict_passes(padded, 32) == 1, row
+
+
+# -- equivalence with the np.unique formulation -------------------------------
+
+
+def _coalesce_np(byte_addrs, line_bytes):
+    if byte_addrs.size == 0:
+        return []
+    return [int(line) * line_bytes for line in np.unique(byte_addrs // line_bytes)]
+
+
+def _passes_np(byte_addrs, num_banks, word_bytes=4):
+    if byte_addrs.size == 0:
+        return 1
+    banks = np.unique(byte_addrs // word_bytes) % num_banks
+    return int(np.unique(banks, return_counts=True)[1].max())
+
+
+# Few distinct values so duplicates are common; negatives exercise floor
+# division and modulo on both sides of zero.
+_lane_addrs = st.lists(
+    st.one_of(st.integers(-600, 600), st.integers(-(1 << 40), 1 << 40)),
+    min_size=0, max_size=32,
+).map(lambda xs: np.array(xs, dtype=np.int64))
+
+
+@given(_lane_addrs, st.sampled_from([4, 32, 128, 256]))
+def test_coalesce_matches_np_unique(byte_addrs, line_bytes):
+    assert coalesce(byte_addrs, line_bytes) == _coalesce_np(byte_addrs, line_bytes)
+
+
+@given(_lane_addrs, st.sampled_from([1, 16, 32]), st.sampled_from([4, 8]))
+def test_bank_passes_match_np_unique(byte_addrs, num_banks, word_bytes):
+    assert (bank_conflict_passes(byte_addrs, num_banks, word_bytes)
+            == _passes_np(byte_addrs, num_banks, word_bytes))

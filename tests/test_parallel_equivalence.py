@@ -156,3 +156,36 @@ def test_results_still_correct():
     cfg = scaled_fermi(num_sms=NUM_SMS, engine="parallel", sim_jobs=3)
     result = GPU(cfg).launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
     prep.check(result)
+
+
+def test_epoch_patch_leaves_no_sentinel_heap_entries(monkeypatch):
+    """Deferred loads park warps and queue L1 fills at sentinel cycles that
+    never come due; after every epoch patch neither the SM's wake heap nor
+    the L1 fill heap may keep such an entry, so both stay bounded by the
+    resident warps and outstanding fills instead of growing with the grid."""
+    seen = {"patches": 0, "sentinel_parks": 0, "wake_max": 0}
+    patch_core = parallel._Shard._patch_core
+    park = parallel.SMCore._park
+
+    def counting_park(self, warp, until):
+        if until >= parallel.SENTINEL_BASE:
+            seen["sentinel_parks"] += 1
+        park(self, warp, until)
+
+    def checked_patch(self, core, actuals):
+        patch_core(self, core, actuals)
+        sm = core.sm
+        seen["patches"] += 1
+        assert all(cycle < parallel.SENTINEL_BASE for cycle, *_ in sm._wake)
+        assert all(cycle < parallel.SENTINEL_BASE for cycle, _ in sm.l1._fills)
+        assert len(sm.l1._fills) == len(sm.l1.pending)
+        seen["wake_max"] = max(seen["wake_max"], len(sm._wake))
+
+    monkeypatch.setattr(parallel.SMCore, "_park", counting_park)
+    monkeypatch.setattr(parallel._Shard, "_patch_core", checked_patch)
+    bench = get("chase")
+    prep = bench.prepare(SCALE)
+    cfg = scaled_fermi(num_sms=NUM_SMS, engine="parallel", sim_jobs=1)
+    GPU(cfg).launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
+    assert seen["patches"] > 10 and seen["sentinel_parks"] > 0
+    assert seen["wake_max"] <= cfg.max_warps_per_sm

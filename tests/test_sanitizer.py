@@ -193,6 +193,35 @@ def test_detects_scoreboard_leak():
     assert exc.invariant == "scoreboard-liveness"
 
 
+def test_detects_dropped_ready_bit():
+    """A warp dropped from its scheduler's ready set with no wake-up queued
+    would never be considered for issue again; the ready-set invariant
+    catches it in the step it happens."""
+    dropped = []
+
+    def corrupt(sm):
+        for scheduler in sm.schedulers:
+            for warp in scheduler.ready:
+                if not warp.finished and not warp.at_barrier:
+                    scheduler.disarm(warp)  # no wake-heap entry
+                    dropped.append(warp)
+                    return None
+        return False  # every ready set is empty this cycle
+
+    exc = _launch_corrupted(corrupt)
+    assert exc.invariant == "ready-set"
+    assert f"warp {dropped[0].local_wid}" in str(exc)
+    assert exc.cycle >= 200
+
+
+def test_detects_active_count_drift():
+    def corrupt(sm):
+        sm.manager.active_cta_count += 1
+
+    exc = _launch_corrupted(corrupt, arch="vt", bench_name="stride")
+    assert exc.invariant == "active-count"
+
+
 def test_violation_is_structured():
     exc = InvariantViolation("register-capacity", "boom", sm_id=3, cycle=77,
                              resource="registers")
