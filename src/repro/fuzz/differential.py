@@ -155,6 +155,20 @@ def _first_stat_diff(a: dict, b: dict, path: str = "") -> str:
     return ""
 
 
+def _same_output(got: np.ndarray, expected: np.ndarray) -> bool:
+    """``np.array_equal(got, expected, equal_nan=True)`` for float64 images,
+    deciding the common case on bit patterns first.
+
+    Identical bits are identical values, so only images whose bits differ
+    (a real mismatch, ``-0.0`` against ``0.0``, or NaNs with different
+    payloads) pay for the float comparison — several times slower on a
+    full memory image.
+    """
+    if np.array_equal(got.view(np.uint64), expected.view(np.uint64)):
+        return True
+    return np.array_equal(got, expected, equal_nan=True)
+
+
 def _output_diff(got: np.ndarray, expected: np.ndarray) -> str:
     same = (got == expected) | (np.isnan(got) & np.isnan(expected))
     bad = np.flatnonzero(~same)
@@ -255,8 +269,7 @@ def run_case(spec: dict, cfg: GPUConfig | None = None, *,
                 _first_stat_diff(par_stats, ref_stats)))
         for leg, data in (("reference", ref_data), ("fast-forward", ff_data),
                           ("parallel", par_data)):
-            if data is not None and not np.array_equal(data, expected,
-                                                       equal_nan=True):
+            if data is not None and not _same_output(data, expected):
                 result.divergences.append(Divergence(
                     "output-mismatch", f"{arch}/{leg}",
                     _output_diff(data, expected)))

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.analysis.dataflow import CFGView, DataflowProblem, FORWARD, solve
+from repro.isa.analysis.context import fact, solve_per_pc
+from repro.isa.analysis.dataflow import DataflowProblem, FORWARD
 from repro.isa.instruction import Imm, MemRef, Reg, SReg, SpecialReg
 from repro.isa.opcodes import CmpOp, Op
 
@@ -369,12 +370,15 @@ class AffineAnalysis(DataflowProblem):
         return TOP
 
 
-def affine_solution(kernel, cfg: CFGView | None = None):
-    """Solve the affine pass; returns ``(analysis, per-PC env list)``."""
-    cfg = cfg or CFGView(kernel.instrs)
-    analysis = AffineAnalysis(kernel)
-    solution = solve(analysis, cfg)
-    return analysis, solution.per_pc()
+def affine_solution(kernel):
+    """The affine pass: ``(analysis, per-PC envs)``, solved once per kernel.
+
+    ``envs[pc]`` is the :class:`AffineEnv` *before* ``pc`` executes (None
+    for unreachable code).  The analysis object is rebuilt per call (it
+    only carries the kernel), so the cached envs hold no kernel reference.
+    """
+    envs = fact(kernel, "affine", solve_per_pc, AffineAnalysis, kernel)
+    return AffineAnalysis(kernel), envs
 
 
 def refine_bounds(address: Affine, pred_value: Affine | None, pred_neg: bool,

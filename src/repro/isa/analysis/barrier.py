@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.analysis.affine import AffineAnalysis, is_top
+from repro.isa.analysis.affine import affine_solution, is_top
+from repro.isa.analysis.context import cfg_of
 from repro.isa.analysis.dataflow import CFGView
 from repro.isa.cfg import EXIT_PC
 from repro.isa.opcodes import Op
@@ -51,9 +52,10 @@ def _divergent_region(cfg: CFGView, branch_pc: int, reconv_pc: int) -> set[int]:
     return region
 
 
-def barrier_divergence(kernel, cfg: CFGView, affine: AffineAnalysis,
-                       envs: list) -> list[BarrierDivergence]:
+def barrier_divergence(kernel) -> list[BarrierDivergence]:
     """Find every ``BAR`` inside a potentially-divergent region."""
+    cfg = cfg_of(kernel)
+    _affine, envs = affine_solution(kernel)
     findings: list[BarrierDivergence] = []
     seen: set[int] = set()
     for pc, instr in enumerate(kernel.instrs):

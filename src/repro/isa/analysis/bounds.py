@@ -24,8 +24,8 @@ and declared *workload caps* for loops whose bound is loaded from memory
 but is bounded by the workload generator's construction (bfs row degrees
 ``<= 2 * avg_degree``, spmv row population ``in [1, 2 * avg_nnz]`` — see
 ``repro.workloads.graphs`` / ``matrices``).  The performance oracle
-takes its trip counts from the same per-loop :func:`trip_bound` (the
-``hi`` end), so the repository has one counted-loop recognizer.
+takes its trip counts from the same :func:`loop_trips` table (the ``hi``
+end), so the repository has one counted-loop recognizer.
 
 **Path bounds.**  A forward-only DAG over the kernel (back edges cut)
 gives, by big-integer path counting, the *unavoidable* instructions (on
@@ -63,8 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.isa.analysis.affine import affine_solution
-from repro.isa.analysis.dataflow import CFGView
+from repro.isa.analysis.context import cfg_of, fact, params_key
 from repro.isa.analysis.interval import _ZERO_IVAL, IVal, interval_solution
 from repro.isa.analysis.memaccess import access_costs
 from repro.isa.instruction import Imm, MemRef, Reg
@@ -384,10 +383,23 @@ def back_edges(kernel) -> list[int]:
             and instr.target <= pc]
 
 
-def trip_bound(kernel, analysis, ienvs, bpc: int,
-               param_values=None) -> TripBound | None:
-    """:class:`TripBound` of the backward branch at ``bpc``, or ``None``
-    when no resolver (nor a declared workload cap) bounds it."""
+def loop_trips(kernel, param_values=None) -> dict[int, TripBound | None]:
+    """``branch pc -> TripBound`` for every backward branch, ``None`` where
+    no resolver (nor a declared workload cap) bounds the loop.  Computed
+    once per kernel and parameter values; the performance oracle reads
+    the same table."""
+    return fact(kernel, ("trips", params_key(param_values)), _trip_table,
+                kernel, param_values)
+
+
+def _trip_table(kernel, param_values) -> dict[int, TripBound | None]:
+    analysis, ienvs = interval_solution(kernel)
+    return {bpc: _trip_bound(kernel, analysis, ienvs, bpc, param_values)
+            for bpc in back_edges(kernel)}
+
+
+def _trip_bound(kernel, analysis, ienvs, bpc: int,
+                param_values=None) -> TripBound | None:
     setp_pc = _find_setp(kernel, bpc)
     if setp_pc is not None:
         for resolver in (_additive_trips, _geometric_trips, _bracket_trips):
@@ -402,22 +414,19 @@ def trip_bound(kernel, analysis, ienvs, bpc: int,
     return TripBound(bpc, lo, hi, lo == hi, "workload-cap")
 
 
-def trip_bounds(kernel, analysis, ienvs,
-                param_values=None) -> dict[int, TripBound]:
+def trip_bounds(kernel, param_values=None) -> dict[int, TripBound]:
     """``branch pc -> TripBound`` for every backward branch.
 
     Raises :class:`UnboundedLoop` when no resolver (nor a declared
     workload cap) bounds a loop — an unsound upper bound is never
     silently produced.
     """
-    trips: dict[int, TripBound] = {}
-    for bpc in back_edges(kernel):
-        bound = trip_bound(kernel, analysis, ienvs, bpc, param_values)
+    trips = loop_trips(kernel, param_values)
+    for bpc, bound in trips.items():
         if bound is None:
             raise UnboundedLoop(
                 f"{kernel.name}: backward branch at pc {bpc} has no resolvable "
                 f"trip bound (and no workload cap is declared)")
-        trips[bpc] = bound
     return trips
 
 
@@ -425,7 +434,12 @@ def trip_bounds(kernel, analysis, ienvs,
 
 
 def _loops(kernel) -> list[tuple[int, int]]:
-    """All ``(target, branch_pc)`` loop regions, properly nested."""
+    """All ``(target, branch_pc)`` loop regions, properly nested (once per
+    kernel; irregular control flow raises on every call)."""
+    return fact(kernel, "loops", _nested_loops, kernel)
+
+
+def _nested_loops(kernel) -> list[tuple[int, int]]:
     loops = [(kernel.instrs[pc].target, pc) for pc in back_edges(kernel)]
     for a_t, a_b in loops:
         for b_t, b_b in loops:
@@ -463,7 +477,12 @@ def _successors(kernel, pc: int, n: int) -> list[int]:
 
 
 def _path_sets(kernel) -> tuple[set[int], set[int]]:
-    """``(reachable, unavoidable)`` PCs on the forward-only DAG."""
+    """``(reachable, unavoidable)`` PCs on the forward-only DAG (once per
+    kernel)."""
+    return fact(kernel, "paths", _count_paths, kernel)
+
+
+def _count_paths(kernel) -> tuple[set[int], set[int]]:
     n = len(kernel.instrs)
     succs = {pc: _successors(kernel, pc, n) for pc in range(n)}
     paths_to = [0] * (n + 1)
@@ -640,15 +659,15 @@ def _block_span(kernel, cfg: GPUConfig, costs, start: int, end: int) -> int:
     return prev
 
 
-def chain_floor(kernel, cfg: GPUConfig, cfg_view: CFGView, costs, trips,
-                loops, unavoidable) -> int:
+def chain_floor(kernel, cfg: GPUConfig, costs, trips, loops,
+                unavoidable) -> int:
     """Launch latency less one (the simulated count is the cycle of the
     last issue), every unavoidable block's minimum schedule, and each
     BAR's release delay beyond the in-order +1."""
     total = cfg.cta_launch_latency - 1
     bar_delay = max(0, cfg.barrier_release_latency - 1)
     expanded = 0
-    for block in cfg_view.blocks:
+    for block in cfg_of(kernel).blocks:
         if block.start not in unavoidable:
             continue
         mult = _multiplicity(block.start, loops, trips, "lo")
@@ -717,14 +736,10 @@ def kernel_bounds(kernel, cfg: GPUConfig, *, mode: str, ctas: int,
     """
     if mode not in ("baseline", "vt"):
         raise ValueError(f"unknown mode {mode!r}")
-    cfg_view = CFGView(kernel.instrs)
-    affine, envs = affine_solution(kernel, cfg_view)
-    ianalysis, ienvs = interval_solution(kernel, cfg_view)
     costs = {c.pc: c for c in access_costs(
-        kernel, cfg_view, affine, envs, line_bytes=cfg.line_bytes,
-        num_banks=cfg.shared_mem_banks, intervals=(ianalysis, ienvs),
+        kernel, line_bytes=cfg.line_bytes, num_banks=cfg.shared_mem_banks,
         param_values=param_values)}
-    trips = trip_bounds(kernel, ianalysis, ienvs, param_values)
+    trips = trip_bounds(kernel, param_values)
     loops = _loops(kernel)
     reachable, unavoidable = _path_sets(kernel)
 
@@ -743,8 +758,7 @@ def kernel_bounds(kernel, cfg: GPUConfig, *, mode: str, ctas: int,
         "issue": -(-lo_counts.issue * warps // issue_lanes),
         "ldst-port": -(-int(lo_counts.tx * warps) // sms),
         "smem-port": -(-int(lo_counts.smem_passes * warps) // sms),
-        "chain": chain_floor(kernel, cfg, cfg_view, costs, trips, loops,
-                             unavoidable),
+        "chain": chain_floor(kernel, cfg, costs, trips, loops, unavoidable),
     }
     if lo_counts.sfu:
         per_sm = -(-lo_counts.sfu * warps // sms)

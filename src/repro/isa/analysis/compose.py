@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from repro.core.occupancy import occupancy
 from repro.isa.analysis.bounds import KernelBound, bench_bounds
-from repro.isa.analysis.dataflow import CFGView
+from repro.isa.analysis.context import cfg_of
 from repro.isa.opcodes import OpClass
 from repro.sim.config import GPUConfig
 
@@ -91,7 +91,7 @@ def _mshr_demand_per_warp(kernel) -> int:
     first cross-block use of a loaded value, so loads from different
     blocks rarely overlap, while back-to-back loads inside one block all
     take an MSHR before the first fill returns."""
-    view = CFGView(kernel.instrs)
+    view = cfg_of(kernel)
     peak = 0
     for block in view.blocks:
         if not view.pc_reachable(block.start):

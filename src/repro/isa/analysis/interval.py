@@ -40,7 +40,7 @@ from repro.isa.analysis.affine import (
     is_top,
     join as affine_join,
 )
-from repro.isa.analysis.dataflow import CFGView, solve
+from repro.isa.analysis.context import fact, solve_per_pc
 from repro.isa.opcodes import Op
 
 INF = math.inf
@@ -357,13 +357,12 @@ class _EmptyAffineEnv:
 _EMPTY_AFFINE_ENV = _EmptyAffineEnv()
 
 
-def interval_solution(kernel, cfg: CFGView | None = None):
-    """Solve the interval pass; returns ``(analysis, envs)`` like affine.
+def interval_solution(kernel):
+    """The interval pass: ``(analysis, envs)`` like affine, solved once
+    per kernel.
 
     ``envs[pc]`` is the :class:`_IEnv` *before* ``pc`` executes (None for
     unreachable code).
     """
-    cfg = cfg or CFGView(kernel.instrs)
-    analysis = IntervalAnalysis(kernel)
-    solution = solve(analysis, cfg)
-    return analysis, solution.per_pc()
+    envs = fact(kernel, "interval", solve_per_pc, IntervalAnalysis, kernel)
+    return IntervalAnalysis(kernel), envs

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.analysis.affine import affine_solution
 from repro.isa.analysis.barrier import barrier_divergence
-from repro.isa.analysis.dataflow import CFGView
+from repro.isa.analysis.context import cfg_of
 from repro.isa.analysis.liveness import LivenessInfo, liveness
 from repro.isa.analysis.reaching import uninitialized_reads
 from repro.isa.analysis.shared import out_of_bounds, races, shared_accesses
@@ -125,8 +124,8 @@ def _sorted(findings: list[Finding]) -> tuple:
 
 def lint_kernel(kernel) -> LintReport:
     """Run every static check over one kernel."""
-    cfg = CFGView(kernel.instrs)
     annotate_reconvergence(kernel)
+    cfg = cfg_of(kernel)
     findings: list[Finding] = []
 
     def add(rule: str, pc: int | None, message: str, severity: str | None = None):
@@ -153,24 +152,23 @@ def lint_kernel(kernel) -> LintReport:
                 "(or an unconditional branch)")
 
     # -- uninitialized reads ----------------------------------------------
-    for pc, reg in uninitialized_reads(kernel, cfg):
+    for pc, reg in uninitialized_reads(kernel):
         add("uninit-read", pc,
             f"r{reg} may be read before any write (registers are only "
             "zero-filled by the simulator, not by the ISA)")
 
     # -- affine-based checks ----------------------------------------------
-    affine, envs = affine_solution(kernel, cfg)
-    for bd in barrier_divergence(kernel, cfg, affine, envs):
+    for bd in barrier_divergence(kernel):
         reconv = "kernel exit" if bd.reconv_pc == EXIT_PC else f"pc {bd.reconv_pc}"
         add("barrier-divergence", bd.bar_pc,
             f"BAR reachable under the divergent branch at pc {bd.branch_pc} "
             f"(reconverges at {reconv}); threads skipping it deadlock the CTA")
-    accesses = shared_accesses(kernel, cfg, affine, envs)
+    accesses = shared_accesses(kernel)
     for oob in out_of_bounds(kernel, accesses):
         add("shared-oob", oob.pc,
             f"shared access spans bytes [{oob.lo:g}, {oob.hi + 4:g}) but "
             f"smem_bytes={oob.smem_bytes}")
-    for race in races(kernel, cfg, accesses):
+    for race in races(kernel, accesses):
         if race.proven:
             add("shared-race", race.pc_b,
                 f"conflicts with pc {race.pc_a} on an overlapping shared word "
@@ -187,8 +185,7 @@ def lint_kernel(kernel) -> LintReport:
     from repro.sim.config import GPUConfig
 
     gpu = GPUConfig()
-    for cost in access_costs(kernel, cfg, affine, envs,
-                             line_bytes=gpu.line_bytes,
+    for cost in access_costs(kernel, line_bytes=gpu.line_bytes,
                              num_banks=gpu.shared_mem_banks):
         if not cost.analyzable:
             continue  # bounds-only sites are the predictor's job, not lint's
@@ -213,7 +210,7 @@ def lint_kernel(kernel) -> LintReport:
             "latency cannot be hidden")
 
     # -- liveness ----------------------------------------------------------
-    live = liveness(kernel, cfg)
+    live = liveness(kernel)
     max_used = max(
         (instr.max_reg() for pc, instr in enumerate(kernel.instrs)
          if cfg.pc_reachable(pc)), default=-1)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.analysis.dataflow import BACKWARD, CFGView, DataflowProblem, solve
+from repro.isa.analysis.context import cfg_of, fact
+from repro.isa.analysis.dataflow import BACKWARD, DataflowProblem, solve
 from repro.isa.opcodes import Op, OpClass
 
 
@@ -75,9 +76,13 @@ class LivenessInfo:
         return max(points) if points else self.max_pressure
 
 
-def liveness(kernel, cfg: CFGView | None = None) -> LivenessInfo:
-    """Run the liveness pass over ``kernel``."""
-    cfg = cfg or CFGView(kernel.instrs)
+def liveness(kernel) -> LivenessInfo:
+    """The liveness summary of ``kernel``, solved once per kernel."""
+    return fact(kernel, "liveness", _liveness, kernel)
+
+
+def _liveness(kernel) -> LivenessInfo:
+    cfg = cfg_of(kernel)
     solution = solve(LivenessAnalysis(), cfg)
     live_in = solution.per_pc()
 

@@ -41,8 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.isa.analysis.affine import Affine, AffineAnalysis, affine_solution, is_top
-from repro.isa.analysis.dataflow import CFGView
+from repro.isa.analysis.affine import Affine, affine_solution, is_top
+from repro.isa.analysis.context import cfg_of, fact, params_key
+from repro.isa.analysis.interval import interval_solution
+from repro.isa.analysis.unroll import unrolled_trace
 from repro.sim.ldst import bank_conflict_passes, coalesce
 
 WORD = 4
@@ -229,16 +231,15 @@ def _interval_cost(kernel, pc, instr, intervals, space, kind, max_lanes,
                       exact=False, predicated=predicated, source="interval")
 
 
-def access_costs(kernel, cfg_view: CFGView | None = None,
-                 affine: AffineAnalysis | None = None, envs: list | None = None,
-                 *, line_bytes: int = 128, num_banks: int = 32,
-                 intervals=None, param_values: dict | None = None,
-                 unroll: bool = True) -> list[AccessCost]:
+def access_costs(kernel, *, line_bytes: int = 128, num_banks: int = 32,
+                 param_values: dict | None = None,
+                 unroll: bool = True) -> tuple[AccessCost, ...]:
     """Static cost bounds for every reachable memory-access site.
 
     ``line_bytes``/``num_banks`` default to the simulator's Fermi-class
     values (:class:`repro.sim.config.GPUConfig`); pass the config's
-    values to analyze other geometries.
+    values to analyze other geometries.  Computed once per kernel and key
+    ``(line_bytes, num_banks, param_values, unroll)``.
 
     Two refinements tighten sites the affine fixpoint calls TOP, tried in
     order of precision:
@@ -248,14 +249,20 @@ def access_costs(kernel, cfg_view: CFGView | None = None,
       concretely, giving *exact* per-occurrence costs for loop-carried
       tile/ping-pong addresses; ``param_values`` lets parameter-valued
       loop bounds resolve.
-    * ``intervals`` — an ``(analysis, envs)`` pair from
-      :func:`repro.isa.analysis.interval.interval_solution` bounds the
+    * the interval pass (:mod:`repro.isa.analysis.interval`) bounds the
       worst case when the value-set is provably narrow (masked gathers,
       small atomic tables) even though per-lane structure is unknown.
     """
-    cfg_view = cfg_view or CFGView(kernel.instrs)
-    if affine is None or envs is None:
-        affine, envs = affine_solution(kernel, cfg_view)
+    key = ("access_costs", line_bytes, num_banks, params_key(param_values),
+           unroll)
+    return fact(kernel, key, _access_costs, kernel, line_bytes, num_banks,
+                param_values, unroll)
+
+
+def _access_costs(kernel, line_bytes, num_banks, param_values,
+                  unroll) -> tuple[AccessCost, ...]:
+    cfg_view = cfg_of(kernel)
+    affine, envs = affine_solution(kernel)
     threads = kernel.threads_per_cta
     max_lanes = min(WARP, threads)
     trace = False  # computed lazily on the first TOP-address site
@@ -276,8 +283,6 @@ def access_costs(kernel, cfg_view: CFGView | None = None,
             cost = None
             if unroll:
                 if trace is False:
-                    from repro.isa.analysis.unroll import unrolled_trace
-
                     trace = unrolled_trace(kernel, param_values=param_values)
                     for occ in trace or ():
                         occurrences.setdefault(occ.pc, []).append(occ)
@@ -285,9 +290,9 @@ def access_costs(kernel, cfg_view: CFGView | None = None,
                     cost = _occurrence_cost(kernel, pc, occurrences.get(pc),
                                             space, kind, max_lanes, predicated,
                                             line_bytes, num_banks)
-            if cost is None and intervals is not None:
-                cost = _interval_cost(kernel, pc, instr, intervals, space,
-                                      kind, max_lanes, predicated,
+            if cost is None:
+                cost = _interval_cost(kernel, pc, instr, interval_solution(kernel),
+                                      space, kind, max_lanes, predicated,
                                       line_bytes, num_banks)
             costs.append(cost if cost is not None else
                          _unanalyzable(pc, space, kind, max_lanes, predicated))
@@ -311,7 +316,7 @@ def access_costs(kernel, cfg_view: CFGView | None = None,
                                 hi=full_hi, full_lo=full_lo, full_hi=full_hi,
                                 analyzable=True, exact=exact,
                                 predicated=predicated))
-    return costs
+    return tuple(costs)
 
 
 def cost_bounds_by_pc(kernel, *, line_bytes: int = 128,

@@ -49,9 +49,8 @@ from dataclasses import dataclass, field
 
 from repro.core.occupancy import OccupancyResult, occupancy
 from repro.isa.analysis.affine import affine_solution, is_top
-from repro.isa.analysis.bounds import back_edges, trip_bound
-from repro.isa.analysis.dataflow import CFGView
-from repro.isa.analysis.interval import interval_solution
+from repro.isa.analysis.bounds import loop_trips
+from repro.isa.analysis.context import cfg_of, fact
 from repro.isa.analysis.memaccess import AccessCost, access_costs
 from repro.isa.instruction import MemRef, Reg
 from repro.isa.opcodes import Op, OpClass
@@ -125,7 +124,7 @@ class KernelLayout:
 
     Built by :func:`layout_for` from a prepared benchmark; lets the
     model attribute access sites to buffers, estimate cache residency,
-    and hand :func:`~.bounds.trip_bound` the values of parameter-valued
+    and hand :func:`~.bounds.loop_trips` the values of parameter-valued
     loop bounds.  Without a layout every global access is assumed to
     miss, and a loop whose bound is a parameter runs
     :data:`DEFAULT_TRIPS` times.
@@ -224,9 +223,9 @@ class PerfPrediction:
 # -- loop structure ----------------------------------------------------------
 
 
-def _loop_trips(kernel, analysis, ienvs, param_values) -> dict[int, int]:
+def _loop_trips(kernel, param_values) -> dict[int, int]:
     """``branch pc -> trip count`` for every backward branch: the upper
-    end of :func:`~.bounds.trip_bound`'s interval, or
+    end of its :func:`~.bounds.loop_trips` interval, or
     :data:`DEFAULT_TRIPS` for a loop no resolver (nor workload cap)
     bounds.
 
@@ -234,11 +233,8 @@ def _loop_trips(kernel, analysis, ienvs, param_values) -> dict[int, int]:
     mean: spmv's row walk (workload cap ``[1, 16]``, mean ~8.5 rows)
     runs 16 times, btree's bracket search (``[14, 15]``) 15 times.
     """
-    trips = {}
-    for bpc in back_edges(kernel):
-        bound = trip_bound(kernel, analysis, ienvs, bpc, param_values)
-        trips[bpc] = bound.hi if bound is not None else DEFAULT_TRIPS
-    return trips
+    return {bpc: bound.hi if bound is not None else DEFAULT_TRIPS
+            for bpc, bound in loop_trips(kernel, param_values).items()}
 
 
 def _linear_trace(kernel, trips: dict[int, int]) -> list[int]:
@@ -277,9 +273,10 @@ def _linear_trace(kernel, trips: dict[int, int]) -> list[int]:
 # -- access attribution and cache residency ----------------------------------
 
 
-def _taint_regs(kernel, cfg_view: CFGView) -> list[set[int]]:
+def _taint_regs(kernel) -> list[set[int]]:
     """Per-PC set of registers whose value is data-dependent (derived
     from a loaded value, directly or through a predicate)."""
+    cfg_view = cfg_of(kernel)
     n = len(kernel.instrs)
     tainted: list[set[int]] = [set() for _ in range(n)]
     changed = True
@@ -490,19 +487,42 @@ def _line_clusters(kernel, cfg: GPUConfig, site_param: dict[int, int],
     return groups
 
 
+#: The :class:`GPUConfig` fields :func:`warp_profile` reads — with the
+#: layout, its memo key.  A profile must not read any other field
+#: (``tests/test_analysis_context.py`` perturbs every other field).
+PROFILE_FIELDS = (
+    "line_bytes", "shared_mem_banks", "num_sms", "l1_size", "l2_size",
+    "l1_hit_latency", "l2_hit_latency", "icnt_latency", "dram_latency",
+    "vt_long_stall_threshold", "lat_smem", "smem_bank_conflict_penalty",
+    "sfu_issue_interval", "lat_alu", "lat_mul", "lat_fpu", "lat_sfu",
+)
+
+
+def _layout_key(layout: KernelLayout | None) -> tuple | None:
+    if layout is None:
+        return None
+    return (tuple(sorted(layout.buffer_bytes.items())),
+            tuple(sorted(layout.param_values.items())), layout.total_threads)
+
+
 def warp_profile(kernel, cfg: GPUConfig,
                  layout: KernelLayout | None = None) -> WarpProfile:
-    """Summarize one warp's loop-expanded execution for the model."""
-    cfg_view = CFGView(kernel.instrs)
-    affine, envs = affine_solution(kernel, cfg_view)
-    ianalysis, ienvs = interval_solution(kernel, cfg_view)
+    """Summarize one warp's loop-expanded execution for the model
+    (computed once per kernel, :data:`PROFILE_FIELDS` values and layout)."""
+    key = ("warp_profile", tuple(getattr(cfg, f) for f in PROFILE_FIELDS),
+           _layout_key(layout))
+    return fact(kernel, key, _warp_profile, kernel, cfg, layout)
+
+
+def _warp_profile(kernel, cfg: GPUConfig,
+                  layout: KernelLayout | None) -> WarpProfile:
+    affine, envs = affine_solution(kernel)
     params = layout.param_values if layout else None
     costs = {c.pc: c for c in access_costs(
-        kernel, cfg_view, affine, envs, line_bytes=cfg.line_bytes,
-        num_banks=cfg.shared_mem_banks, intervals=(ianalysis, ienvs),
+        kernel, line_bytes=cfg.line_bytes, num_banks=cfg.shared_mem_banks,
         param_values=params)}
-    tainted = _taint_regs(kernel, cfg_view)
-    trace = _linear_trace(kernel, _loop_trips(kernel, ianalysis, ienvs, params))
+    tainted = _taint_regs(kernel)
+    trace = _linear_trace(kernel, _loop_trips(kernel, params))
     max_lanes = min(32, kernel.threads_per_cta)
 
     site_weight: dict[int, int] = {}
@@ -799,13 +819,11 @@ def vt_tier(occ: OccupancyResult, baseline_idle: str, busy: float) -> str:
 
 
 def predict(kernel, cfg: GPUConfig | None = None, arch: str = "baseline",
-            *, layout: KernelLayout | None = None,
-            profile: WarpProfile | None = None,
-            occ: OccupancyResult | None = None) -> PerfPrediction:
+            *, layout: KernelLayout | None = None) -> PerfPrediction:
     """Static performance prediction for ``kernel`` under ``arch``."""
     cfg = cfg or GPUConfig()
-    occ = occ or occupancy(kernel, cfg)
-    profile = profile or warp_profile(kernel, cfg, layout)
+    occ = occupancy(kernel, cfg)
+    profile = warp_profile(kernel, cfg, layout)
     warps = _effective_warps(occ, cfg, arch)
     active = _effective_warps(occ, cfg, "baseline")
     bounds = throughput_bounds(profile, cfg, warps)
@@ -833,12 +851,9 @@ def predict(kernel, cfg: GPUConfig | None = None, arch: str = "baseline",
 def predict_kernel(kernel, cfg: GPUConfig | None = None,
                    archs: tuple[str, ...] = ("baseline", "vt"),
                    layout: KernelLayout | None = None) -> list[PerfPrediction]:
-    """Predictions for one kernel across ``archs`` (shared profile)."""
-    cfg = cfg or GPUConfig()
-    occ = occupancy(kernel, cfg)
-    profile = warp_profile(kernel, cfg, layout)
-    return [predict(kernel, cfg, arch, profile=profile, occ=occ)
-            for arch in archs]
+    """Predictions for one kernel across ``archs`` (one shared profile:
+    :func:`warp_profile` is computed once per kernel and key)."""
+    return [predict(kernel, cfg, arch, layout=layout) for arch in archs]
 
 
 # -- agreement gate ----------------------------------------------------------

@@ -15,7 +15,8 @@ read ``r1`` under the same guard either.)
 
 from __future__ import annotations
 
-from repro.isa.analysis.dataflow import CFGView, DataflowProblem, FORWARD, solve
+from repro.isa.analysis.context import cfg_of
+from repro.isa.analysis.dataflow import DataflowProblem, FORWARD, solve
 
 
 class MaybeUninit(DataflowProblem):
@@ -42,9 +43,9 @@ class MaybeUninit(DataflowProblem):
         return uninit
 
 
-def uninitialized_reads(kernel, cfg: CFGView | None = None) -> list[tuple[int, int]]:
+def uninitialized_reads(kernel) -> list[tuple[int, int]]:
     """``(pc, reg)`` pairs where a possibly-uninitialized register is read."""
-    cfg = cfg or CFGView(kernel.instrs)
+    cfg = cfg_of(kernel)
     solution = solve(MaybeUninit(kernel.regs_per_thread), cfg)
     uninit_at = solution.per_pc()
     findings: list[tuple[int, int]] = []

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.analysis.affine import Affine, AffineAnalysis, is_top, refine_bounds
+from repro.isa.analysis.affine import Affine, affine_solution, is_top, refine_bounds
+from repro.isa.analysis.context import cfg_of
 from repro.isa.analysis.dataflow import CFGView
 from repro.isa.cfg import EXIT_PC  # noqa: F401  (re-exported for callers)
 from repro.isa.opcodes import Op
@@ -58,8 +59,11 @@ class SharedRace:
     proven: bool  # True: affine overlap shown; False: could not rule out
 
 
-def shared_accesses(kernel, cfg: CFGView, affine: AffineAnalysis,
-                    envs: list) -> list[SharedAccess]:
+def shared_accesses(kernel) -> list[SharedAccess]:
+    """Every reachable shared access site with its affine address and
+    (predicate-narrowed) byte bounds."""
+    cfg = cfg_of(kernel)
+    affine, envs = affine_solution(kernel)
     accesses = []
     for pc, instr in enumerate(kernel.instrs):
         if not instr.is_shared_mem or not cfg.pc_reachable(pc):
@@ -84,7 +88,8 @@ def _kind(instr) -> str:
 
 
 def out_of_bounds(kernel, accesses: list[SharedAccess]) -> list[SharedOOB]:
-    """Accesses whose statically-bounded footprint escapes ``smem_bytes``."""
+    """Accesses (from :func:`shared_accesses`) whose statically-bounded
+    footprint escapes ``smem_bytes``."""
     findings = []
     for access in accesses:
         if access.bounds is None:
@@ -185,9 +190,10 @@ def _box_max(tid: tuple, cta_dim) -> float:
     return sum(max(0.0, coef * (extents.get(sym, 1) - 1)) for sym, coef in tid)
 
 
-def races(kernel, cfg: CFGView, accesses: list[SharedAccess],
+def races(kernel, accesses: list[SharedAccess],
           *, unroll_budget: int | None = None) -> list[SharedRace]:
-    """Conflicting shared access pairs with a barrier-free path between.
+    """Conflicting pairs among ``accesses`` (from :func:`shared_accesses`)
+    with a barrier-free path between them.
 
     Unproven (``maybe``) pairs get a second chance through the bounded
     uniform unroller (:mod:`repro.isa.analysis.unroll`): when the whole
@@ -200,6 +206,7 @@ def races(kernel, cfg: CFGView, accesses: list[SharedAccess],
     """
     if len(accesses) == 0:
         return []
+    cfg = cfg_of(kernel)
     by_pc = {access.pc: access for access in accesses}
     reach = {access.pc: _barrier_free_reach(cfg, access.pc) for access in accesses}
     reported: set[tuple[int, int]] = set()

@@ -40,6 +40,7 @@ from repro.isa.analysis.affine import (
     PredInfo,
     is_top,
 )
+from repro.isa.analysis.context import fact, params_key
 from repro.isa.instruction import MemRef
 from repro.isa.opcodes import CmpOp, Op
 
@@ -132,16 +133,22 @@ def unrolled_trace(kernel, budget: int = UNROLL_BUDGET,
                    param_values: dict | None = None):
     """Execute the kernel's uniform control flow concretely.
 
-    Returns the list of memory-access :class:`Occurrence`\\ s (shared and
+    Returns the tuple of memory-access :class:`Occurrence`\\ s (shared and
     global), or ``None`` when the kernel cannot be unrolled within
     ``budget`` dynamic steps — a branch predicate is divergent or not
     concretely known, or the trace is longer than the budget.  ``None``
-    always means *undecided*.
+    always means *undecided*.  Computed once per kernel, budget and
+    parameter values.
 
     ``param_values`` (parameter index -> launch value) lets branches on
     parameter-valued loop bounds (e.g. a tiled loop's trip count) decide
     concretely; without it such kernels simply return ``None``.
     """
+    key = ("unroll", budget, params_key(param_values))
+    return fact(kernel, key, _unrolled_trace, kernel, budget, param_values)
+
+
+def _unrolled_trace(kernel, budget, param_values):
     analysis = AffineAnalysis(kernel)
     regs: dict[int, Affine] = {}
     env = AffineEnv(regs)  # live view of the mutable dict
@@ -163,7 +170,7 @@ def unrolled_trace(kernel, budget: int = UNROLL_BUDGET,
             return None
         instr = kernel.instrs[pc]
         if instr.is_exit:
-            return trace
+            return tuple(trace)
         if instr.op is Op.BAR:
             epoch += 1
             pc += 1
@@ -217,7 +224,7 @@ def unrolled_trace(kernel, budget: int = UNROLL_BUDGET,
                     value = TOP
             regs[instr.dst.idx] = value
         pc += 1
-    return trace
+    return tuple(trace)
 
 
 def discharge_shared_races(kernel, pairs, budget: int = UNROLL_BUDGET):

@@ -4,15 +4,13 @@ SIMT divergence is handled with a reconvergence stack (see
 :mod:`repro.sim.warp`).  The reconvergence PC of every conditional branch is
 its *immediate post-dominator* — the first instruction that every divergent
 path is guaranteed to reach.  We compute immediate post-dominators as
-immediate dominators of the reversed CFG (networkx provides the classic
-Cooper-Harvey-Kennedy algorithm).
+immediate dominators of the reversed CFG, with the classic
+Cooper-Harvey-Kennedy iteration (:func:`immediate_post_dominators`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.isa.opcodes import Op
 
@@ -69,6 +67,65 @@ def build_cfg(instrs) -> list[BasicBlock]:
     return blocks
 
 
+def immediate_post_dominators(blocks: list[BasicBlock]) -> dict[int, int]:
+    """Block index -> its immediate post-dominator's block index, or
+    ``EXIT_PC`` when only the kernel exit post-dominates it.
+
+    Immediate dominators of the reversed CFG rooted at a virtual exit node
+    (every block without successors flows into it), by the
+    Cooper-Harvey-Kennedy fixpoint over reverse-postorder.  Blocks that
+    cannot reach the exit (infinite loops) have no post-dominator and are
+    absent from the map.
+    """
+    exit_node = len(blocks)
+    out_edges = [block.successors or [exit_node] for block in blocks]
+    # Reverse-graph successors: the exit reaches the blocks that flow into
+    # it, and every block reaches its forward predecessors.
+    rev_succs: list[list[int]] = [[] for _ in range(exit_node + 1)]
+    for block in blocks:
+        for succ in out_edges[block.index]:
+            rev_succs[succ].append(block.index)
+    # Iterative DFS postorder of the reverse graph from the exit.
+    postorder: list[int] = []
+    seen = {exit_node}
+    stack = [(exit_node, iter(rev_succs[exit_node]))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(rev_succs[child])))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    number = {node: i for i, node in enumerate(postorder)}
+
+    idom = {exit_node: exit_node}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while number[a] < number[b]:
+                a = idom[a]
+            while number[b] < number[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(postorder[:-1]):  # reverse postorder, exit first
+            new = None
+            for pred in out_edges[node]:  # reverse-graph predecessors
+                if pred in idom:
+                    new = pred if new is None else intersect(pred, new)
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return {node: (EXIT_PC if dom == exit_node else dom)
+            for node, dom in idom.items() if node != exit_node}
+
+
 def reconvergence_table(instrs) -> dict[int, int]:
     """Map each conditional-branch PC to its reconvergence PC.
 
@@ -76,40 +133,20 @@ def reconvergence_table(instrs) -> dict[int, int]:
     kernel exit.
     """
     blocks = build_cfg(instrs)
-    graph = nx.DiGraph()
-    exit_node = "exit"
-    graph.add_node(exit_node)
-    for block in blocks:
-        graph.add_node(block.index)
-        if block.successors:
-            for succ in block.successors:
-                graph.add_edge(block.index, succ)
-        else:
-            graph.add_edge(block.index, exit_node)
-    # Immediate post-dominators = immediate dominators of the reverse graph.
-    # Restrict to nodes that can reach exit (all blocks ending in EXIT do;
-    # infinite loops cannot diverge-reconverge meaningfully anyway).
-    reverse = graph.reverse()
-    ipdom = nx.immediate_dominators(reverse, exit_node)
-
-    pc_to_block = {}
+    ipdom = immediate_post_dominators(blocks)
+    block_of_pc = {}
     for block in blocks:
         for pc in range(block.start, block.end):
-            pc_to_block[pc] = block
+            block_of_pc[pc] = block
 
     table: dict[int, int] = {}
     for pc, instr in enumerate(instrs):
         if instr.op is not Op.BRA or instr.pred is None:
             continue
-        block = pc_to_block[pc]
-        node = ipdom.get(block.index)
-        # Walk up: the immediate post-dominator of the *branch* is the
-        # ipdom of its block (the branch is the block's last instruction).
-        if node is None or node == exit_node:
-            table[pc] = EXIT_PC
-        else:
-            target_block = blocks[node]
-            table[pc] = target_block.start
+        # The branch ends its block, so its immediate post-dominator is
+        # the block's.
+        node = ipdom.get(block_of_pc[pc].index, EXIT_PC)
+        table[pc] = EXIT_PC if node == EXIT_PC else blocks[node].start
     return table
 
 

@@ -92,6 +92,18 @@ class Kernel:
 
         annotate_reconvergence(self)
 
+    # The static-analysis context (``repro.isa.analysis.context``) lives in
+    # the instance dict under ``_analysis``: any attribute assignment drops
+    # it, and it is never pickled or copied.
+    def __setattr__(self, name, value) -> None:
+        self.__dict__.pop("_analysis", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_analysis", None)
+        return state
+
     @property
     def threads_per_cta(self) -> int:
         x, y, z = self.cta_dim

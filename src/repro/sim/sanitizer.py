@@ -87,10 +87,11 @@ class Sanitizer:
         self.checks = 0
         # (sm_id, cta_id) -> last observed CTAState, for edge legality.
         self._last_state: dict[tuple[int, int], CTAState] = {}
-        # id(kernel) -> (kernel, statically-written regs, pc -> shared bounds),
-        # computed lazily per kernel for the execution cross-check.  The
-        # kernel reference is kept so a recycled id cannot alias.
-        self._static_bounds: dict[int, tuple] = {}
+        # The launch's kernel and its execution cross-check facts (kept in
+        # the kernel's analysis context), held so the per-instruction check
+        # skips the lookup: a launch runs one kernel.
+        self._exec_kernel = None
+        self._exec_facts = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -296,26 +297,18 @@ class Sanitizer:
 
     # -- execution cross-check ---------------------------------------------
 
-    def _kernel_bounds(self, kernel):
+    def _static_facts(self, kernel):
         """Static write-set, per-PC shared-address bounds, and per-PC
         access-cost bounds (coalescing / bank passes) for ``kernel``."""
-        entry = self._static_bounds.get(id(kernel))
-        if entry is None or entry[0] is not kernel:
-            from repro.isa.analysis import (CFGView, affine_solution, liveness,
-                                            shared_accesses)
-            from repro.isa.analysis.memaccess import cost_bounds_by_pc
+        from repro.isa.analysis import liveness, shared_accesses
+        from repro.isa.analysis.memaccess import cost_bounds_by_pc
 
-            cfg = CFGView(kernel.instrs)
-            written = liveness(kernel, cfg).written_regs
-            affine, envs = affine_solution(kernel, cfg)
-            bounds = {access.pc: access.bounds
-                      for access in shared_accesses(kernel, cfg, affine, envs)
-                      if access.bounds is not None}
-            costs = cost_bounds_by_pc(kernel, line_bytes=self.cfg.line_bytes,
-                                      num_banks=self.cfg.shared_mem_banks)
-            entry = (kernel, written, bounds, costs)
-            self._static_bounds[id(kernel)] = entry
-        return entry
+        bounds = {access.pc: access.bounds
+                  for access in shared_accesses(kernel)
+                  if access.bounds is not None}
+        costs = cost_bounds_by_pc(kernel, line_bytes=self.cfg.line_bytes,
+                                  num_banks=self.cfg.shared_mem_banks)
+        return liveness(kernel).written_regs, bounds, costs
 
     def check_exec(self, sm, warp, pc: int, instr, result, now: int) -> None:
         """Cross-check one issued instruction against the static analysis:
@@ -325,7 +318,14 @@ class Sanitizer:
         worth a loud stop.  Called from ``SMCore._issue``."""
         self.checks += 1
         kernel = warp.cta.kernel
-        _kernel, written, shared_bounds, cost_bounds = self._kernel_bounds(kernel)
+        if kernel is not self._exec_kernel:
+            from repro.isa.analysis.context import fact
+
+            # The access costs depend on the geometry, hence the key.
+            key = ("sanitizer", self.cfg.line_bytes, self.cfg.shared_mem_banks)
+            self._exec_facts = fact(kernel, key, self._static_facts, kernel)
+            self._exec_kernel = kernel
+        written, shared_bounds, cost_bounds = self._exec_facts
 
         dst = instr.dst_reg()
         if dst is not None:

@@ -9,7 +9,6 @@ from repro.isa.analysis.bounds import (DATA_TRIP_CAPS, UnboundedLoop,
                                        kernel_bounds, trip_bounds)
 from repro.isa.analysis.compose import (kernel_footprint, pair_matrix,
                                         pair_verdict)
-from repro.isa.analysis.interval import interval_solution
 from repro.isa.analysis.perf import layout_for
 from repro.isa.assembler import assemble
 from repro.kernels.registry import get
@@ -19,9 +18,7 @@ from repro.sim.memory import GlobalMemory
 
 
 def trips_of(text, param_values=None):
-    kernel = assemble(text)
-    analysis, ienvs = interval_solution(kernel)
-    return trip_bounds(kernel, analysis, ienvs, param_values)
+    return trip_bounds(assemble(text), param_values)
 
 
 def simulate(kernel, params=(), ctas=1, gmem_bytes=65536):
@@ -102,8 +99,7 @@ loop:
 def test_registry_trip_bounds(bench, expected):
     b = get(bench)
     layout = layout_for(b)
-    analysis, ienvs = interval_solution(b.kernel)
-    trips = trip_bounds(b.kernel, analysis, ienvs, layout.param_values)
+    trips = trip_bounds(b.kernel, layout.param_values)
     lo, hi, source = expected
     assert any((t.lo, t.hi, t.source) == (lo, hi, source)
                for t in trips.values()), sorted(trips.values(),

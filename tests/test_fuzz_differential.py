@@ -1,10 +1,12 @@
 """Differential harness: clean cases pass every leg, planted faults are
 detected, and case-level crashes become divergences instead of raising."""
 
+import numpy as np
 import pytest
 
 from repro.fuzz.campaign import CANARY_FAULT
-from repro.fuzz.differential import Divergence, run_case, sample_config
+from repro.fuzz.differential import (Divergence, _output_diff, _same_output,
+                                     run_case, sample_config)
 from repro.fuzz.generator import generate_spec
 
 
@@ -72,3 +74,37 @@ def test_case_is_deterministic(seed):
     assert first.ok and second.ok
     assert first.legs == second.legs
     assert first.oracle == second.oracle
+
+
+# -- output verdict: bit patterns first, float comparison on mismatch --------
+
+
+def _image(*words):
+    data = np.zeros(64, dtype=np.float64)
+    data[:len(words)] = words
+    return data
+
+
+def test_output_verdict_negative_zero_equals_zero():
+    got, expected = _image(0.0, -0.0), _image(-0.0, 0.0)
+    assert (got.view(np.uint64) != expected.view(np.uint64)).any()
+    assert _same_output(got, expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_output_verdict_nan_payloads_are_equal():
+    quiet = np.float64("nan")
+    payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    got, expected = _image(1.0, quiet), _image(1.0, payload)
+    assert (got.view(np.uint64) != expected.view(np.uint64)).any()
+    assert _same_output(got, expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_output_verdict_one_word_difference_mismatches():
+    got, expected = _image(1.0, 2.0, 3.0), _image(1.0, 2.5, 3.0)
+    assert not _same_output(got, expected)
+    assert not np.array_equal(got, expected, equal_nan=True)
+    assert _output_diff(got, expected) == (
+        f"1 word(s) differ; first at word 1: got {got[1]!r}, "
+        f"expected {expected[1]!r}")

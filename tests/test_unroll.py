@@ -1,7 +1,6 @@
 """Bounded uniform unrolling: race discharge soundness and fallbacks."""
 
-from repro.isa.analysis import affine_solution, races, shared_accesses
-from repro.isa.analysis.dataflow import CFGView
+from repro.isa.analysis import races, shared_accesses
 from repro.isa.analysis.unroll import (UNROLL_BUDGET, discharge_shared_races,
                                        unrolled_trace)
 from repro.isa.assembler import assemble
@@ -10,10 +9,7 @@ from repro.kernels.registry import get
 
 
 def races_of(kernel, unroll_budget=None):
-    cfg = CFGView(kernel.instrs)
-    affine, envs = affine_solution(kernel, cfg)
-    accesses = shared_accesses(kernel, cfg, affine, envs)
-    return races(kernel, cfg, accesses, unroll_budget=unroll_budget)
+    return races(kernel, shared_accesses(kernel), unroll_budget=unroll_budget)
 
 
 def test_scan_pingpong_race_discharged():
