@@ -222,6 +222,7 @@ def cmd_doctor(args) -> int:
 def cmd_fuzz(args) -> int:
     from repro.fuzz.campaign import (
         CANARY_FAULT,
+        MAX_SHRINKS,
         StaleReproducerError,
         load_reproducer,
         replay_reproducer,
@@ -283,8 +284,11 @@ def cmd_fuzz(args) -> int:
     for entry in result.divergent:
         kinds = sorted({d["kind"] for d in entry["divergences"]}) or ["?"]
         where = entry.get("path", "(no reproducer written)")
+        outcome = (f"not shrunk (beyond the shrink cap of {MAX_SHRINKS})"
+                   if entry["shrink"].get("skipped")
+                   else f"{entry['instructions']} instruction reproducer")
         print(f"\nDIVERGENCE {entry['key']}: {', '.join(kinds)} "
-              f"-> {entry['instructions']} instruction reproducer\n  {where}")
+              f"-> {outcome}\n  {where}")
 
     if args.canary:
         # Self-test: the pipeline must detect the planted fault (as a

@@ -3,7 +3,7 @@
 The fuzzer closes the loop on every correctness claim in the repo: instead
 of trusting the 21 hand-written registry kernels, it generates an unbounded
 stream of structured kernels (:mod:`.generator`), runs each one through
-every engine/architecture combination against a pure-python reference
+every engine/architecture combination against a timing-free reference
 executor (:mod:`.differential`), and minimizes any divergence to a smallest
 reproducer (:mod:`.shrink`) that replays deterministically
 (:mod:`.campaign`, ``repro fuzz --replay``).

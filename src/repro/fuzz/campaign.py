@@ -358,9 +358,12 @@ def run_campaign(n: int, seed: int = 0, gen: GenConfig | None = None, *,
             result.reproducer_paths.append(str(path))
             note(f"reproducer written: {path}")
     for key, record in divergent[MAX_SHRINKS:]:
+        # Not re-run: the kinds come from the record's divergence summary.
         result.divergent.append({
             "key": key[0], "seed": by_key[key].workload_seed,
-            "divergences": [], "instructions": None,
+            "divergences": [d.to_dict() for d in
+                            Divergence.parse_summary(record.error or "")],
+            "instructions": None,
             "shrink": {"reproduced": True, "tests": 0, "skipped": True}})
     if len(divergent) > MAX_SHRINKS:
         note(f"{len(divergent) - MAX_SHRINKS} divergent case(s) beyond the "

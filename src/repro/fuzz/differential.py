@@ -17,8 +17,9 @@ For one spec, :func:`run_case` runs the full cross product:
     shard count derived from the seed);
 * **architectures**: ``baseline`` and ``vt``;
 * **semantics**: every leg's final global memory must equal the
-  pure-python reference executor's (:mod:`repro.fuzz.reference`),
-  compared bit-exactly (``NaN`` positions included);
+  reference executor's (:mod:`repro.fuzz.reference`: no timing, no
+  warps, each CTA's threads in pc-grouped lockstep), compared
+  bit-exactly (``NaN`` positions included);
 * **static oracle**: the performance oracle's idle-class prediction is
   recorded beside the measured idle breakdown (a ``predict`` crash is an
   ``oracle-idle`` divergence);
@@ -43,6 +44,7 @@ comparison must detect.  A plan pins that leg to the per-cycle engine.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +81,11 @@ def sample_config(seed: int, version: int = 1) -> GPUConfig:
     )
 
 
+_KIND_ALT = "|".join(re.escape(kind) for kind in KINDS)
+_SUMMARY_SPLIT = re.compile(rf"; (?=\[(?:{_KIND_ALT})\] )")
+_SUMMARY_ENTRY = re.compile(rf"\[({_KIND_ALT})\] ([^:]*): (.*)", re.DOTALL)
+
+
 @dataclass(frozen=True)
 class Divergence:
     """One detected disagreement between two views of the same kernel."""
@@ -96,6 +103,18 @@ class Divergence:
 
     def __str__(self) -> str:
         return f"[{self.kind}] {self.leg}: {self.detail}"
+
+    @classmethod
+    def parse_summary(cls, summary: str) -> list["Divergence"]:
+        """The divergences a :meth:`DiffResult.summary` line lists (its
+        first four).  Entries are split only before ``; [<kind>] ``, so a
+        detail that itself contains ``"; "`` stays whole."""
+        out = []
+        for entry in _SUMMARY_SPLIT.split(summary):
+            match = _SUMMARY_ENTRY.match(entry)
+            if match:
+                out.append(cls(*match.groups()))
+        return out
 
 
 @dataclass

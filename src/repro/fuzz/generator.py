@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.isa.instruction import Imm
 from repro.isa.kernel import Kernel, KernelBuilder
-from repro.sim.memory import GlobalMemory
+from repro.sim.memory import WORD_BYTES, GlobalMemory
 
 SPEC_VERSION = 1
 
@@ -448,8 +448,15 @@ class FuzzCase:
     needs: dict = field(repr=False, default_factory=dict)
 
     def make_gmem(self, line_bytes: int = 128) -> tuple[GlobalMemory, tuple]:
-        """A fresh global memory with inputs written; returns (gmem, params)."""
-        gmem = GlobalMemory(line_bytes=line_bytes)
+        """A fresh global memory with inputs written; returns (gmem, params).
+
+        The memory is exactly the line-aligned buffers laid end to end, so
+        the allocator hands out the same bases as in any larger memory,
+        and an access past the last buffer is out of bounds.
+        """
+        size = sum(-(-words * WORD_BYTES // line_bytes) * line_bytes
+                   for _name, words, _values in self.buffers)
+        gmem = GlobalMemory(size_bytes=size, line_bytes=line_bytes)
         bases = []
         for name, words, values in self.buffers:
             bases.append(gmem.alloc(name, words))

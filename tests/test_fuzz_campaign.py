@@ -157,3 +157,21 @@ def test_divergence_status_is_not_retried():
 
     assert "divergence" in STATUSES
     assert RETRY_POLICY["divergence"] is False
+
+
+def test_divergences_beyond_the_shrink_cap_keep_their_kinds(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    from repro.cli import main
+
+    monkeypatch.setattr("repro.fuzz.campaign.MAX_SHRINKS", 0)
+    code = main(["fuzz", "--n", "1", "--seed", "0", "--serial", "--canary",
+                 "--dir", str(tmp_path / "cap")])
+    out = capsys.readouterr().out
+    assert code == 1  # nothing was shrunk, so the canary cannot pass
+    lines = [line for line in out.splitlines()
+             if line.startswith("DIVERGENCE")]
+    assert len(lines) == 1
+    assert "stats-mismatch -> not shrunk (beyond the shrink cap of 0)" \
+        in lines[0]
+    assert "? -> None" not in out

@@ -108,3 +108,15 @@ def test_output_verdict_one_word_difference_mismatches():
     assert _output_diff(got, expected) == (
         f"1 word(s) differ; first at word 1: got {got[1]!r}, "
         f"expected {expected[1]!r}")
+
+
+def test_divergence_summary_parses_back():
+    divergences = [
+        Divergence("stats-mismatch", "vt/fast-forward", "cycles: 10 != 12"),
+        Divergence("output-mismatch", "baseline/parallel",
+                   "2 word(s) differ; first at word 3: got 1.0, expected 2.0"),
+        Divergence("lint", "case", "error[uninit-read] @4: r3 read"),
+    ]
+    summary = "; ".join(str(d) for d in divergences)
+    assert Divergence.parse_summary(summary) == divergences
+    assert Divergence.parse_summary("ok") == []
