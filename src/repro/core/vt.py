@@ -23,7 +23,7 @@ flight at a time, with save and restore phases serialized.
 from __future__ import annotations
 
 from repro.core.policies import SELECT_POLICIES, TRIGGER_POLICIES
-from repro.sim.cta import CTA, CTAState
+from repro.sim.cta import ACTIVE, CTA, INACTIVE, CTAState
 from repro.sim.ctamanager import FOREVER, CTAManagerBase
 from repro.sim.schedulers import arm_cta
 
@@ -98,8 +98,9 @@ class VirtualThreadManager(CTAManagerBase):
           ``swap_busy_cycles`` per cycle, which the fast-forward engine
           bulk-credits);
         * an INACTIVE CTA becomes ready for activation when its earliest
-          non-barrier warp's outstanding global load completes — that can
-          enable both a slot fill and a pending trigger swap;
+          non-barrier warp's outstanding global load completes
+          (:meth:`ready_at`) — that can enable both a slot fill and a
+          pending trigger swap;
         * under the ``timeout`` trigger policy, a fully-stalled ACTIVE CTA
           fires at ``stall_since + vt_trigger_timeout`` even though no warp
           status changes.
@@ -113,33 +114,39 @@ class VirtualThreadManager(CTAManagerBase):
         timeout_trigger = self.cfg.vt_trigger_policy == "timeout"
         timeout = self.cfg.vt_trigger_timeout
         for cta in self.resident:
-            if cta.state is CTAState.INACTIVE:
-                ready_at = self._activation_ready_at(cta, now)
+            if cta.state is INACTIVE:
+                ready_at = self.ready_at(cta)
                 if now < ready_at < event:
                     event = ready_at
-            elif (timeout_trigger and cta.state is CTAState.ACTIVE
+            elif (timeout_trigger and cta.state is ACTIVE
                   and cta.stall_since is not None):
                 fire_at = cta.stall_since + timeout
                 if now < fire_at < event:
                     event = fire_at
         return event
 
-    def _activation_ready_at(self, cta: CTA, now: int) -> int:
-        """Earliest cycle at which ``cta.ready_for_activation`` can turn
-        true: the min over its eligible warps of the outstanding global-load
-        completion.  Returns ``now`` when it is ready already (no future
-        event needed — a promotion either happened this cycle or waits on a
-        slot/trigger, both of which are covered by other horizons)."""
-        ready_at = FOREVER
-        for warp in cta.warps:
-            if warp.finished or warp.at_barrier:
-                continue
-            pending_until = warp.scoreboard.mem_pending_until()
-            if pending_until <= now:
-                return now
-            if pending_until < ready_at:
-                ready_at = pending_until
-        return ready_at
+    def ready_at(self, cta: CTA) -> int:
+        """First cycle at which the INACTIVE ``cta`` is ready for activation
+        (``cta.ready_for_activation(now)`` is ``now >= ready_at(cta)``):
+        the min over its unfinished, non-barrier warps of the outstanding
+        global-load completion, ``FOREVER`` if it has no such warp.
+
+        An INACTIVE CTA's warps cannot issue, so none of those inputs
+        moves until the CTA is activated: the cycle is memoised on the
+        first query after the INACTIVE transition (which drops the memo,
+        see ``_set_state``), and the parallel engine's completion patch,
+        which rewrites ``mem_pending_until``, drops it too."""
+        ready = cta.activation_at
+        if ready is None:
+            ready = FOREVER
+            for warp in cta.warps:
+                if warp.finished or warp.at_barrier:
+                    continue
+                pending_until = warp.scoreboard.mem_pending_until()
+                if pending_until < ready:
+                    ready = pending_until
+            cta.activation_at = ready
+        return ready
 
     def update(self, now: int, warp_status) -> None:
         if self._swap_victim is not None or self._swap_incoming is not None:
@@ -192,7 +199,7 @@ class VirtualThreadManager(CTAManagerBase):
             return
         candidates = [
             c for c in self.resident
-            if c.state is CTAState.INACTIVE and c.ready_for_activation(now)
+            if c.state is INACTIVE and now >= self.ready_at(c)
         ]
         if not candidates:
             return
@@ -205,14 +212,14 @@ class VirtualThreadManager(CTAManagerBase):
     def _check_triggers(self, now: int, warp_status) -> None:
         inactive_ready = None
         for cta in self.resident:
-            if cta.state is not CTAState.ACTIVE or now < cta.start_cycle:
+            if cta.state is not ACTIVE or now < cta.start_cycle:
                 continue
             if not self._trigger(cta, warp_status, now, self.cfg):
                 continue
             if inactive_ready is None:
                 inactive_ready = [
                     c for c in self.resident
-                    if c.state is CTAState.INACTIVE and c.ready_for_activation(now)
+                    if c.state is INACTIVE and now >= self.ready_at(c)
                 ]
             if not inactive_ready:
                 return

@@ -159,13 +159,13 @@ def _execute(instr, regs, sregs, sel, k: int, gdata, sdata,
     def wr(values) -> None:
         regs[instr.dst.idx, sel] = values
 
-    int_fn = _INT_BIN.get(op)
+    int_fn = _INT_BIN.get(instr._op_key)
     if int_fn is not None:
         a, b = rd_int(instr.srcs[0]), rd_int(instr.srcs[1])
         if op in (Op.SHL, Op.SHR) and (b < 0).any():
             raise ReferenceExecError("negative shift amount")
         wr(int_fn(a, b).astype(np.float64))
-    elif (float_fn := _FLOAT_BIN.get(op)) is not None:
+    elif (float_fn := _FLOAT_BIN.get(instr._op_key)) is not None:
         wr(float_fn(rd(instr.srcs[0]), rd(instr.srcs[1])))
     elif op is Op.IMAD:
         a, b, c = (rd_int(s) for s in instr.srcs)
@@ -205,7 +205,7 @@ def _execute(instr, regs, sregs, sel, k: int, gdata, sdata,
         wr(np.where(c != 0, a, b))
     elif op is Op.SETP:
         a, b = rd(instr.srcs[0]), rd(instr.srcs[1])
-        wr(_CMP[instr.cmp](a, b).astype(np.float64))
+        wr(_CMP[instr._cmp_key](a, b).astype(np.float64))
     elif op in _MEMORY_OPS:
         ref: MemRef = instr.srcs[0]
         addrs = regs[ref.base.idx, sel].astype(np.int64) + ref.offset

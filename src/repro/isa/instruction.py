@@ -117,8 +117,12 @@ class Instruction:
         # are functions of fields fixed at construction (``target`` and
         # ``reconv_pc`` are patched later but name no registers), so they
         # are computed once here instead of per scoreboard/scheduler query.
-        self.info = OPCODE_INFO[self.op]
-        self._class_key = self.info.op_class.value
+        info = self.info = OPCODE_INFO[self.op]
+        # Dispatch keys (see OpInfo.key): the executor's operator tables
+        # and the SM's latency table are keyed by these strings.
+        self._class_key = info.class_key
+        self._op_key = info.key
+        self._cmp_key = self.cmp.value if self.cmp is not None else None
         regs: list[int] = []
         for operand in self.srcs:
             if isinstance(operand, Reg):

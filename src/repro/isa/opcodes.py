@@ -91,11 +91,17 @@ class Op(enum.Enum):
 class OpInfo:
     """Static metadata for one opcode."""
 
-    __slots__ = ("op", "op_class", "num_srcs", "has_dst", "is_branch", "is_mem", "is_store", "is_atomic")
+    __slots__ = ("op", "key", "op_class", "class_key", "num_srcs", "has_dst",
+                 "is_branch", "is_mem", "is_store", "is_atomic")
 
     def __init__(self, op: Op, op_class: OpClass, num_srcs: int, has_dst: bool):
         self.op = op
+        # String forms of the opcode and its class: dispatch tables are
+        # keyed by these, since a string hashes in C and an Enum member
+        # through a Python-level ``__hash__``.
+        self.key = op.value
         self.op_class = op_class
+        self.class_key = op_class.value
         self.num_srcs = num_srcs
         self.has_dst = has_dst
         self.is_branch = op is Op.BRA

@@ -115,10 +115,17 @@ class L1Cache:
         return len(self.pending) < self.cfg.l1_mshrs
 
     def earliest_mshr_free(self, now: int) -> int:
+        """``now`` if an MSHR is free, else the earliest fill completion
+        (``min(pending.values())``): the top of the completion heap once
+        stale pairs — lines since re-filled or retired — are popped."""
         self._purge(now)
-        if len(self.pending) < self.cfg.l1_mshrs:
+        pending = self.pending
+        if len(pending) < self.cfg.l1_mshrs:
             return now
-        return min(self.pending.values())
+        fills = self._fills
+        while pending.get(fills[0][1]) != fills[0][0]:
+            heappop(fills)
+        return fills[0][0]
 
     def read(self, line_addr: int, now: int) -> int:
         """A load transaction for one line; returns data-ready cycle."""

@@ -18,6 +18,14 @@ from repro.isa.instruction import SpecialReg
 from repro.sim.memory import SharedMemory
 from repro.sim.warp import Warp
 
+#: "No event scheduled": a cycle count no simulation ever reaches.
+FOREVER = 1 << 60
+
+_PARAM_KINDS = (
+    SpecialReg.PARAM0, SpecialReg.PARAM1, SpecialReg.PARAM2, SpecialReg.PARAM3,
+    SpecialReg.PARAM4, SpecialReg.PARAM5, SpecialReg.PARAM6, SpecialReg.PARAM7,
+)
+
 
 class CTAState(enum.Enum):
     ACTIVE = "active"
@@ -25,6 +33,14 @@ class CTAState(enum.Enum):
     SWAP_OUT = "swap_out"
     SWAP_IN = "swap_in"
     FINISHED = "finished"
+
+
+# Aliases for the per-cycle paths: reading a member through the class goes
+# through EnumType.__getattr__, ~0.2 us on CPython 3.11.
+ACTIVE = CTAState.ACTIVE
+INACTIVE = CTAState.INACTIVE
+SWAP_OUT = CTAState.SWAP_OUT
+SWAP_IN = CTAState.SWAP_IN
 
 
 class CTA:
@@ -44,44 +60,66 @@ class CTA:
         self.became_inactive_at = start_cycle
         self.stall_since: int | None = None  # for the "timeout" trigger policy
 
+        # Warps parked out of their scheduler's ready set, counted by the
+        # status they were parked under (indexed by the smcore ST_* codes;
+        # see SMCore._park), and the earliest ``status_until`` among them
+        # (-1 once an arm may have removed the minimum: recomputed lazily).
+        self.parked = [0, 0, 0, 0]
+        self.park_min = FOREVER
+        # VT activation readiness memo (see VirtualThreadManager.ready_at):
+        # None until first asked after the CTA last turned INACTIVE.
+        self.activation_at: int | None = None
+
         threads = kernel.threads_per_cta
         warp_size = cfg.warp_size
         num_warps = -(-threads // warp_size)
+        uniform = self._uniform_special_regs(ctaid, kernel, grid_dim, params)
         self.warps: list[Warp] = []
         for w in range(num_warps):
             live = min(warp_size, threads - w * warp_size)
             warp = Warp(self, w, kernel.regs_per_thread, live, warp_size)
-            warp.sregs = self._special_regs(warp, w, ctaid, kernel, grid_dim, params)
+            warp.sregs = self._special_regs(uniform, w, kernel)
             self.warps.append(warp)
 
     @staticmethod
-    def _special_regs(warp: Warp, local_wid: int, ctaid, kernel, grid_dim, params):
+    def _uniform_special_regs(ctaid, kernel, grid_dim, params) -> dict:
+        """The special registers every warp of the CTA reads alike, built
+        once per CTA and shared read-only (a write through an operand read
+        raises instead of leaking into other warps)."""
         ntid_x, ntid_y, ntid_z = kernel.cta_dim
+        values = {
+            SpecialReg.CTAID_X: ctaid[0],
+            SpecialReg.CTAID_Y: ctaid[1],
+            SpecialReg.CTAID_Z: ctaid[2],
+            SpecialReg.NTID_X: ntid_x,
+            SpecialReg.NTID_Y: ntid_y,
+            SpecialReg.NTID_Z: ntid_z,
+            SpecialReg.NCTAID_X: grid_dim[0],
+            SpecialReg.NCTAID_Y: grid_dim[1],
+            SpecialReg.NCTAID_Z: grid_dim[2],
+        }
+        for i, kind in enumerate(_PARAM_KINDS):
+            values[kind] = params[i] if i < len(params) else 0.0
+        uniform = {}
+        for kind, value in values.items():
+            arr = np.full(32, float(value))
+            arr.setflags(write=False)
+            uniform[kind] = arr
+        return uniform
+
+    @staticmethod
+    def _special_regs(uniform: dict, local_wid: int, kernel) -> dict:
+        """One warp's special registers: the CTA-uniform rows plus its own
+        thread, lane and warp ids."""
+        ntid_x, ntid_y, _ntid_z = kernel.cta_dim
         lanes = np.arange(32, dtype=np.float64)
         linear = local_wid * 32 + lanes
-        sregs = {
-            SpecialReg.TID_X: linear % ntid_x,
-            SpecialReg.TID_Y: (linear // ntid_x) % ntid_y,
-            SpecialReg.TID_Z: linear // (ntid_x * ntid_y),
-            SpecialReg.CTAID_X: np.full(32, float(ctaid[0])),
-            SpecialReg.CTAID_Y: np.full(32, float(ctaid[1])),
-            SpecialReg.CTAID_Z: np.full(32, float(ctaid[2])),
-            SpecialReg.NTID_X: np.full(32, float(ntid_x)),
-            SpecialReg.NTID_Y: np.full(32, float(ntid_y)),
-            SpecialReg.NTID_Z: np.full(32, float(ntid_z)),
-            SpecialReg.NCTAID_X: np.full(32, float(grid_dim[0])),
-            SpecialReg.NCTAID_Y: np.full(32, float(grid_dim[1])),
-            SpecialReg.NCTAID_Z: np.full(32, float(grid_dim[2])),
-            SpecialReg.LANEID: lanes.copy(),
-            SpecialReg.WARPID: np.full(32, float(local_wid)),
-        }
-        param_kinds = (
-            SpecialReg.PARAM0, SpecialReg.PARAM1, SpecialReg.PARAM2, SpecialReg.PARAM3,
-            SpecialReg.PARAM4, SpecialReg.PARAM5, SpecialReg.PARAM6, SpecialReg.PARAM7,
-        )
-        for i, kind in enumerate(param_kinds):
-            value = float(params[i]) if i < len(params) else 0.0
-            sregs[kind] = np.full(32, value)
+        sregs = dict(uniform)
+        sregs[SpecialReg.TID_X] = linear % ntid_x
+        sregs[SpecialReg.TID_Y] = (linear // ntid_x) % ntid_y
+        sregs[SpecialReg.TID_Z] = linear // (ntid_x * ntid_y)
+        sregs[SpecialReg.LANEID] = lanes
+        sregs[SpecialReg.WARPID] = np.full(32, float(local_wid))
         return sregs
 
     # -- resource footprint (what the allocators charge) -----------------------
@@ -106,7 +144,7 @@ class CTA:
 
     def schedulable_now(self, now: int) -> bool:
         """Whether this CTA's warps may issue this cycle (VT state + launch)."""
-        return self.state is CTAState.ACTIVE and now >= self.start_cycle
+        return self.state is ACTIVE and now >= self.start_cycle
 
     # -- barrier ------------------------------------------------------------------
 

@@ -10,10 +10,7 @@ manager lives with the paper's contribution in :mod:`repro.core.vt`.
 
 from __future__ import annotations
 
-from repro.sim.cta import CTA, CTAState
-
-#: "No event scheduled": a cycle count no simulation ever reaches.
-FOREVER = 1 << 60
+from repro.sim.cta import ACTIVE, CTA, FOREVER, CTAState
 
 
 class ResourceAccounting:
@@ -79,7 +76,7 @@ class CTAManagerBase:
     def on_assign(self, cta: CTA, now: int) -> None:
         self.resources.charge(cta.kernel)
         self.resident.append(cta)
-        if cta.state is CTAState.ACTIVE:
+        if cta.state is ACTIVE:
             self.active_cta_count += 1
 
     def on_cta_finish(self, cta: CTA, now: int) -> None:
@@ -93,9 +90,6 @@ class CTAManagerBase:
     def update(self, now: int, warp_status) -> None:
         """Called once per cycle before issue; ``warp_status(warp)`` returns
         the cached status code (see :mod:`repro.sim.smcore`)."""
-
-    def is_schedulable(self, cta: CTA, now: int) -> bool:
-        return cta.schedulable_now(now)
 
     def next_event(self, now: int) -> int:
         """Earliest future cycle at which this manager, given that no warp
@@ -117,11 +111,15 @@ class CTAManagerBase:
         return False
 
     def _set_state(self, cta: CTA, state: CTAState) -> None:
-        """Move a resident CTA to ``state``, keeping ``active_cta_count``."""
-        if cta.state is CTAState.ACTIVE:
+        """Move a resident CTA to ``state``, keeping ``active_cta_count``
+        (and dropping the CTA's activation-readiness memo when it turns
+        INACTIVE: the memo is taken on the first query after that)."""
+        if cta.state is ACTIVE:
             self.active_cta_count -= 1
-        if state is CTAState.ACTIVE:
+        if state is ACTIVE:
             self.active_cta_count += 1
+        elif state is CTAState.INACTIVE:
+            cta.activation_at = None
         cta.state = state
 
     # -- occupancy reporting ---------------------------------------------------
@@ -130,7 +128,7 @@ class CTAManagerBase:
         return sum(
             1
             for cta in self.resident
-            if self.is_schedulable(cta, now)
+            if cta.state is ACTIVE and now >= cta.start_cycle
             for w in cta.warps
             if not w.finished
         )

@@ -14,8 +14,6 @@ The returned :class:`ExecResult` carries everything the timing model needs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.isa.instruction import Imm, MemRef, Reg, SReg
@@ -27,24 +25,34 @@ class ExecutionError(RuntimeError):
     """A dynamic semantic error in the simulated program."""
 
 
-@dataclass
 class ExecResult:
-    """Side-band information about one executed instruction."""
+    """Side-band information about one executed instruction.
 
-    exec_mask: int  # lanes that executed (post-predication)
-    mem_space: str | None = None  # "global" | "shared" | None
-    addresses: np.ndarray | None = None  # byte addrs of executed lanes
-    is_store: bool = False
-    is_atomic: bool = False
-    did_barrier: bool = False
-    did_exit: bool = False
+    ``lanes`` is the popcount of ``exec_mask``, taken once here because
+    the issue path reads it for every instruction."""
 
-    @property
-    def lanes(self) -> int:
-        return self.exec_mask.bit_count()
+    __slots__ = ("exec_mask", "lanes", "mem_space", "addresses", "is_store",
+                 "is_atomic", "did_barrier", "did_exit")
+
+    def __init__(self, exec_mask: int):
+        self.exec_mask = exec_mask  # lanes that executed (post-predication)
+        self.lanes = exec_mask.bit_count()
+        self.mem_space: str | None = None  # "global" | "shared" | None
+        self.addresses: np.ndarray | None = None  # byte addrs of executed lanes
+        self.is_store = False
+        self.is_atomic = False
+        self.did_barrier = False
+        self.did_exit = False
 
 
-_INT_BIN = {
+def _keyed(table: dict) -> dict:
+    """Re-key an operator table by member value: the executors look ops up
+    by the decode-time keys ``Instruction._op_key``/``_cmp_key``, which are
+    strings, so no lookup pays for an Enum ``__hash__``."""
+    return {member.value: fn for member, fn in table.items()}
+
+
+_INT_BIN = _keyed({
     Op.IADD: lambda a, b: a + b,
     Op.ISUB: lambda a, b: a - b,
     Op.IMUL: lambda a, b: a * b,
@@ -55,24 +63,28 @@ _INT_BIN = {
     Op.XOR: lambda a, b: a ^ b,
     Op.SHL: lambda a, b: a << b,
     Op.SHR: lambda a, b: a >> b,
-}
+})
 
-_FLOAT_BIN = {
+_FLOAT_BIN = _keyed({
     Op.FADD: lambda a, b: a + b,
     Op.FSUB: lambda a, b: a - b,
     Op.FMUL: lambda a, b: a * b,
     Op.FMIN: lambda a, b: np.minimum(a, b),
     Op.FMAX: lambda a, b: np.maximum(a, b),
-}
+})
 
-_CMP = {
+_CMP = _keyed({
     CmpOp.EQ: lambda a, b: a == b,
     CmpOp.NE: lambda a, b: a != b,
     CmpOp.LT: lambda a, b: a < b,
     CmpOp.LE: lambda a, b: a <= b,
     CmpOp.GT: lambda a, b: a > b,
     CmpOp.GE: lambda a, b: a >= b,
-}
+})
+
+_SHIFTS = frozenset((Op.SHL.value, Op.SHR.value))
+_MEMORY_OPS = frozenset(op.value for op in (
+    Op.LDG, Op.STG, Op.LDS, Op.STS, Op.ATOMG_ADD, Op.ATOMS_ADD, Op.ATOMG_MAX))
 
 
 #: Shared read-only broadcasts of immediates, keyed by (value, lane count):
@@ -134,7 +146,14 @@ def _write(warp: Warp, dst: Reg, lanes: np.ndarray, n: int, values) -> None:
 
 
 def functional_step(warp: Warp, instr, gmem) -> ExecResult:
-    """Execute ``instr`` for ``warp``; updates state and returns metadata."""
+    """Execute ``instr`` for ``warp``; updates state and returns metadata.
+
+    Opcodes are told apart by ``instr._op_key`` (a string fixed at decode):
+    on CPython 3.11 each ``Op.X`` attribute read goes through
+    ``EnumType.__getattr__``, and this chain would pay it per comparison.
+    The lane-array guards are single counts (``np.count_nonzero``) rather
+    than ``.any()``, whose Python-level wrapper costs more than the test.
+    """
     if warp.finished:
         raise ExecutionError(f"executing with empty mask (finished warp): {instr!r}")
     active = warp.active_mask()
@@ -143,7 +162,8 @@ def functional_step(warp: Warp, instr, gmem) -> ExecResult:
 
     # Predication (for non-branch ops) masks lanes out of execution but all
     # active lanes still advance past the instruction.
-    if instr.op is Op.BRA:
+    key = instr._op_key
+    if key == "BRA":
         return _exec_branch(warp, instr, active)
 
     exec_mask = active
@@ -157,10 +177,9 @@ def functional_step(warp: Warp, instr, gmem) -> ExecResult:
             pvals = ~pvals
         exec_mask = array_to_mask(active_arr & pvals)
 
-    result = ExecResult(exec_mask=exec_mask)
-    op = instr.op
+    result = ExecResult(exec_mask)
 
-    if op is Op.EXIT:
+    if key == "EXIT":
         # Predicated EXIT is disallowed by convention (keeps warp-completion
         # logic simple); the assembler cannot express it accidentally in our
         # kernels but guard anyway.
@@ -170,114 +189,112 @@ def functional_step(warp: Warp, instr, gmem) -> ExecResult:
         result.did_exit = True
         return result
 
-    if op is Op.BAR:
+    if key == "BAR":
         if exec_mask != active:
             raise ExecutionError("predicated BAR is not supported")
         result.did_barrier = True
         warp.advance()
         return result
 
-    if op is Op.NOP or exec_mask == 0:
+    if key == "NOP" or exec_mask == 0:
         warp.advance()
         return result
 
     lanes = mask_to_array(exec_mask)
-    n = exec_mask.bit_count()
+    n = result.lanes
 
-    int_fn = _INT_BIN.get(op)
+    int_fn = _INT_BIN.get(key)
     if int_fn is not None:
         a = _read_int(warp, instr.srcs[0], lanes, n)
         b = _read_int(warp, instr.srcs[1], lanes, n)
-        if op in (Op.SHL, Op.SHR) and b.size and (b < 0).any():
+        if key in _SHIFTS and np.count_nonzero(b < 0):
             raise ExecutionError("negative shift amount")
         _write(warp, instr.dst, lanes, n, int_fn(a, b).astype(np.float64))
-    elif (float_fn := _FLOAT_BIN.get(op)) is not None:
+    elif (float_fn := _FLOAT_BIN.get(key)) is not None:
         a = _read(warp, instr.srcs[0], lanes, n)
         b = _read(warp, instr.srcs[1], lanes, n)
         _write(warp, instr.dst, lanes, n, float_fn(a, b))
-    elif op is Op.IMAD:
+    elif key in _MEMORY_OPS:
+        _exec_memory(warp, instr, key, lanes, n, gmem, result)
+    elif key == "IMAD":
         a = _read_int(warp, instr.srcs[0], lanes, n)
         b = _read_int(warp, instr.srcs[1], lanes, n)
         c = _read_int(warp, instr.srcs[2], lanes, n)
         _write(warp, instr.dst, lanes, n, (a * b + c).astype(np.float64))
-    elif op is Op.FFMA:
+    elif key == "FFMA":
         a = _read(warp, instr.srcs[0], lanes, n)
         b = _read(warp, instr.srcs[1], lanes, n)
         c = _read(warp, instr.srcs[2], lanes, n)
         _write(warp, instr.dst, lanes, n, a * b + c)
-    elif op in (Op.IDIV, Op.IREM):
-        a = _read_int(warp, instr.srcs[0], lanes, n)
-        b = _read_int(warp, instr.srcs[1], lanes, n)
-        if b.size and (b == 0).any():
-            raise ExecutionError("integer division by zero")
-        quotient = np.trunc(a / b).astype(np.int64)  # C-style truncation
-        value = quotient if op is Op.IDIV else a - quotient * b
-        _write(warp, instr.dst, lanes, n, value.astype(np.float64))
-    elif op is Op.FDIV:
+    elif key == "SETP":
         a = _read(warp, instr.srcs[0], lanes, n)
         b = _read(warp, instr.srcs[1], lanes, n)
-        if b.size and (b == 0).any():
-            raise ExecutionError("float division by zero")
-        _write(warp, instr.dst, lanes, n, a / b)
-    elif op is Op.FSQRT:
-        a = _read(warp, instr.srcs[0], lanes, n)
-        if a.size and (a < 0).any():
-            raise ExecutionError("sqrt of negative value")
-        _write(warp, instr.dst, lanes, n, np.sqrt(a))
-    elif op is Op.FEXP:
-        _write(warp, instr.dst, lanes, n, np.exp(_read(warp, instr.srcs[0], lanes, n)))
-    elif op is Op.FABS:
-        _write(warp, instr.dst, lanes, n, np.abs(_read(warp, instr.srcs[0], lanes, n)))
-    elif op is Op.I2F:
-        _write(warp, instr.dst, lanes, n, _read_int(warp, instr.srcs[0], lanes, n).astype(np.float64))
-    elif op is Op.F2I:
-        _write(warp, instr.dst, lanes, n, np.trunc(_read(warp, instr.srcs[0], lanes, n)))
-    elif op is Op.MOV:
+        _write(warp, instr.dst, lanes, n, _CMP[instr._cmp_key](a, b).astype(np.float64))
+    elif key == "MOV" or key == "S2R":
         _write(warp, instr.dst, lanes, n, _read(warp, instr.srcs[0], lanes, n))
-    elif op is Op.S2R:
-        _write(warp, instr.dst, lanes, n, _read(warp, instr.srcs[0], lanes, n))
-    elif op is Op.SEL:
+    elif key == "SEL":
         c = _read(warp, instr.srcs[0], lanes, n)
         a = _read(warp, instr.srcs[1], lanes, n)
         b = _read(warp, instr.srcs[2], lanes, n)
         _write(warp, instr.dst, lanes, n, np.where(c != 0, a, b))
-    elif op is Op.SETP:
+    elif key == "IDIV" or key == "IREM":
+        a = _read_int(warp, instr.srcs[0], lanes, n)
+        b = _read_int(warp, instr.srcs[1], lanes, n)
+        if np.count_nonzero(b) < b.size:
+            raise ExecutionError("integer division by zero")
+        quotient = np.trunc(a / b).astype(np.int64)  # C-style truncation
+        value = quotient if key == "IDIV" else a - quotient * b
+        _write(warp, instr.dst, lanes, n, value.astype(np.float64))
+    elif key == "FDIV":
         a = _read(warp, instr.srcs[0], lanes, n)
         b = _read(warp, instr.srcs[1], lanes, n)
-        _write(warp, instr.dst, lanes, n, _CMP[instr.cmp](a, b).astype(np.float64))
-    elif op in (Op.LDG, Op.STG, Op.LDS, Op.STS, Op.ATOMG_ADD, Op.ATOMS_ADD, Op.ATOMG_MAX):
-        _exec_memory(warp, instr, lanes, n, gmem, result)
+        if np.count_nonzero(b) < b.size:
+            raise ExecutionError("float division by zero")
+        _write(warp, instr.dst, lanes, n, a / b)
+    elif key == "FSQRT":
+        a = _read(warp, instr.srcs[0], lanes, n)
+        if np.count_nonzero(a < 0):
+            raise ExecutionError("sqrt of negative value")
+        _write(warp, instr.dst, lanes, n, np.sqrt(a))
+    elif key == "FEXP":
+        _write(warp, instr.dst, lanes, n, np.exp(_read(warp, instr.srcs[0], lanes, n)))
+    elif key == "FABS":
+        _write(warp, instr.dst, lanes, n, np.abs(_read(warp, instr.srcs[0], lanes, n)))
+    elif key == "I2F":
+        _write(warp, instr.dst, lanes, n, _read_int(warp, instr.srcs[0], lanes, n).astype(np.float64))
+    elif key == "F2I":
+        _write(warp, instr.dst, lanes, n, np.trunc(_read(warp, instr.srcs[0], lanes, n)))
     else:  # pragma: no cover - exhaustive over Op
-        raise ExecutionError(f"unhandled opcode {op}")
+        raise ExecutionError(f"unhandled opcode {instr.op}")
 
     warp.advance()
     return result
 
 
-def _exec_memory(warp: Warp, instr, lanes: np.ndarray, n: int, gmem, result: ExecResult) -> None:
-    op = instr.op
+def _exec_memory(warp: Warp, instr, key: str, lanes: np.ndarray, n: int, gmem,
+                 result: ExecResult) -> None:
     ref = instr.srcs[0]
     addrs = _addresses(warp, ref, lanes, n)
     smem = warp.cta.smem
-    if op is Op.LDG:
+    if key == "LDG":
         _write(warp, instr.dst, lanes, n, gmem.load(addrs))
         result.mem_space = "global"
-    elif op is Op.STG:
+    elif key == "STG":
         gmem.store(addrs, _read(warp, instr.srcs[1], lanes, n))
         result.mem_space, result.is_store = "global", True
-    elif op is Op.LDS:
+    elif key == "LDS":
         _write(warp, instr.dst, lanes, n, smem.load(addrs))
         result.mem_space = "shared"
-    elif op is Op.STS:
+    elif key == "STS":
         smem.store(addrs, _read(warp, instr.srcs[1], lanes, n))
         result.mem_space, result.is_store = "shared", True
-    elif op is Op.ATOMG_ADD:
+    elif key == "ATOMG_ADD":
         _write(warp, instr.dst, lanes, n, gmem.atomic_add(addrs, _read(warp, instr.srcs[1], lanes, n)))
         result.mem_space, result.is_atomic = "global", True
-    elif op is Op.ATOMG_MAX:
+    elif key == "ATOMG_MAX":
         _write(warp, instr.dst, lanes, n, gmem.atomic_max(addrs, _read(warp, instr.srcs[1], lanes, n)))
         result.mem_space, result.is_atomic = "global", True
-    elif op is Op.ATOMS_ADD:
+    elif key == "ATOMS_ADD":
         _write(warp, instr.dst, lanes, n, smem.atomic_add(addrs, _read(warp, instr.srcs[1], lanes, n)))
         result.mem_space, result.is_atomic = "shared", True
     result.addresses = addrs
@@ -292,7 +309,7 @@ def _exec_memory(warp: Warp, instr, lanes: np.ndarray, n: int, gmem, result: Exe
 def _exec_branch(warp: Warp, instr, active: int) -> ExecResult:
     if instr.pred is None:
         warp.branch_uniform(instr.target)
-        return ExecResult(exec_mask=active)
+        return ExecResult(active)
     active_arr = mask_to_array(active)
     pvals = warp.regs[instr.pred.idx] != 0
     if instr.pred_neg:
@@ -308,4 +325,4 @@ def _exec_branch(warp: Warp, instr, active: int) -> ExecResult:
         if instr.reconv_pc is None:
             raise ExecutionError(f"divergent branch without reconvergence PC: {instr!r}")
         warp.branch_divergent(taken, instr.target, instr.reconv_pc)
-    return ExecResult(exec_mask=active)
+    return ExecResult(active)

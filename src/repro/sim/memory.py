@@ -86,13 +86,14 @@ class GlobalMemory:
 
     def _indices(self, byte_addrs: np.ndarray) -> np.ndarray:
         idx = byte_addrs >> 2
-        if byte_addrs.size:
-            if (byte_addrs & 3).any():
-                raise MemoryError_("misaligned global access")
-            if idx.min() < 0 or idx.max() >= self.data.size:
-                raise MemoryError_(
-                    f"global access out of bounds: [{byte_addrs.min()}, {byte_addrs.max()}]"
-                )
+        # Counts, not ``.any()``/``.min()``: on 32-lane arrays numpy's
+        # Python-level reduction wrappers cost more than the tests.
+        if np.count_nonzero(byte_addrs & 3):
+            raise MemoryError_("misaligned global access")
+        if np.count_nonzero((idx < 0) | (idx >= self.data.size)):
+            raise MemoryError_(
+                f"global access out of bounds: [{byte_addrs.min()}, {byte_addrs.max()}]"
+            )
         return idx
 
     def load(self, byte_addrs: np.ndarray) -> np.ndarray:
@@ -130,14 +131,13 @@ class SharedMemory:
 
     def _indices(self, byte_addrs: np.ndarray) -> np.ndarray:
         idx = byte_addrs >> 2
-        if byte_addrs.size:
-            if (byte_addrs & 3).any():
-                raise MemoryError_("misaligned shared access")
-            if idx.min() < 0 or (idx.max() << 2) >= self.size_bytes:
-                raise MemoryError_(
-                    f"shared access out of bounds: [{byte_addrs.min()}, {byte_addrs.max()}]"
-                    f" of {self.size_bytes}B"
-                )
+        if np.count_nonzero(byte_addrs & 3):
+            raise MemoryError_("misaligned shared access")
+        if np.count_nonzero((idx < 0) | ((idx << 2) >= self.size_bytes)):
+            raise MemoryError_(
+                f"shared access out of bounds: [{byte_addrs.min()}, {byte_addrs.max()}]"
+                f" of {self.size_bytes}B"
+            )
         return idx
 
     def load(self, byte_addrs: np.ndarray) -> np.ndarray:

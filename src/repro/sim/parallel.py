@@ -557,6 +557,9 @@ class _Shard:
                 if dst is not None and ready - cycle >= thr and ready > mpu:
                     mpu = ready
             sb._mem_pending_until = mpu
+            # An INACTIVE CTA memoises its activation cycle from these
+            # values (VirtualThreadManager.ready_at): recompute it.
+            warp.cta.activation_at = None
             # Drop the cached status: it embedded a sentinel horizon.  The
             # recompute against exact values is what serial would cache.
             # A wake-heap entry at that sentinel would never come due, so

@@ -42,6 +42,11 @@ Invariants checked every stepped cycle:
 6. **Clean retirement** — a retiring CTA has every warp finished, owns no
    scheduler slots, leaks no scoreboard entries, and its release leaves
    the resource accounts non-negative.
+7. **Stored horizons** — the facts the issue path keeps at events instead
+   of re-deriving equal a recount: each CTA's ``parked`` counts and
+   ``park_min`` (every unfinished warp outside the ready set of a
+   schedulable CTA is counted under its still-valid cached status), and a
+   VT CTA's memoised activation cycle while it is INACTIVE.
 """
 
 from __future__ import annotations
@@ -170,6 +175,10 @@ class Sanitizer:
         # 5. ready sets -----------------------------------------------------
         self._check_ready_sets(sm, now)
 
+        # 7. stored horizons ------------------------------------------------
+        self._check_parked(sm, resident, now)
+        self._check_activation_memo(sm, resident, now)
+
         # Cross-check the manager's own invariant hook when it has one.
         assert_invariants = getattr(manager, "assert_invariants", None)
         if assert_invariants is not None:
@@ -295,6 +304,59 @@ class Sanitizer:
                         f"set with no wake-up queued by cycle {due}",
                         sm.sm_id, now, resource="scheduler")
 
+    def _check_parked(self, sm, resident, now: int) -> None:
+        for cta in resident:
+            counted = [0, 0, 0, 0]
+            horizon = FOREVER
+            schedulable = cta.state is CTAState.ACTIVE and now >= cta.start_cycle
+            for warp in cta.warps:
+                if warp.parked:
+                    counted[warp.parked] += 1
+                    horizon = min(horizon, warp.status_until)
+                    if warp.armed or warp.status_until <= now:
+                        self._fail(
+                            "parked-count",
+                            f"cta {cta.cta_id} warp {warp.local_wid} is counted "
+                            "as parked but is armed or past its wake cycle",
+                            sm.sm_id, now, resource="scheduler")
+                elif schedulable and not (warp.armed or warp.finished):
+                    self._fail(
+                        "parked-count",
+                        f"cta {cta.cta_id} warp {warp.local_wid} left the ready "
+                        "set uncounted", sm.sm_id, now, resource="scheduler")
+                if (schedulable and warp.parked
+                        and warp.parked != warp.cached_status):
+                    self._fail(
+                        "parked-count",
+                        f"cta {cta.cta_id} warp {warp.local_wid} is counted "
+                        f"under status {warp.parked}, cached {warp.cached_status}",
+                        sm.sm_id, now, resource="scheduler")
+            if counted != cta.parked:
+                self._fail("parked-count",
+                           f"cta {cta.cta_id} counts parked warps {cta.parked}, "
+                           f"a recount finds {counted}", sm.sm_id, now,
+                           resource="scheduler")
+            if cta.park_min != -1 and cta.park_min != horizon:
+                self._fail("parked-count",
+                           f"cta {cta.cta_id} keeps park horizon "
+                           f"{_cycle_str(cta.park_min)}, a recount finds "
+                           f"{_cycle_str(horizon)}", sm.sm_id, now,
+                           resource="scheduler")
+
+    def _check_activation_memo(self, sm, resident, now: int) -> None:
+        for cta in resident:
+            memo = cta.activation_at
+            if cta.state is not CTAState.INACTIVE or memo is None:
+                continue
+            fresh = min((w.scoreboard.mem_pending_until() for w in cta.warps
+                         if not (w.finished or w.at_barrier)), default=FOREVER)
+            if memo != fresh:
+                self._fail("activation-memo",
+                           f"inactive cta {cta.cta_id} memoises activation at "
+                           f"cycle {_cycle_str(memo)}, a recount finds "
+                           f"{_cycle_str(fresh)}", sm.sm_id, now,
+                           resource="VT manager")
+
     # -- execution cross-check ---------------------------------------------
 
     def _static_facts(self, kernel):
@@ -403,6 +465,10 @@ class Sanitizer:
                        "(only ACTIVE CTAs can issue their final EXIT)",
                        sm.sm_id, now)
         bound = now + self.cfg.max_pending_latency
+        if cta.parked != [0, 0, 0, 0]:
+            self._fail("parked-count",
+                       f"cta {cta.cta_id} retired with parked counts {cta.parked}",
+                       sm.sm_id, now, resource="scheduler")
         for warp in cta.warps:
             if not warp.finished:
                 self._fail("retire-unfinished",

@@ -20,7 +20,9 @@ in age order, with ``warp.armed`` as the membership bit.  It is a
 *superset* of the issuable warps, so ``pick`` walks its policy order over
 ``ready`` only and chooses exactly the warp a walk over ``warps`` would.
 The SM core (:mod:`repro.sim.smcore`) disarms a warp when it finds it
-blocked and arms it again on the event that can unblock it.  A scheduler
+blocked and arms it again on the event that can unblock it; a warp parked
+under a blocked status is counted in its CTA's ``parked`` meanwhile, and
+:meth:`SchedulerBase.arm` takes it off that count.  A scheduler
 whose ready set is empty cannot issue: the SM calls its :meth:`idle`
 instead of ``pick``, which applies only the policy's nothing-issued
 bookkeeping (GTO drops its greedy warp, two-level demotes its active set).
@@ -59,10 +61,19 @@ class SchedulerBase:
         self.disarm(warp)
 
     def arm(self, warp: Warp) -> None:
-        """(Re-)admit ``warp`` to the ready set."""
+        """(Re-)admit ``warp`` to the ready set, taking it off its CTA's
+        parked counts (see :meth:`repro.sim.smcore.SMCore._park`)."""
         if not warp.armed:
             warp.armed = True
             insort(self.ready, warp, key=_age)
+            if warp.parked:
+                cta = warp.cta
+                cta.parked[warp.parked] -= 1
+                warp.parked = 0
+                if warp.status_until <= cta.park_min:
+                    # It may have held the minimum (or its horizon was
+                    # invalidated since): recompute on the next dead scan.
+                    cta.park_min = -1
 
     def disarm(self, warp: Warp) -> None:
         """Drop ``warp`` from the ready set (it cannot issue yet)."""

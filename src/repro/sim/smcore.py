@@ -28,10 +28,10 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 
-from repro.isa.opcodes import Op, OpClass
+from repro.isa.opcodes import OpClass
 from repro.sim.cache import L1Cache
-from repro.sim.cta import CTA, CTAState
-from repro.sim.ctamanager import FOREVER as _FOREVER
+from repro.sim.cta import ACTIVE, CTA, SWAP_IN, SWAP_OUT
+from repro.sim.ctamanager import FOREVER as _FOREVER, CTAManagerBase
 from repro.sim.exec import functional_step
 from repro.sim.ldst import bank_conflict_passes, coalesce
 from repro.sim.schedulers import arm_cta, make_scheduler
@@ -45,6 +45,14 @@ ST_BARRIER = 3
 ST_FINISHED = 4
 
 _OCCUPANCY_STRIDE = 16  # occupancy is sampled every N cycles
+
+# Op-class aliases, like the CTA-state ones in repro.sim.cta: reading a
+# member through the class goes through EnumType.__getattr__ (~0.2 us on
+# CPython 3.11), several times per issued instruction.
+_MEM_GLOBAL = OpClass.MEM_GLOBAL
+_MEM_SHARED = OpClass.MEM_SHARED
+_SFU = OpClass.SFU
+_CTRL = OpClass.CTRL
 
 
 class SMCore:
@@ -61,6 +69,16 @@ class SMCore:
         self.manager = make_manager(cfg, self.stats)
         self.manager.sm_id = sm_id
         self.manager.faults = faults
+        # The base managers' update is a no-op: skip the call (and the
+        # status callback built for it) on every step.
+        self._manager_update = (
+            None if type(self.manager).update is CTAManagerBase.update
+            else self.manager.update)
+        # Dependency latency of the non-memory op classes, keyed by the
+        # decode-time ``Instruction._class_key`` (``latency_for`` stays the
+        # single source of the values).
+        self._latency = {cls.value: cfg.latency_for(cls)
+                         for cls in (OpClass.ALU, OpClass.MUL, OpClass.FPU)}
         self.schedulers = [make_scheduler(cfg.warp_scheduler) for _ in range(cfg.num_warp_schedulers)]
         self._next_sched = 0
         self._ldst_free = 0  # global-memory pipeline
@@ -133,12 +151,27 @@ class SMCore:
         unless the block has no known end (``_FOREVER``: barrier-parked,
         finished, or in a CTA that must be activated first).
 
+        A warp of an ACTIVE CTA parked under a blocked status (MEM, ALU,
+        BARRIER) is counted in ``cta.parked`` and folded into
+        ``cta.park_min`` until :meth:`SchedulerBase.arm` takes it back, so
+        :meth:`_dead_scan` need not walk it.  (A CTA still inside its
+        launch latency has never had a status evaluated: ``cached_status``
+        is -1, so its parks are not counted.)
+
         A fault plan's frozen warp is never parked: the plan logs its
         ``stall-warp`` event when the scheduler walk reaches the warp, and
         a walk over every resident warp would reach it each cycle."""
         if self.faults is not None and self.faults.pins(self.sm_id, warp):
             return
         warp.sched.disarm(warp)
+        status = warp.cached_status
+        if ST_MEM <= status <= ST_BARRIER:
+            cta = warp.cta
+            if cta.state is ACTIVE:
+                cta.parked[status] += 1
+                warp.parked = status
+                if warp.status_until < cta.park_min:
+                    cta.park_min = warp.status_until
         if until < _FOREVER:
             heappush(self._wake, (until, self._wake_seq, warp))
             self._wake_seq += 1
@@ -170,34 +203,35 @@ class SMCore:
         warp.status_until = until
         return status
 
-    def _structural_ok(self, warp, now: int) -> bool:
-        instr = warp.cta.kernel.instrs[warp.pc]
-        op_class = instr.info.op_class
-        if op_class is OpClass.MEM_GLOBAL:
-            if self._ldst_free > now:
-                return False
-            if not instr.is_store and not self.l1.mshr_available(now):
-                return False
-            return True
-        if op_class is OpClass.MEM_SHARED:
-            return self._smem_free <= now
-        if op_class is OpClass.SFU:
-            return self._sfu_free <= now
-        return True
-
     def _issuable(self, now: int, warp) -> bool:
         if self.faults is not None and self.faults.warp_stalled(self.sm_id, warp, now):
             return False
         cta = warp.cta
-        if not self.manager.is_schedulable(cta, now):
+        if cta.state is not ACTIVE or now < cta.start_cycle:
             # Not launched yet: wake at the start cycle.  INACTIVE/SWAP_*:
             # re-armed when the VT manager activates the CTA.
             self._park(warp, cta.start_cycle if now < cta.start_cycle else _FOREVER)
             return False
-        if self._status(now, warp) != ST_READY:
+        if now < warp.status_until:
+            status = warp.cached_status
+        else:
+            status = self._status(now, warp)
+        if status != ST_READY:
             self._park(warp, warp.status_until)
             return False
-        return self._structural_ok(warp, now)
+        # Structural gates: the SM-wide LD/ST, MSHR, shared-memory and SFU
+        # ports.
+        instr = cta.kernel.instrs[warp.pc]
+        op_class = instr.info.op_class
+        if op_class is _MEM_GLOBAL:
+            if self._ldst_free > now:
+                return False
+            return instr.info.is_store or self.l1.mshr_available(now)
+        if op_class is _MEM_SHARED:
+            return self._smem_free <= now
+        if op_class is _SFU:
+            return self._sfu_free <= now
+        return True
 
     # -- issue ---------------------------------------------------------------------
 
@@ -210,9 +244,10 @@ class SMCore:
             self.sanitizer.check_exec(self, warp, pc, instr, result, now)
         warp.status_until = -1
         warp.instructions_issued += 1
-        self.stats.instructions += 1
-        self.stats.thread_instructions += result.lanes
-        by_class = self.stats.instructions_by_class
+        stats = self.stats
+        stats.instructions += 1
+        stats.thread_instructions += result.lanes
+        by_class = stats.instructions_by_class
         class_key = instr._class_key
         by_class[class_key] = by_class.get(class_key, 0) + 1
 
@@ -235,17 +270,17 @@ class SMCore:
         if result.addresses is None and info.is_mem:
             # Fully predicated-off memory op: occupies an issue slot only.
             return
-        if op_class is OpClass.MEM_GLOBAL:
+        if op_class is _MEM_GLOBAL:
             self._issue_global(warp, instr, result, now)
-        elif op_class is OpClass.MEM_SHARED:
+        elif op_class is _MEM_SHARED:
             self._issue_shared(warp, instr, result, now)
-        elif op_class is OpClass.SFU:
+        elif op_class is _SFU:
             self._sfu_free = now + self.cfg.sfu_issue_interval
             if instr.dst is not None:
                 warp.scoreboard.set_pending(instr.dst.idx, now + self.cfg.lat_sfu, False)
-        elif op_class is not OpClass.CTRL:
+        elif op_class is not _CTRL:
             if instr.dst is not None:
-                latency = self.cfg.latency_for(op_class)
+                latency = self._latency[class_key]
                 warp.scoreboard.set_pending(instr.dst.idx, now + latency, False)
 
     def _issue_global(self, warp, instr, result, now: int) -> None:
@@ -253,7 +288,7 @@ class SMCore:
         count = max(1, len(lines))
         self._ldst_free = now + count
         self.stats.global_transactions += len(lines)
-        if instr.is_store:
+        if instr.info.is_store:
             for i, line in enumerate(lines):
                 self.l1.write(line, now + i)
             return
@@ -300,8 +335,11 @@ class SMCore:
         self._occ_cache = None  # a live cycle may change any sampled count
         wake = self._wake
         while wake and wake[0][0] <= now:
-            self.arm(heappop(wake)[2])
-        self.manager.update(now, partial(self._status, now))
+            warp = heappop(wake)[2]
+            if warp.sched is not None:  # None once its CTA retired
+                warp.sched.arm(warp)
+        if self._manager_update is not None:
+            self._manager_update(now, partial(self._status, now))
 
         issued = 0
         issuable = None
@@ -371,8 +409,8 @@ class SMCore:
 
     def _dead_scan(self, now: int) -> tuple[str, int]:
         """``(idle class, next event)`` for a zero-issue cycle at ``now``,
-        in one pass over the resident warps (every dead-cycle discovery
-        needs both).
+        in one pass over the resident CTAs and the armed warps (every
+        dead-cycle discovery needs both).
 
         The next event is this SM's half of the next-event contract (see
         docs/ARCHITECTURE.md): the earliest future cycle at which its
@@ -387,9 +425,16 @@ class SMCore:
         * structural-pipeline free times for READY warps that could not
           issue this cycle (LD/ST, shared-memory, SFU ports, MSHR file).
 
-        Only valid immediately after a :meth:`step` that issued nothing:
-        a READY warp that is not structurally blocked would contradict the
-        zero-issue premise.  Returning too-early cycles wastes a wake-up;
+        Only valid immediately after a :meth:`step` that issued nothing.
+        That step's scheduler walks reached every armed warp, so an armed
+        warp of a schedulable CTA is a READY warp held back by a structural
+        gate (or a fault-pinned warp, which stays armed whatever its
+        status); a READY warp that is not structurally blocked would
+        contradict the zero-issue premise.  Every other unfinished warp of
+        a schedulable CTA was parked under a status whose cached horizon
+        is still in the future, and is counted in its CTA's ``parked``
+        (see :meth:`_park`), so the blocked warps are classified by CTA,
+        not walked.  Returning too-early cycles wastes a wake-up;
         returning too-late cycles would skip a live cycle and break the
         byte-identical-stats guarantee.
         """
@@ -399,7 +444,8 @@ class SMCore:
         any_swap = False
         any_resident = False
         for cta in manager.resident:
-            if cta.state in (CTAState.SWAP_OUT, CTAState.SWAP_IN):
+            state = cta.state
+            if state is SWAP_OUT or state is SWAP_IN:
                 any_swap = True
             if now < cta.start_cycle:
                 # Seated but still inside the dispatcher latency: nothing
@@ -407,10 +453,29 @@ class SMCore:
                 if cta.start_cycle < event:
                     event = cta.start_cycle
                 continue
-            if not manager.is_schedulable(cta, now):
+            if state is not ACTIVE:
                 # INACTIVE/SWAP_* CTAs wake through the manager's horizon.
                 continue
-            for warp in cta.warps:
+            _ready, mem, alu, barrier = cta.parked
+            if mem or alu or barrier:
+                any_resident = True
+                n_mem += mem
+                n_alu += alu
+                n_barrier += barrier
+                # Scoreboard release or barrier wake; warps parked *at* a
+                # barrier carry a _FOREVER horizon (they only move when
+                # another warp issues).
+                until = cta.park_min
+                if until < 0:
+                    until = cta.park_min = min(
+                        w.status_until for w in cta.warps if w.parked)
+                if until < event:
+                    event = until
+        for scheduler in self.schedulers:
+            for warp in scheduler.ready:
+                cta = warp.cta
+                if cta.state is not ACTIVE or now < cta.start_cycle:
+                    continue
                 status = self._status(now, warp)
                 if status == ST_FINISHED:
                     continue
@@ -428,9 +493,6 @@ class SMCore:
                     else:
                         n_barrier += 1
                     if warp.status_until < event:
-                        # ST_MEM/ST_ALU scoreboard release or barrier wake;
-                        # warps parked *at* a barrier carry a _FOREVER
-                        # horizon (they only move when another warp issues).
                         event = warp.status_until
         if not any_resident:
             kind = "swap" if any_swap else "empty"
@@ -454,7 +516,9 @@ class SMCore:
         ``_scan_cycle`` (every later cycle was bulk-credited), so
         re-running the scan *as of that cycle* against the now-exact
         scoreboard/MSHR values reproduces exactly what the serial engine's
-        scan computed there."""
+        scan computed there.  The patch re-armed every warp whose cached
+        status it invalidated, so the scan's armed-warp pass evaluates
+        them afresh; the warps it did not touch keep valid counts."""
         kind, event = self._dead_scan(self._scan_cycle)
         self._idle_kind = kind
         self.next_wake = event
@@ -463,16 +527,16 @@ class SMCore:
         """When a READY-but-unissued warp's structural hazard clears."""
         instr = warp.cta.kernel.instrs[warp.pc]
         op_class = instr.info.op_class
-        if op_class is OpClass.MEM_GLOBAL:
+        if op_class is _MEM_GLOBAL:
             wake = self._ldst_free
-            if not instr.is_store:
+            if not instr.info.is_store:
                 mshr_free = self.l1.earliest_mshr_free(now)
                 if mshr_free > wake:
                     wake = mshr_free
             return max(wake, now + 1)
-        if op_class is OpClass.MEM_SHARED:
+        if op_class is _MEM_SHARED:
             return max(self._smem_free, now + 1)
-        if op_class is OpClass.SFU:
+        if op_class is _SFU:
             return max(self._sfu_free, now + 1)
         return now + 1  # pragma: no cover - a hazard-free READY warp issues
 

@@ -72,6 +72,8 @@ class Warp:
         "live_mask",
         "regs",
         "stack",
+        "pc",
+        "finished",
         "exited",
         "at_barrier",
         "barrier_wake",
@@ -83,6 +85,7 @@ class Warp:
         "sched",
         "age",
         "armed",
+        "parked",
     )
 
     def __init__(self, cta, local_wid: int, regs_per_thread: int, live_lanes: int, warp_size: int):
@@ -92,6 +95,11 @@ class Warp:
         self.live_mask = (1 << live_lanes) - 1 if live_lanes < warp_size else FULL_MASK
         self.regs = np.zeros((regs_per_thread, 32), dtype=np.float64)
         self.stack: list[StackEntry] = [StackEntry(None, 0, self.live_mask)]
+        # The top entry's pc and "stack empty", stored rather than derived:
+        # the issue path reads them several times per instruction.  Every
+        # stack transition settles in _cleanup, which refreshes both.
+        self.pc: int | None = 0
+        self.finished = False
         self.exited = (~self.live_mask) & FULL_MASK
         self.at_barrier = False
         self.barrier_wake = 0
@@ -106,16 +114,12 @@ class Warp:
         self.sched = None
         self.age = 0
         self.armed = False
+        # Status this warp was parked under while out of the ready set
+        # (ST_MEM/ST_ALU/ST_BARRIER, counted in its CTA's ``parked``), or
+        # 0 when it is armed or parked uncounted (see SMCore._park).
+        self.parked = 0
 
     # -- derived state --------------------------------------------------------
-
-    @property
-    def finished(self) -> bool:
-        return not self.stack
-
-    @property
-    def pc(self) -> int:
-        return self.stack[-1].pc
 
     def active_mask(self) -> int:
         return self.stack[-1].mask & ~self.exited & FULL_MASK
@@ -126,16 +130,21 @@ class Warp:
     # -- SIMT stack transitions ------------------------------------------------
 
     def _cleanup(self) -> None:
-        """Pop exhausted/reconverged entries until the top is runnable."""
-        while self.stack:
-            top = self.stack[-1]
+        """Pop exhausted/reconverged entries until the top is runnable, then
+        refresh the stored ``pc``/``finished`` (None/True once empty)."""
+        stack = self.stack
+        while stack:
+            top = stack[-1]
             if (top.mask & ~self.exited & FULL_MASK) == 0:
-                self.stack.pop()
+                stack.pop()
                 continue
             if top.rpc is not None and top.rpc != EXIT_PC and top.pc == top.rpc:
-                self.stack.pop()
+                stack.pop()
                 continue
-            break
+            self.pc = top.pc
+            return
+        self.pc = None
+        self.finished = True
 
     def advance(self) -> None:
         """Fall through to the next instruction, reconverging if reached."""

@@ -1,6 +1,8 @@
 """Set-associative cache, LRU, MSHR merging, L1 policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cache import L1Cache, SetAssocCache
 from repro.sim.config import GPUConfig
@@ -99,6 +101,40 @@ def test_l1_mshr_capacity():
     assert l1.earliest_mshr_free(0) == lower.delta
     # After fills return, MSHRs free up.
     assert l1.mshr_available(lower.delta + 1)
+
+
+_mshr_ops = st.lists(
+    st.one_of(
+        # (re-)record a fill: a new line, or a correction of an in-flight
+        # one to an earlier or later completion (the parallel engine's patch)
+        st.tuples(st.just("fill"), st.integers(0, 5), st.integers(1, 40)),
+        st.tuples(st.just("tick"), st.integers(0, 15)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mshr_ops, st.integers(1, 4))
+def test_earliest_mshr_free_matches_pending_scan(ops, mshrs):
+    """The completion-heap read equals the dict scan it replaced,
+    ``now`` if an MSHR is free else ``min(pending.values())``, over random
+    fill/correct/retire sequences (stale heap pairs included)."""
+    l1, _lower, _cfg = make_l1(l1_mshrs=mshrs)
+    model: dict[int, int] = {}
+    now = 0
+    for op in ops:
+        if op[0] == "fill":
+            line, delay = op[1] * 128, op[2]
+            l1.set_fill(line, now + delay)
+            model[line] = now + delay
+        else:
+            now += op[1]
+        model = {line: done for line, done in model.items() if done > now}
+        want = now if len(model) < mshrs else min(model.values())
+        assert l1.earliest_mshr_free(now) == want
+        assert l1.pending == model
+        assert l1.mshr_available(now) == (len(model) < mshrs)
 
 
 def test_l1_write_through_no_allocate():

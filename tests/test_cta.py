@@ -44,6 +44,21 @@ def test_special_registers_1d():
     assert list(w1.sregs[SpecialReg.LANEID][:3]) == [0, 1, 2]
 
 
+def test_uniform_special_registers_are_shared_read_only():
+    """CTAID/NTID/NCTAID/PARAM rows are built once per CTA and shared by
+    its warps, so a write through one must raise rather than leak into
+    the other warps; per-warp ids stay private."""
+    cta = make_cta()
+    w0, w1 = cta.warps[0], cta.warps[1]
+    for kind in (SpecialReg.CTAID_X, SpecialReg.NTID_Y, SpecialReg.NCTAID_Z,
+                 SpecialReg.PARAM0, SpecialReg.PARAM7):
+        assert w0.sregs[kind] is w1.sregs[kind]
+        with pytest.raises(ValueError):
+            w1.sregs[kind][0] = 5.0
+    for kind in (SpecialReg.TID_X, SpecialReg.LANEID, SpecialReg.WARPID):
+        assert w0.sregs[kind] is not w1.sregs[kind]
+
+
 def test_special_registers_2d():
     cta = make_cta(make_kernel(dims=(16, 16, 1)))
     w0 = cta.warps[0]

@@ -22,6 +22,7 @@ import pytest
 from repro.kernels import all_benchmarks, get
 from repro.sim import parallel
 from repro.sim.config import scaled_fermi
+from repro.sim.cta import CTAState
 from repro.sim.gpu import GPU, ProgressDeadlock, SimulationTimeout
 
 BENCHES = all_benchmarks()
@@ -189,3 +190,36 @@ def test_epoch_patch_leaves_no_sentinel_heap_entries(monkeypatch):
     GPU(cfg).launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
     assert seen["patches"] > 10 and seen["sentinel_parks"] > 0
     assert seen["wake_max"] <= cfg.max_warps_per_sm
+
+
+def test_cta_swapped_out_inside_tainted_epoch(monkeypatch):
+    """A VT CTA that goes INACTIVE while its loads' completions are still
+    deferred can memoise its activation cycle from sentinel values; the
+    epoch patch must drop that memo so the exact values decide when the
+    CTA is ready again, and the run must stay byte-identical to serial."""
+    seen = {"memoised": 0}
+    patch_core = parallel._Shard._patch_core
+
+    def checked_patch(self, core, actuals):
+        swapped = {
+            warp.cta for warp, _dst, _cycle, completions in core.defer.groups
+            if warp.cta.state is CTAState.INACTIVE
+            and any(c >= parallel.SENTINEL_BASE for c in completions)}
+        seen["memoised"] += sum(cta.activation_at is not None for cta in swapped)
+        patch_core(self, core, actuals)
+        for cta in swapped:
+            assert cta.activation_at is None, cta
+
+    monkeypatch.setattr(parallel._Shard, "_patch_core", checked_patch)
+    bench = get("hotspot")
+    results = {}
+    for engine in ("serial", "parallel"):
+        prep = bench.prepare(0.5)
+        cfg = scaled_fermi(num_sms=2, arch="vt", engine=engine, sim_jobs=1)
+        results[engine] = GPU(cfg).launch(bench.kernel, prep.grid_dim,
+                                          prep.gmem, prep.params)
+    assert seen["memoised"] > 0, "no CTA went INACTIVE inside a tainted epoch"
+    assert (results["parallel"].stats.to_dict()
+            == results["serial"].stats.to_dict())
+    assert np.array_equal(results["parallel"].gmem.data,
+                          results["serial"].gmem.data)

@@ -6,10 +6,10 @@ import pytest
 
 from repro.kernels import get
 from repro.sim.config import scaled_fermi
-from repro.sim.cta import CTAState
+from repro.sim.cta import FOREVER, CTAState
 from repro.sim.gpu import GPU
 from repro.sim.sanitizer import InvariantViolation, Sanitizer
-from repro.sim.smcore import SMCore
+from repro.sim.smcore import ST_MEM, SMCore
 
 
 def _run(bench_name: str, arch: str, scale: float = 0.25, **overrides):
@@ -220,6 +220,78 @@ def test_detects_active_count_drift():
 
     exc = _launch_corrupted(corrupt, arch="vt", bench_name="stride")
     assert exc.invariant == "active-count"
+
+
+def _check_corrupted(monkeypatch, corruption, arch="vt", bench_name="stride"):
+    """Like :func:`_launch_corrupted`, but the corruption lands between a
+    step and its invariant check, so the step cannot repair a stored
+    value before the sanitizer sees it."""
+    bench = get(bench_name)
+    prep = bench.prepare(0.25)
+    gpu = GPU(scaled_fermi(num_sms=1, arch=arch, sanitize=True))
+    original = Sanitizer.check_sm
+    fired = []
+
+    def corrupting_check(self, sm, now):
+        if now >= 200 and not fired and corruption(sm) is not False:
+            fired.append(now)
+        original(self, sm, now)
+
+    monkeypatch.setattr(Sanitizer, "check_sm", corrupting_check)
+    with pytest.raises(InvariantViolation) as excinfo:
+        gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
+    assert fired, "corruption hook never ran; test is vacuous"
+    assert excinfo.value.cycle == fired[0]
+    return excinfo.value
+
+
+def _parked_cta(sm):
+    """A resident CTA with a warp counted as parked, or None."""
+    return next((cta for cta in sm.manager.resident if any(cta.parked)), None)
+
+
+def test_detects_parked_count_drift(monkeypatch):
+    """The per-CTA parked counts the dead scan classifies idle cycles by
+    must equal a recount of the warps outside the ready set."""
+    def corrupt(sm):
+        cta = _parked_cta(sm)
+        if cta is None:
+            return False
+        cta.parked[ST_MEM] += 1
+        return None
+
+    exc = _check_corrupted(monkeypatch, corrupt)
+    assert exc.invariant == "parked-count"
+    assert "recount" in str(exc)
+
+
+def test_detects_stale_park_horizon(monkeypatch):
+    """A kept park horizon later than the earliest counted wake-up would
+    let the fast-forward engine sleep through a live cycle."""
+    def corrupt(sm):
+        cta = _parked_cta(sm)
+        if cta is None or cta.park_min == -1:
+            return False
+        cta.park_min = FOREVER - 1
+        return None
+
+    exc = _check_corrupted(monkeypatch, corrupt)
+    assert exc.invariant == "parked-count"
+    assert "park horizon" in str(exc)
+
+
+def test_detects_stale_activation_memo(monkeypatch):
+    """An INACTIVE CTA's memoised activation cycle must equal a recount
+    over its warps' outstanding loads."""
+    def corrupt(sm):
+        for cta in sm.manager.resident:
+            if cta.state is CTAState.INACTIVE and cta.activation_at is not None:
+                cta.activation_at = FOREVER - 1
+                return None
+        return False
+
+    exc = _check_corrupted(monkeypatch, corrupt, bench_name="hotspot")
+    assert exc.invariant == "activation-memo"
 
 
 def test_violation_is_structured():

@@ -11,11 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa.cfg import EXIT_PC
 from repro.isa.kernel import KernelBuilder
 from repro.sim.cta import CTA
 from repro.sim.config import GPUConfig
 from repro.sim.exec import functional_step
 from repro.sim.memory import GlobalMemory
+from repro.sim.warp import Warp
 
 
 def build_program(choices):
@@ -80,6 +82,7 @@ def simt_exec(kernel):
     while not warp.finished:
         instr = kernel.instrs[warp.pc]
         functional_step(warp, instr, gmem)
+        assert_stored_state_matches_stack(warp)
         steps += 1
         assert steps < 10000, "runaway program"
     return warp.regs[1].copy()
@@ -99,3 +102,46 @@ def test_simt_matches_per_thread_reference(choices):
     got = simt_exec(kernel)
     want = reference_exec(choices)
     assert np.array_equal(got, want), (choices, got, want)
+
+
+def assert_stored_state_matches_stack(warp):
+    """``Warp.pc``/``finished`` are stored fields refreshed on every
+    SIMT-stack transition; they must equal what the stack says."""
+    assert warp.finished == (not warp.stack)
+    assert warp.pc == (warp.stack[-1].pc if warp.stack else None)
+
+
+_transitions = st.lists(
+    st.tuples(
+        st.sampled_from(["advance", "uniform", "divergent", "exit"]),
+        st.integers(0, 20),  # branch target
+        st.integers(0, (1 << 32) - 1),  # taken-lane draw
+        st.one_of(st.integers(0, 20), st.just(EXIT_PC)),  # reconvergence pc
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 32), _transitions)
+def test_stored_pc_and_finished_follow_every_transition(live_lanes, ops):
+    """Random advance/branch/diverge/exit sequences straight on the stack,
+    including reconvergence pops and exits that pop to the other side."""
+    warp = Warp(None, 0, 4, live_lanes, 32)
+    assert_stored_state_matches_stack(warp)
+    for kind, target, draw, reconv in ops:
+        if warp.finished:
+            break
+        if kind == "advance":
+            warp.advance()
+        elif kind == "uniform":
+            warp.branch_uniform(target)
+        elif kind == "exit":
+            warp.do_exit()
+        else:
+            active = warp.active_mask()
+            taken = draw & active
+            if taken in (0, active):
+                continue  # not a divergence (the executor's uniform cases)
+            warp.branch_divergent(taken, target, reconv)
+        assert_stored_state_matches_stack(warp)
