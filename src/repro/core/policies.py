@@ -13,6 +13,13 @@ space offers:
 
 Policies are pure functions over warp-status summaries so they can be
 unit-tested without a simulator.
+
+A trigger walk reads a warp's cached status inline while it is valid at
+``now`` (``now < warp.status_until``) and calls ``warp_status`` only when
+that would recompute it: the same statuses, evaluated at the same points,
+without a call per warp.  The reads must not be replaced by fresh
+evaluations: when a status is first evaluated decides its MEM/ALU label
+(docs/ARCHITECTURE.md, "When a status is first evaluated matters").
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from __future__ import annotations
 from repro.sim.smcore import ST_ALU, ST_BARRIER, ST_FINISHED, ST_MEM, ST_READY
 
 
-def cta_stall_profile(cta, warp_status) -> tuple[int, int, int]:
-    """(#mem-stalled, #otherwise-unfinished, #unfinished) for a CTA.
+def cta_stall_profile(cta, warp_status, now: int) -> tuple[int, int, int]:
+    """(#mem-stalled, #otherwise-unfinished, #unfinished) for a CTA at
+    ``now``.
 
     ``warp_status`` maps a warp to its status code.  Warps parked at a
     barrier count as mem-stalled *followers*: they cannot run until the
@@ -29,7 +37,10 @@ def cta_stall_profile(cta, warp_status) -> tuple[int, int, int]:
     """
     mem = other = unfinished = 0
     for warp in cta.warps:
-        status = warp_status(warp)
+        if now < warp.status_until:
+            status = warp.cached_status
+        else:
+            status = warp_status(warp)
         if status == ST_FINISHED:
             continue
         unfinished += 1
@@ -40,8 +51,15 @@ def cta_stall_profile(cta, warp_status) -> tuple[int, int, int]:
     return mem, other, unfinished
 
 
-def _has_true_mem_stall(cta, warp_status) -> bool:
-    return any(warp_status(w) == ST_MEM for w in cta.warps)
+def _has_true_mem_stall(cta, warp_status, now: int) -> bool:
+    for warp in cta.warps:
+        if now < warp.status_until:
+            status = warp.cached_status
+        else:
+            status = warp_status(warp)
+        if status == ST_MEM:
+            return True
+    return False
 
 
 def trigger_all_stalled(cta, warp_status, now: int, cfg) -> bool:
@@ -52,7 +70,10 @@ def trigger_all_stalled(cta, warp_status, now: int, cfg) -> bool:
     has one, and the answer is then known without the full profile."""
     any_mem = False
     for warp in cta.warps:
-        status = warp_status(warp)
+        if now < warp.status_until:
+            status = warp.cached_status
+        else:
+            status = warp_status(warp)
         if status == ST_MEM:
             any_mem = True
         elif status == ST_READY or status == ST_ALU:
@@ -66,8 +87,9 @@ def trigger_majority_stalled(cta, warp_status, now: int, cfg) -> bool:
     More eager — swaps away CTAs that still have runnable warps, trading
     issue opportunities for earlier reactivation of fresh CTAs.
     """
-    mem, other, unfinished = cta_stall_profile(cta, warp_status)
-    return unfinished > 0 and mem * 2 > unfinished and _has_true_mem_stall(cta, warp_status)
+    mem, other, unfinished = cta_stall_profile(cta, warp_status, now)
+    return (unfinished > 0 and mem * 2 > unfinished
+            and _has_true_mem_stall(cta, warp_status, now))
 
 
 def trigger_timeout(cta, warp_status, now: int, cfg) -> bool:

@@ -23,7 +23,7 @@ flight at a time, with save and restore phases serialized.
 from __future__ import annotations
 
 from repro.core.policies import SELECT_POLICIES, TRIGGER_POLICIES
-from repro.sim.cta import ACTIVE, CTA, INACTIVE, CTAState
+from repro.sim.cta import ACTIVE, CTA, INACTIVE, SWAP_IN, SWAP_OUT, CTAState
 from repro.sim.ctamanager import FOREVER, CTAManagerBase
 from repro.sim.schedulers import arm_cta
 
@@ -112,6 +112,8 @@ class VirtualThreadManager(CTAManagerBase):
             return self._swap_phase_end
         event = FOREVER
         timeout_trigger = self.cfg.vt_trigger_policy == "timeout"
+        if not (self.inactive_cta_count or timeout_trigger):
+            return event
         timeout = self.cfg.vt_trigger_timeout
         for cta in self.resident:
             if cta.state is INACTIVE:
@@ -192,8 +194,8 @@ class VirtualThreadManager(CTAManagerBase):
     def _fill_empty_active_slots(self, now: int) -> None:
         """Promote a ready inactive CTA when an active slot is free (a CTA
         retired, or startup left slots empty)."""
-        if not self.resident:
-            return
+        if not self.inactive_cta_count:
+            return  # no candidate; this evaluates no warp status either
         limit = self.active_limit(self.resident[0].kernel)
         if self.active_cta_count >= limit:
             return
@@ -248,18 +250,19 @@ class VirtualThreadManager(CTAManagerBase):
             raise AssertionError("shared memory over capacity")
         if self.resident:
             limit = self.active_limit(self.resident[0].kernel)
-            active_like = sum(
-                1 for c in self.resident
-                if c.state in (CTAState.ACTIVE, CTAState.SWAP_OUT, CTAState.SWAP_IN)
-            )
+            active_like = active_warps = 0
+            for c in self.resident:
+                state = c.state
+                if state is ACTIVE:
+                    active_like += 1
+                    active_warps += c.num_warps
+                elif state is SWAP_OUT or state is SWAP_IN:
+                    active_like += 1
             if active_like > limit + 1:
                 # +1: during a switch the victim (draining) and incoming
                 # (restoring) briefly coexist, as in the hardware proposal.
                 raise AssertionError(
                     f"{active_like} CTAs hold scheduling structures, limit {limit}"
                 )
-            active_warps = sum(
-                c.num_warps for c in self.resident if c.state is CTAState.ACTIVE
-            )
             if active_warps > cfg.max_warps_per_sm:
                 raise AssertionError("active warps exceed warp slots")

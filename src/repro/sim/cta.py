@@ -41,6 +41,7 @@ ACTIVE = CTAState.ACTIVE
 INACTIVE = CTAState.INACTIVE
 SWAP_OUT = CTAState.SWAP_OUT
 SWAP_IN = CTAState.SWAP_IN
+FINISHED = CTAState.FINISHED
 
 
 class CTA:
@@ -80,6 +81,9 @@ class CTA:
             warp = Warp(self, w, kernel.regs_per_thread, live, warp_size)
             warp.sregs = self._special_regs(uniform, w, kernel)
             self.warps.append(warp)
+        # Unfinished warps, counted down by the SM core as each one exits
+        # (see SMCore._issue) rather than recounted per occupancy sample.
+        self.live_warps = num_warps
 
     @staticmethod
     def _uniform_special_regs(ctaid, kernel, grid_dim, params) -> dict:

@@ -10,7 +10,7 @@ manager lives with the paper's contribution in :mod:`repro.core.vt`.
 
 from __future__ import annotations
 
-from repro.sim.cta import ACTIVE, CTA, FOREVER, CTAState
+from repro.sim.cta import ACTIVE, CTA, FOREVER, INACTIVE, CTAState
 
 
 class ResourceAccounting:
@@ -62,9 +62,10 @@ class CTAManagerBase:
         self.stats = stats
         self.resources = ResourceAccounting(cfg)
         self.resident: list[CTA] = []
-        # Resident CTAs in state ACTIVE, kept on every state transition
-        # (:meth:`_set_state`) rather than recounted per cycle.
+        # Resident CTAs in state ACTIVE and INACTIVE, kept on every state
+        # transition (:meth:`_set_state`) rather than recounted per cycle.
         self.active_cta_count = 0
+        self.inactive_cta_count = 0
         self.faults = None  # optional FaultPlan, attached by the SM core
         self.sm_id = -1  # set by the owning SM core
 
@@ -112,29 +113,31 @@ class CTAManagerBase:
 
     def _set_state(self, cta: CTA, state: CTAState) -> None:
         """Move a resident CTA to ``state``, keeping ``active_cta_count``
-        (and dropping the CTA's activation-readiness memo when it turns
-        INACTIVE: the memo is taken on the first query after that)."""
-        if cta.state is ACTIVE:
+        and ``inactive_cta_count`` (and dropping the CTA's
+        activation-readiness memo when it turns INACTIVE: the memo is taken
+        on the first query after that)."""
+        prev = cta.state
+        if prev is ACTIVE:
             self.active_cta_count -= 1
+        elif prev is INACTIVE:
+            self.inactive_cta_count -= 1
         if state is ACTIVE:
             self.active_cta_count += 1
-        elif state is CTAState.INACTIVE:
+        elif state is INACTIVE:
+            self.inactive_cta_count += 1
             cta.activation_at = None
         cta.state = state
 
     # -- occupancy reporting ---------------------------------------------------
 
+    # Sums of the CTAs' stored ``live_warps`` counts (kept by the SM core).
+
     def schedulable_warp_count(self, now: int) -> int:
-        return sum(
-            1
-            for cta in self.resident
-            if cta.state is ACTIVE and now >= cta.start_cycle
-            for w in cta.warps
-            if not w.finished
-        )
+        return sum(cta.live_warps for cta in self.resident
+                   if cta.state is ACTIVE and now >= cta.start_cycle)
 
     def resident_warp_count(self) -> int:
-        return sum(1 for cta in self.resident for w in cta.warps if not w.finished)
+        return sum(cta.live_warps for cta in self.resident)
 
 
 class BaselineManager(CTAManagerBase):

@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 
 from repro.isa.kernel import Kernel
 from repro.sim.config import ArchMode, GPUConfig
-from repro.sim.cta import CTA
+from repro.sim.cta import CTA, FOREVER
 from repro.sim.memory import GlobalMemory
 from repro.sim.memsys import MemoryModel
 from repro.sim.sanitizer import Sanitizer, diagnostic_dump
@@ -186,8 +186,12 @@ class GPU:
         ]
         for sm in sms:
             sm.gmem = gmem
+            sm.accepting = sm.manager.can_accept(kernel)
 
         progress = ProgressTracker(cfg.progress_window)
+        # ProgressTracker.deadlocked, inlined: more than ``stall_window``
+        # cycles since the last progress (never with the watchdog off).
+        stall_window = progress.window if progress.window > 0 else FOREVER
         # The fast-forward engine lets SMs sleep through provably-dead
         # (frozen) cycles, so the sanitizer runs on it; fault plans and
         # tracers observe individual cycles and pin the reference path.
@@ -247,7 +251,7 @@ class GPU:
                     # One CTA per cycle, always packed into the
                     # lowest-numbered SM with room.
                     for sm in sms:
-                        if sm.manager.can_accept(kernel):
+                        if sm.accepting:
                             seat(sm, next_cta)
                             next_cta += 1
                             dispatched = True
@@ -262,7 +266,7 @@ class GPU:
                         if next_cta >= total_ctas:
                             break
                         sm = sms[(start + i) % num_sms]
-                        if sm.manager.can_accept(kernel):
+                        if sm.accepting:
                             seat(sm, next_cta)
                             next_cta += 1
                             dispatched = True
@@ -283,12 +287,17 @@ class GPU:
                     sm.fast_forward(credited[i], now)
                 issued += sm.step(now)
                 credited[i] = now + 1
-                if vt_mode and sm.manager.swap_in_flight() != swapping[i]:
-                    swapping[i] = not swapping[i]
-                    swaps += 1 if swapping[i] else -1
+                if vt_mode:
+                    # VirtualThreadManager.swap_in_flight, inlined.
+                    manager = sm.manager
+                    busy = (manager._swap_victim is not None
+                            or manager._swap_incoming is not None)
+                    if busy != swapping[i]:
+                        swapping[i] = busy
+                        swaps += 1 if busy else -1
                 if sm.mem_horizon > horizon:
                     horizon = sm.mem_horizon
-                if sm.idle:
+                if not sm.live_ctas:
                     due[i] = None
                     live -= 1
                 else:
@@ -315,7 +324,7 @@ class GPU:
             # Advance to the next cycle anything can happen: the earliest
             # due SM, unless a CTA can be dispatched next cycle.  Capped at
             # the watchdog deadline and the hard cycle budget so both fire
-            # at reference-exact cycles.  (can_accept only changes on
+            # at reference-exact cycles.  (``accepting`` only changes on
             # assign/finish, i.e. in a step, so it is fixed until then.)
             target = now + 1
             if fast_forward:
@@ -328,14 +337,14 @@ class GPU:
                         target = deadline
                 if target > now + 1:
                     if next_cta < total_ctas and any(
-                            sm.manager.can_accept(kernel) for sm in sms):
+                            sm.accepting for sm in sms):
                         target = now + 1
                     else:
                         progress.observe_span(now + 1, target, swaps > 0)
                         if next_cta < total_ctas and not fill_first:
                             rr_offset = (rr_offset + target - now - 1) % num_sms
             now = target
-            if progress.deadlocked(now):
+            if now - progress.last_progress > stall_window:
                 reason = (
                     f"kernel {kernel.name!r} made no forward progress for "
                     f"{progress.stalled_cycles(now)} cycles "

@@ -45,25 +45,23 @@ Invariants checked every stepped cycle:
 7. **Stored horizons** — the facts the issue path keeps at events instead
    of re-deriving equal a recount: each CTA's ``parked`` counts and
    ``park_min`` (every unfinished warp outside the ready set of a
-   schedulable CTA is counted under its still-valid cached status), and a
-   VT CTA's memoised activation cycle while it is INACTIVE.
+   schedulable CTA is counted under its still-valid cached status), a
+   VT CTA's memoised activation cycle while it is INACTIVE, each CTA's
+   ``live_warps``, the manager's ``inactive_cta_count``, and the SM's
+   dispatch flag (``accepting``, against ``can_accept``).
 """
 
 from __future__ import annotations
 
-from repro.sim.cta import CTAState
-from repro.sim.ctamanager import FOREVER
+from repro.sim.cta import (
+    ACTIVE, FINISHED, FOREVER, INACTIVE, SWAP_IN, SWAP_OUT, CTAState)
 
-#: Legal VT lifecycle edges (self-loops are implicit).
-_LEGAL_EDGES = {
-    CTAState.ACTIVE: {CTAState.ACTIVE, CTAState.SWAP_OUT},
-    CTAState.SWAP_OUT: {CTAState.SWAP_OUT, CTAState.INACTIVE},
-    CTAState.INACTIVE: {CTAState.INACTIVE, CTAState.SWAP_IN},
-    CTAState.SWAP_IN: {CTAState.SWAP_IN, CTAState.ACTIVE},
-}
-
-#: States a CTA may first be observed in (set by ``on_assign``).
-_LEGAL_INITIAL = {CTAState.ACTIVE, CTAState.INACTIVE}
+#: Legal VT lifecycle edges besides the implicit self-loops, as pairs
+#: compared by identity: an Enum member hashes through a Python-level
+#: ``__hash__``, which a per-cycle set lookup would pay per CTA.  A CTA
+#: is first observed ACTIVE or INACTIVE (set by ``on_assign``).
+_LEGAL_STEPS = ((ACTIVE, SWAP_OUT), (SWAP_OUT, INACTIVE),
+                (INACTIVE, SWAP_IN), (SWAP_IN, ACTIVE))
 
 
 class InvariantViolation(RuntimeError):
@@ -90,8 +88,8 @@ class Sanitizer:
     def __init__(self, cfg):
         self.cfg = cfg
         self.checks = 0
-        # (sm_id, cta_id) -> last observed CTAState, for edge legality.
-        self._last_state: dict[tuple[int, int], CTAState] = {}
+        # Resident CTA -> last observed CTAState, for edge legality.
+        self._last_state: dict[object, CTAState] = {}
         # The launch's kernel and its execution cross-check facts (kept in
         # the kernel's analysis context), held so the per-instruction check
         # skips the lookup: a launch runs one kernel.
@@ -108,76 +106,175 @@ class Sanitizer:
     # -- per-cycle check ---------------------------------------------------
 
     def check_sm(self, sm, now: int) -> None:
-        """Validate every invariant on one SM; called from ``SMCore.step``."""
+        """Validate every invariant on one SM; called from ``SMCore.step``.
+
+        One walk over the resident CTAs and their warps gathers the sums
+        and the first breach of each per-CTA and per-warp invariant; the
+        checks are then reported in the order of the module docstring, so
+        when several invariants break at once the first of them in that
+        order is the one raised."""
         self.checks += 1
         cfg = self.cfg
         manager = sm.manager
         res = manager.resources
         resident = manager.resident
+        sm_id = sm.sm_id
+        bound = now + cfg.max_pending_latency
+        victim = getattr(manager, "_swap_victim", None)
+        incoming = getattr(manager, "_swap_incoming", None)
+        last_state = self._last_state
+
+        expected_regs = expected_smem = expected_warps = expected_threads = 0
+        n_active = n_inactive = active_like = active_warps = 0
+        # The first breach of each per-CTA or per-warp invariant, as its
+        # message (``state_breach`` also names its invariant: it covers two).
+        late_load = state_breach = park_breach = memo_breach = None
+        live_breach = None
+        kernel = footprint = None
+        for cta in resident:
+            if cta.kernel is not kernel:
+                kernel = cta.kernel
+                threads = kernel.threads_per_cta
+                footprint = (kernel.regs_per_thread * threads, kernel.smem_bytes,
+                             kernel.warps_per_cta(cfg.warp_size), threads)
+            expected_regs += footprint[0]
+            expected_smem += footprint[1]
+            expected_warps += footprint[2]
+            expected_threads += footprint[3]
+
+            state = cta.state
+            if state is ACTIVE:
+                n_active += 1
+                active_like += 1
+                active_warps += len(cta.warps)
+            elif state is INACTIVE:
+                n_inactive += 1
+            elif state is SWAP_OUT or state is SWAP_IN:
+                active_like += 1
+            # A CTA still ACTIVE or INACTIVE since the last check took a
+            # legal self-loop and cannot be an orphaned swap state.
+            if state_breach is None and not (
+                    (state is ACTIVE or state is INACTIVE)
+                    and last_state.get(cta) is state):
+                state_breach = self._state_breach(cta, state, victim,
+                                                  incoming, last_state)
+
+            schedulable = state is ACTIVE and now >= cta.start_cycle
+            memo = cta.activation_at if state is INACTIVE else None
+            counted = [0, 0, 0, 0]
+            horizon = fresh = FOREVER
+            live = 0
+            for warp in cta.warps:
+                pending = warp.scoreboard.mem_pending_until()
+                if pending > bound and late_load is None:
+                    late_load = (
+                        f"cta {cta.cta_id} warp {warp.local_wid} waits on a load "
+                        f"completing at cycle {pending}, more than "
+                        f"max_pending_latency={cfg.max_pending_latency} ahead")
+                finished = warp.finished
+                if not finished:
+                    live += 1
+                    if pending < fresh and not warp.at_barrier:
+                        fresh = pending
+                parked = warp.parked
+                if parked:
+                    counted[parked] += 1
+                    if warp.status_until < horizon:
+                        horizon = warp.status_until
+                if park_breach is None:
+                    if parked:
+                        if warp.armed or warp.status_until <= now:
+                            park_breach = (
+                                f"cta {cta.cta_id} warp {warp.local_wid} is counted "
+                                "as parked but is armed or past its wake cycle")
+                        elif schedulable and parked != warp.cached_status:
+                            park_breach = (
+                                f"cta {cta.cta_id} warp {warp.local_wid} is counted "
+                                f"under status {parked}, cached {warp.cached_status}")
+                    elif schedulable and not (warp.armed or finished):
+                        park_breach = (
+                            f"cta {cta.cta_id} warp {warp.local_wid} left the ready "
+                            "set uncounted")
+            if park_breach is None:
+                if counted != cta.parked:
+                    park_breach = (f"cta {cta.cta_id} counts parked warps "
+                                   f"{cta.parked}, a recount finds {counted}")
+                elif cta.park_min != -1 and cta.park_min != horizon:
+                    park_breach = (f"cta {cta.cta_id} keeps park horizon "
+                                   f"{_cycle_str(cta.park_min)}, a recount finds "
+                                   f"{_cycle_str(horizon)}")
+            if memo is not None and memo != fresh and memo_breach is None:
+                memo_breach = (f"inactive cta {cta.cta_id} memoises activation at "
+                               f"cycle {_cycle_str(memo)}, a recount finds "
+                               f"{_cycle_str(fresh)}")
+            if live != cta.live_warps and live_breach is None:
+                live_breach = (f"cta {cta.cta_id} counts {cta.live_warps} live "
+                               f"warps, a recount finds {live}")
 
         # 1. capacity conservation -----------------------------------------
-        expected_regs = expected_smem = expected_warps = expected_threads = 0
-        for cta in resident:
-            expected_regs += cta.regs_needed
-            expected_smem += cta.smem_needed
-            expected_warps += cta.kernel.warps_per_cta(cfg.warp_size)
-            expected_threads += cta.kernel.threads_per_cta
         if res.regs_used != expected_regs or res.smem_used != expected_smem:
             self._fail(
                 "capacity-accounting",
                 f"accounts (regs={res.regs_used}, smem={res.smem_used}) disagree "
                 f"with resident CTAs (regs={expected_regs}, smem={expected_smem})",
-                sm.sm_id, now, resource="registers/shared-memory")
+                sm_id, now, resource="registers/shared-memory")
         if res.warps_used != expected_warps or res.threads_used != expected_threads:
             self._fail(
                 "slot-accounting",
                 f"accounts (warps={res.warps_used}, threads={res.threads_used}) "
                 f"disagree with resident CTAs (warps={expected_warps}, "
                 f"threads={expected_threads})",
-                sm.sm_id, now, resource="warp/thread slots")
+                sm_id, now, resource="warp/thread slots")
         if res.regs_used < 0 or res.smem_used < 0 or res.warps_used < 0 or res.threads_used < 0:
             self._fail("capacity-underflow", "a resource account went negative",
-                       sm.sm_id, now)
+                       sm_id, now)
         if res.regs_used > cfg.registers_per_sm:
             self._fail("register-capacity",
                        f"{res.regs_used} registers allocated, SM holds "
-                       f"{cfg.registers_per_sm}", sm.sm_id, now, resource="registers")
+                       f"{cfg.registers_per_sm}", sm_id, now, resource="registers")
         if res.smem_used > cfg.smem_per_sm:
             self._fail("smem-capacity",
                        f"{res.smem_used} B shared memory allocated, SM holds "
-                       f"{cfg.smem_per_sm} B", sm.sm_id, now, resource="shared memory")
+                       f"{cfg.smem_per_sm} B", sm_id, now, resource="shared memory")
 
         # 2. scheduling-limit conservation ---------------------------------
-        self._check_scheduling_limits(sm, manager, resident, now)
+        if resident:
+            self._check_scheduling_limits(sm, manager, resident, now,
+                                          active_like, active_warps)
 
         # 3. scoreboard / MSHR liveness ------------------------------------
-        bound = now + cfg.max_pending_latency
         if sm.l1.max_fill_completion > bound:
             self._fail(
                 "mshr-liveness",
                 f"an L1 fill completes at cycle {sm.l1.max_fill_completion}, more "
                 f"than max_pending_latency={cfg.max_pending_latency} ahead — "
-                "the response was lost", sm.sm_id, now, resource="L1 MSHR")
-        for cta in resident:
-            for warp in cta.warps:
-                pending = warp.scoreboard.mem_pending_until()
-                if pending > bound:
-                    self._fail(
-                        "scoreboard-liveness",
-                        f"cta {cta.cta_id} warp {warp.local_wid} waits on a load "
-                        f"completing at cycle {pending}, more than "
-                        f"max_pending_latency={cfg.max_pending_latency} ahead",
-                        sm.sm_id, now, resource="scoreboard")
+                "the response was lost", sm_id, now, resource="L1 MSHR")
+        if late_load is not None:
+            self._fail("scoreboard-liveness", late_load, sm_id, now,
+                       resource="scoreboard")
 
         # 4. VT state machine ----------------------------------------------
-        self._check_states(sm, manager, resident, now)
+        if victim is not None and victim is incoming:
+            self._fail("swap-engine", "victim and incoming are the same CTA",
+                       sm_id, now)
+        if state_breach is not None:
+            self._fail(state_breach[0], state_breach[1], sm_id, now)
+        if manager.active_cta_count != n_active:
+            self._fail("active-count",
+                       f"manager counts {manager.active_cta_count} ACTIVE CTAs, "
+                       f"{n_active} are resident", sm_id, now,
+                       resource="CTA slots")
 
         # 5. ready sets -----------------------------------------------------
         self._check_ready_sets(sm, now)
 
         # 7. stored horizons ------------------------------------------------
-        self._check_parked(sm, resident, now)
-        self._check_activation_memo(sm, resident, now)
+        if park_breach is not None:
+            self._fail("parked-count", park_breach, sm_id, now,
+                       resource="scheduler")
+        if memo_breach is not None:
+            self._fail("activation-memo", memo_breach, sm_id, now,
+                       resource="VT manager")
 
         # Cross-check the manager's own invariant hook when it has one.
         assert_invariants = getattr(manager, "assert_invariants", None)
@@ -185,18 +282,55 @@ class Sanitizer:
             try:
                 assert_invariants(now)
             except AssertionError as exc:
-                self._fail("manager-invariant", str(exc), sm.sm_id, now)
+                self._fail("manager-invariant", str(exc), sm_id, now)
 
-    def _check_scheduling_limits(self, sm, manager, resident, now: int) -> None:
+        # 7. stored counts (checked last: they joined the invariant set
+        # after the checks above, whose reporting order stays as it was).
+        if live_breach is not None:
+            self._fail("live-warp-count", live_breach, sm_id, now,
+                       resource="warp slots")
+        if manager.inactive_cta_count != n_inactive:
+            self._fail("inactive-count",
+                       f"manager counts {manager.inactive_cta_count} INACTIVE "
+                       f"CTAs, {n_inactive} are resident", sm_id, now,
+                       resource="CTA slots")
+        if resident and sm.accepting != manager.can_accept(resident[0].kernel):
+            self._fail("dispatch-flag",
+                       f"the SM's dispatch flag says accepting={sm.accepting}, "
+                       "can_accept disagrees", sm_id, now, resource="CTA slots")
+
+    def _state_breach(self, cta, state, victim, incoming,
+                      last_state) -> tuple[str, str] | None:
+        """Check one resident CTA's lifecycle step since the last check
+        and record its state; the breach found, or None."""
+        if state is FINISHED:
+            return "state-machine", f"cta {cta.cta_id} is resident but FINISHED"
+        prev = last_state.get(cta)
+        if prev is None:
+            if state is not ACTIVE and state is not INACTIVE:
+                return "state-machine", f"cta {cta.cta_id} appeared in state {state.value}"
+        elif state is not prev and (prev, state) not in _LEGAL_STEPS:
+            return ("state-machine",
+                    f"cta {cta.cta_id} took illegal edge {prev.value} -> {state.value}")
+        last_state[cta] = state
+        # Orphaned swap states: only the engine's CTAs may be SWAP_*.
+        if state is SWAP_OUT and cta is not victim:
+            return ("swap-engine",
+                    f"cta {cta.cta_id} is SWAP_OUT outside the swap engine")
+        if state is SWAP_IN and cta is not incoming:
+            return ("swap-engine",
+                    f"cta {cta.cta_id} is SWAP_IN outside the swap engine")
+        return None
+
+    def _check_scheduling_limits(self, sm, manager, resident, now: int,
+                                 active_like: int, active_warps: int) -> None:
+        """Invariant 2 for a non-empty SM; ``active_like`` counts the CTAs
+        holding scheduling structures (ACTIVE or SWAP_*) and
+        ``active_warps`` the warps of the ACTIVE ones."""
         cfg = self.cfg
-        if not resident:
-            return
         kernel = resident[0].kernel
         if cfg.arch == "vt":
             active_limit = manager.active_limit(kernel)
-            active_like = sum(
-                1 for c in resident
-                if c.state in (CTAState.ACTIVE, CTAState.SWAP_OUT, CTAState.SWAP_IN))
             # +1: victim and incoming briefly coexist during a switch.
             if active_like > active_limit + 1:
                 self._fail(
@@ -204,8 +338,6 @@ class Sanitizer:
                     f"{active_like} CTAs hold scheduling structures, "
                     f"limit is {active_limit} (+1 in-flight switch)",
                     sm.sm_id, now, resource="CTA slots")
-            active_warps = sum(
-                c.num_warps for c in resident if c.state is CTAState.ACTIVE)
             if active_warps > cfg.max_warps_per_sm:
                 self._fail(
                     "vt-warp-slots",
@@ -235,66 +367,29 @@ class Sanitizer:
                            f"{cfg.max_threads_per_sm} thread slots",
                            sm.sm_id, now, resource="thread slots")
 
-    def _check_states(self, sm, manager, resident, now: int) -> None:
-        victim = getattr(manager, "_swap_victim", None)
-        incoming = getattr(manager, "_swap_incoming", None)
-        if victim is not None and incoming is not None and victim is incoming:
-            self._fail("swap-engine", "victim and incoming are the same CTA",
-                       sm.sm_id, now)
-        for cta in resident:
-            state = cta.state
-            if state is CTAState.FINISHED:
-                self._fail("state-machine",
-                           f"cta {cta.cta_id} is resident but FINISHED",
-                           sm.sm_id, now)
-            key = (sm.sm_id, cta.cta_id)
-            prev = self._last_state.get(key)
-            if prev is None:
-                if state not in _LEGAL_INITIAL:
-                    self._fail("state-machine",
-                               f"cta {cta.cta_id} appeared in state {state.value}",
-                               sm.sm_id, now)
-            elif state not in _LEGAL_EDGES[prev]:
-                self._fail(
-                    "state-machine",
-                    f"cta {cta.cta_id} took illegal edge "
-                    f"{prev.value} -> {state.value}",
-                    sm.sm_id, now)
-            self._last_state[key] = state
-            # Orphaned swap states: only the engine's CTAs may be SWAP_*.
-            if state is CTAState.SWAP_OUT and cta is not victim:
-                self._fail("swap-engine",
-                           f"cta {cta.cta_id} is SWAP_OUT outside the swap engine",
-                           sm.sm_id, now)
-            if state is CTAState.SWAP_IN and cta is not incoming:
-                self._fail("swap-engine",
-                           f"cta {cta.cta_id} is SWAP_IN outside the swap engine",
-                           sm.sm_id, now)
-        active = sum(1 for cta in resident if cta.state is CTAState.ACTIVE)
-        if manager.active_cta_count != active:
-            self._fail("active-count",
-                       f"manager counts {manager.active_cta_count} ACTIVE CTAs, "
-                       f"{active} are resident", sm.sm_id, now,
-                       resource="CTA slots")
-
     def _check_ready_sets(self, sm, now: int) -> None:
-        queued: dict[object, int] = {}
-        for cycle, warp in sm.wake_entries():
-            if cycle < queued.get(warp, FOREVER):
-                queued[warp] = cycle
+        queued = None  # warp -> earliest queued wake-up, built on first need
         for scheduler in sm.schedulers:
-            armed = [warp for warp in scheduler.warps if warp.armed]
+            warps = scheduler.warps
+            armed = [warp for warp in warps if warp.armed]
             if armed != scheduler.ready:
                 self._fail("ready-set",
                            "a scheduler's ready list disagrees with its warps' "
                            "ready bits", sm.sm_id, now, resource="scheduler")
-            for warp in scheduler.warps:
+            if len(armed) == len(warps):
+                continue  # no warp is outside the ready set
+            for warp in warps:
                 if warp.armed or warp.finished or warp.at_barrier:
                     continue
                 cta = warp.cta
-                if cta.state is not CTAState.ACTIVE:
+                if cta.state is not ACTIVE:
                     continue  # re-armed when the CTA is activated
                 due = cta.start_cycle if now < cta.start_cycle else warp.status_until
+                if queued is None:
+                    queued = {}
+                    for cycle, entry in sm.wake_entries():
+                        if cycle < queued.get(entry, FOREVER):
+                            queued[entry] = cycle
                 # A cached READY (due FOREVER) or invalidated (-1) status
                 # has no wake-up that could ever re-arm the warp.
                 if due >= FOREVER or queued.get(warp, FOREVER) > due:
@@ -303,59 +398,6 @@ class Sanitizer:
                         f"cta {cta.cta_id} warp {warp.local_wid} left the ready "
                         f"set with no wake-up queued by cycle {due}",
                         sm.sm_id, now, resource="scheduler")
-
-    def _check_parked(self, sm, resident, now: int) -> None:
-        for cta in resident:
-            counted = [0, 0, 0, 0]
-            horizon = FOREVER
-            schedulable = cta.state is CTAState.ACTIVE and now >= cta.start_cycle
-            for warp in cta.warps:
-                if warp.parked:
-                    counted[warp.parked] += 1
-                    horizon = min(horizon, warp.status_until)
-                    if warp.armed or warp.status_until <= now:
-                        self._fail(
-                            "parked-count",
-                            f"cta {cta.cta_id} warp {warp.local_wid} is counted "
-                            "as parked but is armed or past its wake cycle",
-                            sm.sm_id, now, resource="scheduler")
-                elif schedulable and not (warp.armed or warp.finished):
-                    self._fail(
-                        "parked-count",
-                        f"cta {cta.cta_id} warp {warp.local_wid} left the ready "
-                        "set uncounted", sm.sm_id, now, resource="scheduler")
-                if (schedulable and warp.parked
-                        and warp.parked != warp.cached_status):
-                    self._fail(
-                        "parked-count",
-                        f"cta {cta.cta_id} warp {warp.local_wid} is counted "
-                        f"under status {warp.parked}, cached {warp.cached_status}",
-                        sm.sm_id, now, resource="scheduler")
-            if counted != cta.parked:
-                self._fail("parked-count",
-                           f"cta {cta.cta_id} counts parked warps {cta.parked}, "
-                           f"a recount finds {counted}", sm.sm_id, now,
-                           resource="scheduler")
-            if cta.park_min != -1 and cta.park_min != horizon:
-                self._fail("parked-count",
-                           f"cta {cta.cta_id} keeps park horizon "
-                           f"{_cycle_str(cta.park_min)}, a recount finds "
-                           f"{_cycle_str(horizon)}", sm.sm_id, now,
-                           resource="scheduler")
-
-    def _check_activation_memo(self, sm, resident, now: int) -> None:
-        for cta in resident:
-            memo = cta.activation_at
-            if cta.state is not CTAState.INACTIVE or memo is None:
-                continue
-            fresh = min((w.scoreboard.mem_pending_until() for w in cta.warps
-                         if not (w.finished or w.at_barrier)), default=FOREVER)
-            if memo != fresh:
-                self._fail("activation-memo",
-                           f"inactive cta {cta.cta_id} memoises activation at "
-                           f"cycle {_cycle_str(memo)}, a recount finds "
-                           f"{_cycle_str(fresh)}", sm.sm_id, now,
-                           resource="VT manager")
 
     # -- execution cross-check ---------------------------------------------
 
@@ -457,9 +499,8 @@ class Sanitizer:
     def on_cta_retire(self, sm, cta, now: int) -> None:
         """Validate a CTA's retirement; called from ``SMCore._finish_cta``
         after the manager released its resources."""
-        key = (sm.sm_id, cta.cta_id)
-        prev = self._last_state.pop(key, None)
-        if prev is not None and prev is not CTAState.ACTIVE:
+        prev = self._last_state.pop(cta, None)
+        if prev is not None and prev is not ACTIVE:
             self._fail("state-machine",
                        f"cta {cta.cta_id} retired from state {prev.value} "
                        "(only ACTIVE CTAs can issue their final EXIT)",

@@ -89,7 +89,12 @@ class SMCore:
         self._wake: list[tuple[int, int, object]] = []
         self._wake_seq = 0
         self.gmem = None  # set at launch
-        self._live_ctas = 0
+        self.live_ctas = 0
+        # Whether the manager can seat one more CTA of the launch's kernel
+        # (``manager.can_accept``): set at launch, and kept in
+        # assign_cta/_finish_cta, the only events that change it, so the
+        # dispatcher reads a flag instead of asking every SM every cycle.
+        self.accepting = False
         # Latest cycle at which an outstanding memory response may still
         # legitimately arrive (capped by max_pending_latency); the progress
         # watchdog treats cycles before this horizon as forward progress.
@@ -120,23 +125,27 @@ class SMCore:
     def assign_cta(self, cta: CTA, now: int) -> None:
         self.next_wake = 0  # new CTA: the cached dead-cycle horizon is stale
         self._occ_cache = None
-        self.manager.on_assign(cta, now)
+        manager = self.manager
+        manager.on_assign(cta, now)
         for warp in cta.warps:
             self.schedulers[self._next_sched].add_warp(warp)
             self._next_sched = (self._next_sched + 1) % len(self.schedulers)
-        self._live_ctas += 1
+        self.live_ctas += 1
+        self.accepting = manager.can_accept(cta.kernel)
 
     def _finish_cta(self, cta: CTA, now: int) -> None:
         for warp in cta.warps:
             warp.sched.remove_warp(warp)
-        self.manager.on_cta_finish(cta, now)
-        self._live_ctas -= 1
+        manager = self.manager
+        manager.on_cta_finish(cta, now)
+        self.live_ctas -= 1
+        self.accepting = manager.can_accept(cta.kernel)
         if self.sanitizer is not None:
             self.sanitizer.on_cta_retire(self, cta, now)
 
     @property
     def idle(self) -> bool:
-        return self._live_ctas == 0
+        return self.live_ctas == 0
 
     # -- ready sets -----------------------------------------------------------
 
@@ -260,7 +269,8 @@ class SMCore:
             return
         if result.did_exit:
             if warp.finished:
-                if cta.finished:
+                cta.live_warps -= 1
+                if not cta.live_warps:
                     self._finish_cta(cta, now)
                 elif cta.check_barrier_release(now):
                     # A finished warp may be the last arrival a barrier waits for.
@@ -343,8 +353,9 @@ class SMCore:
 
         issued = 0
         issuable = None
-        for scheduler in self.schedulers:
-            stats.issue_slots += 1
+        schedulers = self.schedulers
+        stats.issue_slots += len(schedulers)
+        for scheduler in schedulers:
             if not scheduler.ready:
                 scheduler.idle()
                 continue
@@ -369,7 +380,9 @@ class SMCore:
                 self.next_wake = event
                 self._scan_cycle = now
             else:
-                kind = self._idle_class(now)
+                # The reference engine classifies the cycle the same way
+                # and has no use for the next event.
+                kind = self._dead_scan(now, want_event=False)[0]
             stats.add_idle(kind, 1)
         if self.sanitizer is not None:
             self.sanitizer.check_sm(self, now)
@@ -398,19 +411,17 @@ class SMCore:
         stats.resident_warp_samples += warps
         stats.schedulable_warp_samples += schedulable
 
-    def _idle_class(self, now: int) -> str:
-        """Idle-classification key for a zero-issue cycle at ``now`` (one of
-        :data:`repro.sim.stats.IDLE_KINDS`).  Shared by the per-cycle path
-        and the fast-forward bulk credit so both engines classify a dead
-        cycle identically."""
-        return self._dead_scan(now)[0]
-
     # -- fast-forward support -----------------------------------------------------
 
-    def _dead_scan(self, now: int) -> tuple[str, int]:
+    def _dead_scan(self, now: int, want_event: bool = True) -> tuple[str, int]:
         """``(idle class, next event)`` for a zero-issue cycle at ``now``,
         in one pass over the resident CTAs and the armed warps (every
-        dead-cycle discovery needs both).
+        dead-cycle discovery needs both).  The idle class (one of
+        :data:`repro.sim.stats.IDLE_KINDS`) is the same for both engines;
+        with ``want_event`` false (the per-cycle reference engine, which
+        steps every cycle anyway) the manager horizon, park horizons and
+        structural wake-ups are not computed, and the event returned is
+        meaningless.
 
         The next event is this SM's half of the next-event contract (see
         docs/ARCHITECTURE.md): the earliest future cycle at which its
@@ -439,7 +450,7 @@ class SMCore:
         byte-identical-stats guarantee.
         """
         manager = self.manager
-        event = manager.next_event(now)
+        event = manager.next_event(now) if want_event else _FOREVER
         n_ready = n_alu = n_mem = n_barrier = 0
         any_swap = False
         any_resident = False
@@ -465,26 +476,31 @@ class SMCore:
                 # Scoreboard release or barrier wake; warps parked *at* a
                 # barrier carry a _FOREVER horizon (they only move when
                 # another warp issues).
-                until = cta.park_min
-                if until < 0:
-                    until = cta.park_min = min(
-                        w.status_until for w in cta.warps if w.parked)
-                if until < event:
-                    event = until
+                if want_event:
+                    until = cta.park_min
+                    if until < 0:
+                        until = cta.park_min = min(
+                            w.status_until for w in cta.warps if w.parked)
+                    if until < event:
+                        event = until
         for scheduler in self.schedulers:
             for warp in scheduler.ready:
                 cta = warp.cta
                 if cta.state is not ACTIVE or now < cta.start_cycle:
                     continue
-                status = self._status(now, warp)
+                if now < warp.status_until:
+                    status = warp.cached_status
+                else:
+                    status = self._status(now, warp)
                 if status == ST_FINISHED:
                     continue
                 any_resident = True
                 if status == ST_READY:
                     n_ready += 1
-                    wake = self._ready_wake(warp, now)
-                    if wake < event:
-                        event = wake
+                    if want_event:
+                        wake = self._ready_wake(warp, now)
+                        if wake < event:
+                            event = wake
                 else:
                     if status == ST_ALU:
                         n_alu += 1

@@ -24,6 +24,7 @@ def _filtered(cls, data: dict) -> dict:
 #: reference engine and the fast-forward engine account through
 #: :meth:`SMStats.add_idle` so the two can never drift apart.
 IDLE_KINDS = ("mem", "alu", "barrier", "struct", "swap", "empty")
+_IDLE_ATTRS = {kind: "idle_cycles_" + kind for kind in IDLE_KINDS}
 
 
 @dataclass
@@ -64,7 +65,7 @@ class SMStats:
 
     def add_idle(self, kind: str, count: int = 1) -> None:
         """Credit ``count`` cycles to one idle class (see :data:`IDLE_KINDS`)."""
-        attr = "idle_cycles_" + kind
+        attr = _IDLE_ATTRS[kind]
         setattr(self, attr, getattr(self, attr) + count)
 
     @property
@@ -113,9 +114,20 @@ class SimStats:
         :meth:`from_dict`, so a stored entry can never carry a stats/metric
         mismatch.
         """
-        data = dataclasses.asdict(self)
-        data["sm_stats"] = [sm.to_dict() for sm in self.sm_stats]
-        return data
+        # Spelled out rather than ``dataclasses.asdict``, which would
+        # convert every SMStats only for sm_stats to be rebuilt here; the
+        # keys keep the field order (selfcheck's schema rule flags a field
+        # missing from this payload).
+        return {
+            "cycles": self.cycles,
+            "instructions": self.instructions,
+            "thread_instructions": self.thread_instructions,
+            "sm_stats": [sm.to_dict() for sm in self.sm_stats],
+            "l2_accesses": self.l2_accesses,
+            "l2_hits": self.l2_hits,
+            "dram_requests": self.dram_requests,
+            "ctas_launched": self.ctas_launched,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimStats":

@@ -87,7 +87,11 @@ def test_warp_counts():
     assert manager.resident_warp_count() == 16
     assert manager.schedulable_warp_count(0) == 16
     assert manager.active_cta_count == 8
-    # Finished warps drop out of the counts.
-    for w in manager.resident[0].warps:
+    # Finished warps drop out of the counts, which sum the CTAs' stored
+    # live-warp counts (the SM core counts each exit down in SMCore._issue).
+    cta = manager.resident[0]
+    for w in cta.warps:
         w.do_exit()
+        cta.live_warps -= 1
     assert manager.resident_warp_count() == 14
+    assert manager.schedulable_warp_count(0) == 14

@@ -35,7 +35,7 @@ CFG = GPUConfig()
 def test_stall_profile_counts():
     cta = make_cta(4)
     status = by_wid([ST_MEM, ST_BARRIER, ST_READY, ST_FINISHED])
-    assert cta_stall_profile(cta, status) == (2, 1, 3)
+    assert cta_stall_profile(cta, status, 0) == (2, 1, 3)
 
 
 def test_all_stalled_fires_only_when_unanimous():

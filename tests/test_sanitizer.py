@@ -294,6 +294,38 @@ def test_detects_stale_activation_memo(monkeypatch):
     assert exc.invariant == "activation-memo"
 
 
+def test_detects_live_warp_count_drift(monkeypatch):
+    """A CTA's stored live-warp count, which the occupancy samples sum and
+    the exit path retires the CTA by, must equal a recount."""
+    def corrupt(sm):
+        sm.manager.resident[0].live_warps += 1
+
+    exc = _check_corrupted(monkeypatch, corrupt)
+    assert exc.invariant == "live-warp-count"
+    assert "recount" in str(exc)
+
+
+def test_detects_inactive_count_drift(monkeypatch):
+    """The VT manager's INACTIVE-CTA count gates the slot fill and the
+    next-event scan; it must equal a recount."""
+    def corrupt(sm):
+        sm.manager.inactive_cta_count += 1
+
+    exc = _check_corrupted(monkeypatch, corrupt)
+    assert exc.invariant == "inactive-count"
+
+
+@pytest.mark.parametrize("arch", ["baseline", "vt"])
+def test_detects_stale_dispatch_flag(monkeypatch, arch):
+    """The dispatcher seats CTAs by the SM's stored flag, which must equal
+    ``manager.can_accept`` for the launch's kernel."""
+    def corrupt(sm):
+        sm.accepting = not sm.accepting
+
+    exc = _check_corrupted(monkeypatch, corrupt, arch=arch)
+    assert exc.invariant == "dispatch-flag"
+
+
 def test_violation_is_structured():
     exc = InvariantViolation("register-capacity", "boom", sm_id=3, cycle=77,
                              resource="registers")

@@ -204,3 +204,47 @@ def test_more_parallelism_hides_memory_latency():
     eight = launch(asm, grid=8, gmem_words=8192).stats.cycles
     # 8x the work at far less than 8x the time: latency overlapped.
     assert eight < one * 3
+
+
+def test_first_evaluated_label_survives_inline_status_reads():
+    """The trigger walk and the dead scan read a still-valid cached status
+    inline instead of re-deriving it.  With hazard registers ``(r2 ALU@105,
+    r1 global@100)`` a block evaluated at cycle 50 is labelled MEM, while a
+    fresh evaluation at cycle 101 would say ALU: both consumers must still
+    see MEM at 101 (see ARCHITECTURE, "When a status is first evaluated
+    matters")."""
+    from functools import partial
+
+    from repro.core.policies import trigger_all_stalled, trigger_majority_stalled
+    from repro.core.vt import VirtualThreadManager
+    from repro.sim.cta import CTA
+    from repro.sim.memsys import MemoryModel
+    from repro.sim.smcore import ST_MEM, SMCore
+
+    kernel = assemble("""
+.kernel firsteval
+.regs 4
+.cta 32
+    IADD r0, r2, r1
+    EXIT
+""")
+    cfg = scaled_fermi(num_sms=1, arch="vt")
+    sm = SMCore(0, cfg, MemoryModel(cfg), VirtualThreadManager)
+    cta = CTA(0, (0, 0, 0), kernel, (1, 1, 1), (), cfg, start_cycle=0)
+    sm.assign_cta(cta, 0)
+    warp = cta.warps[0]
+    warp.scoreboard.set_pending(2, 105, False)
+    warp.scoreboard.set_pending(1, 100, True)
+    assert warp.scoreboard.blocking(kernel.instrs[0], 50) == (105, True)
+    assert warp.scoreboard.blocking(kernel.instrs[0], 101) == (105, False)
+
+    # First evaluation, through the trigger walk.
+    assert trigger_all_stalled(cta, partial(sm._status, 50), 50, cfg)
+    assert (warp.cached_status, warp.status_until) == (ST_MEM, 105)
+
+    status = partial(sm._status, 101)
+    assert trigger_all_stalled(cta, status, 101, cfg)
+    assert trigger_majority_stalled(cta, status, 101, cfg)
+    assert warp.armed
+    assert sm._dead_scan(101) == ("mem", 105)
+    assert (warp.cached_status, warp.status_until) == (ST_MEM, 105)
