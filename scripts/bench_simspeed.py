@@ -11,6 +11,12 @@ Modes::
     python scripts/bench_simspeed.py --write         # seed BENCH_simspeed.json
     python scripts/bench_simspeed.py --check         # fail on regression
 
+Each timing round repeats its launch (re-preparing the workload untimed
+before each one) until ``MIN_ROUND_SECONDS`` of launch time has run, and
+reports cycles/sec over the whole round; the best of ``--rounds`` rounds,
+interleaved across the cells, is kept.  Single launches of the small
+cells last 0.01-0.08 s, too short to time stably on a loaded host.
+
 ``--check`` compares against the committed baseline with a machine-speed
 calibration: the median of current/baseline ratios across all cells is
 taken as this machine's speed factor, and a cell fails only when it is
@@ -32,6 +38,7 @@ import pathlib
 import statistics
 import sys
 import time
+from functools import partial
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -64,6 +71,8 @@ PARALLEL_ENGINES = ("serial", "parallel")
 # Report-only: the parallel engine at these shard counts (>1 forks worker
 # processes) against the serial cell, on the gate chip.
 FORK_JOBS = (1, 2)
+# Launch time each timing round accumulates before it reports.
+MIN_ROUND_SECONDS = 0.25
 
 
 def cell_id(kernel: str, arch: str, engine: str) -> str:
@@ -74,23 +83,50 @@ def parallel_cell_id(num_sms: int, engine: str) -> str:
     return f"{PARALLEL_KERNEL}/{num_sms}sm/{engine}"
 
 
-def measure_cell(kernel_name: str, scale: float, arch: str, engine: str,
-                 rounds: int) -> dict:
-    bench = get(kernel_name)
-    best = None
-    cycles = 0
+def timed_round(launch) -> tuple[int, float]:
+    """Repeat ``launch()`` until it has run ``MIN_ROUND_SECONDS``.
+
+    ``launch`` returns ``(cycles, seconds)`` of one timed launch; returns
+    the cycles of one launch and the round's mean seconds per launch, so
+    ``cycles / seconds`` is the round's cycles/sec.
+    """
+    total = 0.0
+    launches = 0
+    while total < MIN_ROUND_SECONDS:
+        cycles, elapsed = launch()
+        total += elapsed
+        launches += 1
+    return cycles, total / launches
+
+
+def _time_cell(bench, scale: float, arch: str, engine: str) -> tuple[int, float]:
+    prep = bench.prepare(scale)
+    gpu = GPU(scaled_fermi(num_sms=NUM_SMS, arch=arch,
+                           fast_forward=engine == "fast-forward"))
+    t0 = time.perf_counter()
+    result = gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
+    return result.stats.cycles, time.perf_counter() - t0
+
+
+def measure_cells(rounds: int) -> dict:
+    """Best-of-``rounds`` timing of every (kernel, arch, engine) cell.
+
+    Rounds are interleaved across the cells, so a burst of load on the
+    host costs each cell at most one of its rounds, not all of them.
+    """
+    best = {}
+    cycles = {}
     for _ in range(rounds):
-        prep = bench.prepare(scale)
-        gpu = GPU(scaled_fermi(num_sms=NUM_SMS, arch=arch,
-                               fast_forward=engine == "fast-forward"))
-        t0 = time.perf_counter()
-        result = gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
-        elapsed = time.perf_counter() - t0
-        cycles = result.stats.cycles
-        if best is None or elapsed < best:
-            best = elapsed
-    return {"cycles": cycles, "seconds": round(best, 6),
-            "cycles_per_sec": round(cycles / best, 1)}
+        for kernel_name, scale in WORKLOADS:
+            for arch in ARCHES:
+                for engine in ENGINES:
+                    name = cell_id(kernel_name, arch, engine)
+                    cycles[name], seconds = timed_round(partial(
+                        _time_cell, get(kernel_name), scale, arch, engine))
+                    best[name] = min(seconds, best.get(name, seconds))
+    return {name: {"cycles": cycles[name], "seconds": round(best[name], 6),
+                   "cycles_per_sec": round(cycles[name] / best[name], 1)}
+            for name in best}
 
 
 def _time_chase(num_sms: int, engine: str, sim_jobs: int) -> tuple[int, float]:
@@ -106,16 +142,18 @@ def _time_chase(num_sms: int, engine: str, sim_jobs: int) -> tuple[int, float]:
 
 
 def measure_chase_legs(num_sms: int, legs, rounds: int) -> dict:
-    """Best-of-``rounds`` timing of each ``(engine, sim_jobs)`` leg on the
-    ``num_sms`` chase chip.  Rounds are interleaved across the legs, so
-    machine-speed drift during the run hits every leg alike and their
-    ratios stay comparable.  Every other round runs the legs in reverse:
-    with a fixed order, the later leg of a round measurably ran faster."""
+    """Best-of-``rounds`` timing (see :func:`timed_round`) of each
+    ``(engine, sim_jobs)`` leg on the ``num_sms`` chase chip.  Rounds are
+    interleaved across the legs, so machine-speed drift during the run
+    hits every leg alike and their ratios stay comparable.  Every other
+    round runs the legs in reverse: with a fixed order, the later leg of a
+    round measurably ran faster."""
     best = {}
     cycles = {}
     for round_index in range(rounds):
         for leg in legs if round_index % 2 == 0 else legs[::-1]:
-            cycles[leg], elapsed = _time_chase(num_sms, *leg)
+            cycles[leg], elapsed = timed_round(
+                partial(_time_chase, num_sms, *leg))
             if leg not in best or elapsed < best[leg]:
                 best[leg] = elapsed
     return {leg: {"cycles": cycles[leg], "seconds": round(best[leg], 6),
@@ -134,12 +172,7 @@ def parallel_speedups(cells: dict) -> dict[int, float]:
 
 
 def measure_all(rounds: int) -> dict:
-    cells = {}
-    for kernel_name, scale in WORKLOADS:
-        for arch in ARCHES:
-            for engine in ENGINES:
-                cells[cell_id(kernel_name, arch, engine)] = measure_cell(
-                    kernel_name, scale, arch, engine, rounds)
+    cells = measure_cells(rounds)
     fork = {"nproc": os.cpu_count(), "num_sms": PARALLEL_GATE_SMS, "jobs": {}}
     for num_sms in PARALLEL_NUM_SMS:
         legs = [("serial", 1), ("parallel", 1)]
@@ -239,7 +272,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed calibrated shortfall (default 0.30)")
     parser.add_argument("--rounds", type=int, default=3,
-                        help="timing rounds per cell; best-of is kept")
+                        help="timing rounds per cell, each at least "
+                             f"{MIN_ROUND_SECONDS:g} s of launches; "
+                             "best-of is kept")
     args = parser.parse_args(argv)
 
     data = measure_all(args.rounds)

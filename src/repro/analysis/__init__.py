@@ -17,7 +17,6 @@ from repro.analysis.runner import (
     RunRecord,
     run_benchmark,
     run_benchmark_safe,
-    run_matrix,
 )
 from repro.analysis.trace import CTATracer
 from repro.analysis.tables import ascii_bars, format_table
@@ -32,7 +31,6 @@ __all__ = [
     "RunRecord",
     "run_benchmark",
     "run_benchmark_safe",
-    "run_matrix",
     "ascii_bars",
     "format_table",
     "CTATracer",

@@ -8,18 +8,23 @@ benchmark harness can assert the reproduction's shape claims.
 All experiments default to the 2-SM scaled Fermi configuration; ``scale``
 shrinks or grows every workload's grid for quick runs.
 
-Every experiment that simulates enumerates its runs up front and collects
-them through :func:`_run_cells`, so the same experiment can execute
-serially in-process (the default) or through the subprocess sweep
-orchestrator (``jobs``/``directory``; see
-:mod:`repro.analysis.orchestrator`) with per-cell isolation, wall-clock
-deadlines, retries, and resume from a result-store directory.
+Every experiment that simulates enumerates its runs up front as sweep
+cells (:class:`~repro.analysis.orchestrator.SweepCell`) and runs them through
+:func:`~repro.analysis.orchestrator.run_sweep`, the one cell runner: cells
+run in-process by default, or in isolated worker processes with
+``jobs``/``directory`` (wall-clock deadlines, resume from a result-store
+directory), under the same retry policy either way.  An experiment reads
+its records through ``SweepResult.checked()``, so a cell that still fails
+after its retries raises once the sweep is done; E5 and X4 take
+``keep_going`` and render such a cell as ``FAILED(<reason>)`` instead.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.analysis.geomean import geomean, speedup_summary
-from repro.analysis.runner import run_benchmark, run_matrix
+from repro.analysis.orchestrator import SweepCell, matrix_cells, run_sweep
 from repro.analysis.tables import ascii_bars, format_table
 from repro.core.occupancy import occupancy
 from repro.core.overhead import vt_overhead
@@ -38,36 +43,39 @@ def default_config(**overrides) -> GPUConfig:
     return scaled_fermi(num_sms=2, **overrides)
 
 
-def _run_cells(runs, *, jobs=None, directory=None):
-    """Collect one experiment's simulation runs.
-
-    ``runs`` maps an arbitrary hashable key to ``(bench, cfg, scale)``.
-    Serially (``jobs``/``directory`` unset) each run executes in-process
-    via :func:`run_benchmark`, raising on the first failure — the
-    historical strict behaviour.  With either set the whole set goes
-    through the subprocess orchestrator: isolated workers, wall-clock
-    deadlines, per-status retries, and — with ``directory`` — the result
-    store, so re-generating a paper artifact into the same directory
-    re-reads previously simulated cells instead of re-running them.  A
-    cell that still fails terminally raises when the experiment reads its
-    ``.cycles``, so a half-broken sweep cannot silently produce a table
-    built on missing numbers.
-    """
-    if jobs is None and directory is None:
-        return {key: run_benchmark(bench, cfg, scale)
-                for key, (bench, cfg, scale) in runs.items()}
-    from repro.analysis.orchestrator import SweepCell, run_sweep
-
-    cells = [SweepCell(bench.name, cfg, scale, key=key)
-             for key, (bench, cfg, scale) in runs.items()]
-    return run_sweep(cells, jobs=jobs or 1, directory=directory).records
-
-
 def _cycles_cell(record) -> str | int:
     """A cycles table cell; ``NNN*`` marks a run that needed a retry."""
     if not record.ok:
         return record.failure
     return f"{record.cycles}*" if record.retried else record.cycles
+
+
+def _point_cells(benches, scale: float, cfgs: dict) -> list[SweepCell]:
+    """One cell per (sweep point, benchmark), keyed ``(point, bench,
+    arch)``; ``cfgs`` maps each point to its config."""
+    return [SweepCell(b.name, cfg, scale, key=(point, b.name, cfg.arch))
+            for point, cfg in cfgs.items() for b in benches]
+
+
+def _gain_rows(records, benches, labels: dict, base_point=None):
+    """VT's speedup over baseline at each sweep point: ``(rows, data)``.
+
+    ``labels`` maps each point to its row label; records are keyed as
+    :func:`_point_cells` keys them.  Each point is normalized by its own
+    baseline cells, or by ``base_point``'s when the points share one.
+    """
+    rows = []
+    data = {}
+    for point, label in labels.items():
+        base = point if base_point is None else base_point
+        speedups = {b.name: records[(base, b.name, ArchMode.BASELINE)].cycles
+                    / records[(point, b.name, ArchMode.VT)].cycles
+                    for b in benches}
+        gm = geomean(speedups.values())
+        data[point] = {"speedups": speedups, "geomean": gm}
+        rows.append((label, *(f"x{speedups[b.name]:.3f}" for b in benches),
+                     f"x{gm:.3f}"))
+    return rows, data
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +174,8 @@ def e4_idle_cycles(cfg: GPUConfig | None = None, scale: float = 1.0,
                    jobs: int | None = None, directory=None):
     """Motivation figure: fraction of SM cycles with zero issue, by cause."""
     cfg = (cfg or default_config()).with_(arch=ArchMode.BASELINE)
-    records = _run_cells({b.name: (b, cfg, scale) for b in all_benchmarks()},
-                         jobs=jobs, directory=directory)
+    cells = [SweepCell(b.name, cfg, scale, key=b.name) for b in all_benchmarks()]
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
     rows = []
     data = {}
     for bench in all_benchmarks():
@@ -203,14 +211,15 @@ def e5_speedup(cfg: GPUConfig | None = None, scale: float = 1.0,
     With ``keep_going`` (default) a failing (bench, arch) cell renders as
     ``FAILED(<reason>)`` and is excluded from the speedup statistics, so
     the rest of the table survives one broken run; ``keep_going=False``
-    restores the historical first-failure-raises behaviour.  A cycles cell
-    rendered as ``NNN*`` completed only after a retry.  ``jobs`` /
-    ``directory`` route the matrix through the subprocess orchestrator.
+    raises for the first failed cell once the matrix has run.  A cycles
+    cell rendered as ``NNN*`` completed only after a retry.  ``jobs`` /
+    ``directory`` run the matrix in isolated worker processes.
     """
     base_cfg = cfg or default_config()
     benches = list(benches) if benches is not None else all_benchmarks()
-    records = run_matrix(benches, ARCHS, base_cfg, scale, keep_going=keep_going,
-                         parallel=jobs, directory=directory)
+    result = run_sweep(matrix_cells(benches, ARCHS, base_cfg, scale),
+                       jobs=jobs, directory=directory)
+    records = result.records if keep_going else result.checked()
     rows = []
     vt_speedups = {}
     ideal_speedups = {}
@@ -285,13 +294,9 @@ def e6_tlp(cfg: GPUConfig | None = None, scale: float = 1.0,
            jobs: int | None = None, directory=None):
     """How much thread-level parallelism VT exposes to the SM."""
     base_cfg = cfg or default_config()
-    runs = {}
-    for bench in all_benchmarks():
-        runs[(bench.name, ArchMode.BASELINE)] = (
-            bench, base_cfg.with_(arch=ArchMode.BASELINE), scale)
-        runs[(bench.name, ArchMode.VT)] = (
-            bench, base_cfg.with_(arch=ArchMode.VT), scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
+    cells = matrix_cells(all_benchmarks(), (ArchMode.BASELINE, ArchMode.VT),
+                         base_cfg, scale)
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
     rows = []
     data = {}
     for bench in all_benchmarks():
@@ -337,29 +342,18 @@ def e7_swap_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
     """
     base_cfg = cfg or default_config()
     benches = [get(name) for name in subset]
-    runs = {("base", b.name): (b, base_cfg.with_(arch=ArchMode.BASELINE), scale)
-            for b in benches}
-    for base_cost, per_warp in points:
-        vt_cfg = base_cfg.with_(
-            arch=ArchMode.VT,
-            vt_swap_out_base=base_cost, vt_swap_out_per_warp=per_warp,
-            vt_swap_in_base=base_cost, vt_swap_in_per_warp=per_warp,
-        )
-        for b in benches:
-            runs[((base_cost, per_warp), b.name)] = (b, vt_cfg, scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
-    baselines = {b.name: records[("base", b.name)].cycles for b in benches}
-    rows = []
-    data = {}
-    for base_cost, per_warp in points:
-        speedups = {
-            b.name: baselines[b.name] / records[((base_cost, per_warp), b.name)].cycles
-            for b in benches
-        }
-        label = f"save/restore {base_cost}+{per_warp}/warp"
-        gm = geomean(speedups.values())
-        data[(base_cost, per_warp)] = {"speedups": speedups, "geomean": gm}
-        rows.append((label, *(f"x{speedups[b.name]:.3f}" for b in benches), f"x{gm:.3f}"))
+    vt_cfgs = {(base_cost, per_warp): base_cfg.with_(
+        arch=ArchMode.VT,
+        vt_swap_out_base=base_cost, vt_swap_out_per_warp=per_warp,
+        vt_swap_in_base=base_cost, vt_swap_in_per_warp=per_warp,
+    ) for base_cost, per_warp in points}
+    cells = _point_cells(benches, scale, {
+        "base": base_cfg.with_(arch=ArchMode.BASELINE), **vt_cfgs})
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
+    rows, data = _gain_rows(
+        records, benches,
+        {point: f"save/restore {point[0]}+{point[1]}/warp" for point in points},
+        base_point="base")
     report = format_table(
         ("swap cost", *subset, "geomean"),
         rows,
@@ -379,24 +373,14 @@ def e8_vcta_degree(cfg: GPUConfig | None = None, scale: float = 1.0,
     CTAs, so VT must degenerate to baseline behaviour)."""
     base_cfg = cfg or default_config()
     benches = [get(name) for name in subset]
-    runs = {("base", b.name): (b, base_cfg.with_(arch=ArchMode.BASELINE), scale)
-            for b in benches}
-    for mult in multipliers:
-        vt_cfg = base_cfg.with_(arch=ArchMode.VT, vt_max_resident_multiplier=mult)
-        for b in benches:
-            runs[(mult, b.name)] = (b, vt_cfg, scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
-    baselines = {b.name: records[("base", b.name)].cycles for b in benches}
-    rows = []
-    data = {}
-    for mult in multipliers:
-        speedups = {
-            b.name: baselines[b.name] / records[(mult, b.name)].cycles
-            for b in benches
-        }
-        gm = geomean(speedups.values())
-        data[mult] = {"speedups": speedups, "geomean": gm}
-        rows.append((f"{mult:g}x", *(f"x{speedups[b.name]:.3f}" for b in benches), f"x{gm:.3f}"))
+    vt_cfgs = {mult: base_cfg.with_(arch=ArchMode.VT, vt_max_resident_multiplier=mult)
+               for mult in multipliers}
+    cells = _point_cells(benches, scale, {
+        "base": base_cfg.with_(arch=ArchMode.BASELINE), **vt_cfgs})
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
+    rows, data = _gain_rows(records, benches,
+                            {mult: f"{mult:g}x" for mult in multipliers},
+                            base_point="base")
     report = format_table(
         ("resident cap", *subset, "geomean"),
         rows,
@@ -415,25 +399,13 @@ def e9_schedulers(cfg: GPUConfig | None = None, scale: float = 1.0,
     """VT's gain under different warp-scheduling policies."""
     base_cfg = cfg or default_config()
     benches = [get(name) for name in subset]
-    runs = {}
-    for policy in schedulers:
-        pol_cfg = base_cfg.with_(warp_scheduler=policy)
-        for bench in benches:
-            for arch in (ArchMode.BASELINE, ArchMode.VT):
-                runs[(policy, bench.name, arch)] = (
-                    bench, pol_cfg.with_(arch=arch), scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
-    rows = []
-    data = {}
-    for policy in schedulers:
-        speedups = {}
-        for bench in benches:
-            base = records[(policy, bench.name, ArchMode.BASELINE)].cycles
-            vt = records[(policy, bench.name, ArchMode.VT)].cycles
-            speedups[bench.name] = base / vt
-        gm = geomean(speedups.values())
-        data[policy] = {"speedups": speedups, "geomean": gm}
-        rows.append((policy, *(f"x{speedups[b.name]:.3f}" for b in benches), f"x{gm:.3f}"))
+    cells = [cell for arch in (ArchMode.BASELINE, ArchMode.VT)
+             for cell in _point_cells(benches, scale, {
+                 policy: base_cfg.with_(warp_scheduler=policy, arch=arch)
+                 for policy in schedulers})]
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
+    rows, data = _gain_rows(records, benches,
+                            {policy: policy for policy in schedulers})
     report = format_table(
         ("warp scheduler", *subset, "geomean VT gain"),
         rows,
@@ -452,25 +424,13 @@ def e10_mem_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
     """VT's gain should grow with memory latency (more to hide)."""
     base_cfg = cfg or default_config()
     benches = [get(name) for name in subset]
-    runs = {}
-    for latency in latencies:
-        lat_cfg = base_cfg.with_(dram_latency=latency)
-        for bench in benches:
-            for arch in (ArchMode.BASELINE, ArchMode.VT):
-                runs[(latency, bench.name, arch)] = (
-                    bench, lat_cfg.with_(arch=arch), scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
-    rows = []
-    data = {}
-    for latency in latencies:
-        speedups = {}
-        for bench in benches:
-            base = records[(latency, bench.name, ArchMode.BASELINE)].cycles
-            vt = records[(latency, bench.name, ArchMode.VT)].cycles
-            speedups[bench.name] = base / vt
-        gm = geomean(speedups.values())
-        data[latency] = {"speedups": speedups, "geomean": gm}
-        rows.append((f"{latency} cyc", *(f"x{speedups[b.name]:.3f}" for b in benches), f"x{gm:.3f}"))
+    cells = [cell for arch in (ArchMode.BASELINE, ArchMode.VT)
+             for cell in _point_cells(benches, scale, {
+                 latency: base_cfg.with_(dram_latency=latency, arch=arch)
+                 for latency in latencies})]
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
+    rows, data = _gain_rows(records, benches,
+                            {latency: f"{latency} cyc" for latency in latencies})
     report = format_table(
         ("DRAM latency", *subset, "geomean VT gain"),
         rows,
@@ -533,26 +493,18 @@ def e12_ablation(cfg: GPUConfig | None = None, scale: float = 1.0, subset=SWEEP_
         ("timeout(16) / oldest-ready", dict(vt_trigger_policy="timeout",
                                             vt_select_policy="oldest-ready")),
     ]
-    runs = {("base", b.name): (b, base_cfg.with_(arch=ArchMode.BASELINE), scale)
-            for b in benches}
-    for label, overrides in variants:
-        vt_cfg = base_cfg.with_(arch=ArchMode.VT, **overrides)
-        for b in benches:
-            runs[(label, b.name)] = (b, vt_cfg, scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
-    baselines = {b.name: records[("base", b.name)].cycles for b in benches}
-    rows = []
-    data = {}
-    for label, _overrides in variants:
-        speedups = {}
-        swaps = 0
-        for bench in benches:
-            record = records[(label, bench.name)]
-            speedups[bench.name] = baselines[bench.name] / record.cycles
-            swaps += record.stats.total_swaps
-        gm = geomean(speedups.values())
-        data[label] = {"speedups": speedups, "geomean": gm, "swaps": swaps}
-        rows.append((label, *(f"x{speedups[b.name]:.3f}" for b in benches), f"x{gm:.3f}", swaps))
+    vt_cfgs = {label: base_cfg.with_(arch=ArchMode.VT, **overrides)
+               for label, overrides in variants}
+    cells = _point_cells(benches, scale, {
+        "base": base_cfg.with_(arch=ArchMode.BASELINE), **vt_cfgs})
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
+    rows, data = _gain_rows(records, benches, {label: label for label in vt_cfgs},
+                            base_point="base")
+    for index, label in enumerate(vt_cfgs):
+        swaps = sum(records[(label, b.name, ArchMode.VT)].stats.total_swaps
+                    for b in benches)
+        data[label]["swaps"] = swaps
+        rows[index] = (*rows[index], swaps)
     report = format_table(
         ("policy variant", *subset, "geomean", "total swaps"),
         rows,
@@ -587,9 +539,9 @@ def x1_contention(cfg: GPUConfig | None = None, scale: float = 1.0, bench_name: 
         ("baseline, 48K L1", base_cfg.with_(arch=ArchMode.BASELINE, l1_size=49152)),
         ("vt, 48K L1", base_cfg.with_(arch=ArchMode.VT, l1_size=49152)),
     ]
-    records = _run_cells({label: (bench, variant_cfg, scale)
-                          for label, variant_cfg in variants},
-                         jobs=jobs, directory=directory)
+    cells = [SweepCell(bench.name, variant_cfg, scale, key=label)
+             for label, variant_cfg in variants]
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
     rows = []
     data = {}
     base_cycles = None
@@ -633,11 +585,8 @@ def x2_kepler(cfg: GPUConfig | None = None, scale: float = 2.0, subset=SWEEP_SUB
     # larger before the scheduling limit binds; hence the 2x default scale.
     kepler = (cfg or scaled_kepler(num_sms=2))
     benches = [get(name) for name in subset]
-    runs = {}
-    for bench in benches:
-        for arch in (ArchMode.BASELINE, ArchMode.VT):
-            runs[(bench.name, arch)] = (bench, kepler.with_(arch=arch), scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
+    cells = matrix_cells(benches, (ArchMode.BASELINE, ArchMode.VT), kepler, scale)
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
     from repro.core.occupancy import limiter_summary
 
     rows = []
@@ -684,14 +633,11 @@ def x3_full_chip(cfg: GPUConfig | None = None, scale: float = 1.0,
     full = fermi_config()
     ratio = full.num_sms / small.num_sms
     chips = (("scaled", small, scale), ("full", full, scale * ratio))
-    runs = {}
-    for name in subset:
-        bench = get(name)
-        for label, chip_cfg, chip_scale in chips:
-            for arch in (ArchMode.BASELINE, ArchMode.VT):
-                runs[(name, label, arch)] = (
-                    bench, chip_cfg.with_(arch=arch), chip_scale)
-    records = _run_cells(runs, jobs=jobs, directory=directory)
+    cells = [SweepCell(name, chip_cfg.with_(arch=arch), chip_scale,
+                       key=(name, label, arch))
+             for name in subset for label, chip_cfg, chip_scale in chips
+             for arch in (ArchMode.BASELINE, ArchMode.VT)]
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
     rows = []
     data = {}
     for name in subset:
@@ -741,8 +687,9 @@ def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
         layout = layout_for(bench, scale)
         for p in predict_kernel(bench.kernel, cfg, archs=archs, layout=layout):
             preds[(bench.name, p.arch)] = p
-    records = run_matrix(benches, archs, cfg, scale, keep_going=keep_going,
-                         parallel=jobs, directory=directory)
+    result = run_sweep(matrix_cells(benches, archs, cfg, scale),
+                       jobs=jobs, directory=directory)
+    records = result.records if keep_going else result.checked()
 
     rows = []
     cells = {}
@@ -813,7 +760,49 @@ def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
 # X6 — static cycle bounds: soundness, tightness, and co-residency
 # ---------------------------------------------------------------------------
 
-def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
+def bound_cells(configs, benches, scale: float = 1.0, *,
+                simulate: bool = True) -> dict:
+    """The bound gate's cells, shared by X6 and ``repro bound``.
+
+    ``configs`` maps gate-arch labels to configs.  Returns ``{(bench, arch,
+    mode): cell}`` in gate order, each with its ``bound`` (a
+    :class:`~repro.isa.analysis.bounds.KernelBound`), or with the
+    ``error`` the analyzer raised.  With ``simulate`` the bounded cells run
+    in one :func:`run_sweep` and gain their ``record``; an ok run adds
+    ``sim`` (cycles), ``sound`` and ``trivial`` (``[<=1, >=budget]``).
+    """
+    from repro.isa.analysis.bounds import (IrregularControlFlow,
+                                           UnboundedLoop, bench_bounds)
+
+    cells = {}
+    runs = []
+    for arch, cfg in configs.items():
+        for bench in benches:
+            for mode in ("baseline", "vt"):
+                key = (bench.name, arch, mode)
+                try:
+                    cells[key] = {"bound": bench_bounds(
+                        bench, cfg, mode=mode, scale=scale, arch=arch)}
+                except (UnboundedLoop, IrregularControlFlow) as exc:
+                    cells[key] = {"error": exc}
+                    continue
+                runs.append(SweepCell(bench.name, cfg.with_(arch=mode), scale,
+                                      key=key))
+    if not simulate:
+        return cells
+    for key, record in run_sweep(runs).records.items():
+        cell = cells[key]
+        cell["record"] = record
+        if record.ok:
+            kb = cell["bound"]
+            cell["sim"] = record.cycles
+            cell["sound"] = kb.contains(record.cycles)
+            cell["trivial"] = kb.lo <= 1 or kb.hi >= configs[key[1]].max_cycles
+    return cells
+
+
+def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0,
+                   subset=None):
     """Sound [lo, hi] cycle intervals vs the simulator, plus pair verdicts.
 
     The quantitative counterpart of X4: for every (kernel, gate arch,
@@ -823,53 +812,40 @@ def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
     ratio.  A second table summarizes the co-residency composer
     (:func:`repro.isa.analysis.compose.pair_matrix`): admission verdicts
     and contention reasons for every kernel pair on the primary arch.
-    ``repro bound --all --check`` gates the same containment in CI.
+    ``repro bound --all --check`` gates the same cells (:func:`bound_cells`)
+    in CI.
 
-    ``cfg`` overrides the gate arches with a single custom config.
+    ``cfg`` overrides the gate arches with a single custom config;
+    ``subset`` restricts the kernels (default: the whole registry).
     """
-    from repro.isa.analysis.bounds import bench_bounds, gate_configs
+    from repro.isa.analysis.bounds import gate_configs
     from repro.isa.analysis.compose import pair_matrix
 
     configs = {cfg.arch or "custom": cfg} if cfg is not None else gate_configs()
-    benches = sorted(all_benchmarks(), key=lambda b: b.name)
+    benches = sorted(all_benchmarks() if subset is None
+                     else [get(name) for name in subset], key=lambda b: b.name)
 
+    cells = bound_cells(configs, benches, scale)
     rows = []
-    cells = {}
-    violations = []
-    for arch, gate_cfg in configs.items():
-        for bench in benches:
-            for mode in ("baseline", "vt"):
-                kb = bench_bounds(bench, gate_cfg, mode=mode, scale=scale,
-                                  arch=arch)
-                record = run_benchmark(bench, gate_cfg.with_(arch=mode),
-                                       scale=scale)
-                cycles = record.stats.cycles
-                sound = kb.contains(cycles)
-                cells[(bench.name, arch, mode)] = {
-                    "lo": kb.lo, "hi": kb.hi, "sim": cycles,
-                    "sound": sound, "tightness": kb.tightness,
-                }
-                if not sound:
-                    violations.append((bench.name, arch, mode))
-                rows.append((bench.name, arch, mode, kb.lo, cycles, kb.hi,
-                             f"{kb.tightness:.1f}x",
-                             "yes" if sound else "NO"))
-    sound_count = sum(1 for c in cells.values() if c["sound"])
+    for key, cell in cells.items():
+        if "error" in cell:
+            raise cell["error"]
+        kb = cell["bound"]
+        cycles = cell["record"].cycles  # a failed run raises RunFailed
+        rows.append((*key, kb.lo, cycles, kb.hi, f"{kb.tightness:.1f}x",
+                     "yes" if cell["sound"] else "NO"))
+    violations = [key for key, cell in cells.items() if not cell["sound"]]
     bound_report = format_table(
         ("benchmark", "arch", "mode", "lo", "sim", "hi", "hi/lo", "sound"),
         rows,
         title=(f"X6 (validation) - static cycle bounds vs simulator "
-               f"({sound_count}/{len(cells)} cells contained)"),
+               f"({len(cells) - len(violations)}/{len(cells)} cells contained)"),
     )
 
     pair_arch, pair_cfg = next(iter(configs.items()))
     verdicts = pair_matrix(benches, pair_cfg, scale=scale, arch=pair_arch)
-    counts = {}
-    reason_hist = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-        for reason in v.reasons:
-            reason_hist[reason] = reason_hist.get(reason, 0) + 1
+    counts = Counter(v.verdict for v in verdicts)
+    reason_hist = Counter(reason for v in verdicts for reason in v.reasons)
     pair_rows = ([(k, str(n)) for k, n in sorted(counts.items())]
                  + [(f"reason: {k}", str(n))
                     for k, n in sorted(reason_hist.items())])
@@ -883,10 +859,10 @@ def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
     if violations:
         parts.append("")
         parts.append("VIOLATIONS (the bound gate fails):")
-        for name, arch, mode in violations:
-            cell = cells[(name, arch, mode)]
-            parts.append(f"  {name}/{arch}/{mode}: sim {cell['sim']} "
-                         f"outside [{cell['lo']}, {cell['hi']}]")
+        for key in violations:
+            kb = cells[key]["bound"]
+            parts.append(f"  {'/'.join(key)}: sim {cells[key]['sim']} "
+                         f"outside [{kb.lo}, {kb.hi}]")
     data = {"cells": cells, "violations": violations,
             "pair_verdicts": verdicts, "verdict_counts": counts,
             "reason_counts": reason_hist}
@@ -929,28 +905,21 @@ def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
         store = (directory if isinstance(directory, ResultStore)
                  else ResultStore(directory))
         store_report = store.verify()
-    cfg = scaled_fermi(num_sms=sms, sanitize=True)
-    if benches is None:
-        benches = all_benchmarks()
-    else:
-        benches = [get(name) if isinstance(name, str) else name for name in benches]
-    records = run_matrix(benches, archs, cfg, scale, keep_going=True,
-                         parallel=jobs, directory=store)
-    rows = []
+    _table, result = sweep_report(benches, archs, scale, sms, jobs=jobs,
+                                  directory=store, sanitize=True)
+    records = result.records
+    rows = {}
     failures = []
-    for bench in benches:
-        cells = []
-        for arch in archs:
-            record = records[(bench.name, arch)]
-            if record.ok:
-                marker = "*" if record.retried else ""
-                cells.append(f"ok{marker} ({record.cycles} cyc)")
-            else:
-                cells.append(record.failure)
-                failures.append((bench.name, arch, record))
-        rows.append((bench.name, *cells))
+    for (name, arch), record in records.items():
+        if record.ok:
+            marker = "*" if record.retried else ""
+            cell = f"ok{marker} ({record.cycles} cyc)"
+        else:
+            cell = record.failure
+            failures.append((name, arch, record))
+        rows.setdefault(name, [name]).append(cell)
     report = format_table(
-        ("benchmark", *archs), rows,
+        ("benchmark", *archs), [tuple(row) for row in rows.values()],
         title=f"doctor - sanitizer-on smoke sweep (scale {scale:g}, {sms} SM)",
     )
     verdict = (
@@ -1003,12 +972,12 @@ def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
 # ---------------------------------------------------------------------------
 
 def sweep_report(benches=None, archs=ARCHS, scale: float = 1.0, sms: int = 2,
-                 *, jobs: int = 2, wall_timeout: float | None = None,
+                 *, jobs: int | None = None, wall_timeout: float | None = None,
                  retries: int = 1, directory=None,
                  max_cycles: int | None = None, sanitize: bool = False,
                  fast_forward: bool = True, engine: str = "serial",
                  sim_jobs: int = 1, progress=None):
-    """The (benchmark x arch) matrix through the subprocess orchestrator.
+    """The (benchmark x arch) matrix through :func:`run_sweep`.
 
     Returns ``(report, result)`` where ``result`` is the
     :class:`~repro.analysis.orchestrator.SweepResult` — the report is the
@@ -1017,8 +986,6 @@ def sweep_report(benches=None, archs=ARCHS, scale: float = 1.0, sms: int = 2,
     there, so re-running into the same directory after any crash runs
     only the missing cells.
     """
-    from repro.analysis.orchestrator import matrix_cells, run_sweep
-
     cfg = scaled_fermi(num_sms=sms, sanitize=sanitize,
                        fast_forward=fast_forward, engine=engine,
                        sim_jobs=sim_jobs)

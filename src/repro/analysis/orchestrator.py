@@ -1,24 +1,19 @@
-"""Process-isolated, checkpointed sweep orchestration.
+"""The one multi-cell runner: every experiment, gate and sweep runs here.
 
-``run_matrix`` executes a sweep serially inside the calling interpreter:
-one segfault, OOM kill, or Ctrl-C loses the whole multi-hour matrix, and a
-pathological cell can only be bounded in *cycles*, not wall-clock time.
-This module runs each (benchmark, config, scale) cell as a **job** in its
-own worker subprocess (``multiprocessing`` *spawn* context — a fresh
-interpreter, nothing shared), so:
+:func:`run_sweep` runs a list of (benchmark, config, scale) cells and
+returns one :class:`~repro.records.RunRecord` per cell; a failing cell
+becomes a failed record, never an exception.  Cells run in the calling
+process unless ``jobs`` or ``directory`` is given; then each runs in its
+own worker subprocess (``multiprocessing`` *spawn*: a fresh interpreter,
+nothing shared), so a worker dying costs one cell, not the sweep, and a
+**wall-clock deadline** can kill it outright — which the in-simulation
+cycle budget and progress watchdog cannot do for a wedged interpreter.
+With a ``directory`` every finished cell is committed to a
+:class:`~repro.store.cas.ResultStore` keyed by a deterministic
+fingerprint, so re-running into it after a crash runs only what is missing.
 
-* a worker dying for any reason costs one cell, not the sweep;
-* every cell has a **wall-clock deadline** — the parent kills the worker
-  outright when it expires, complementing the in-simulation cycle budget
-  and progress watchdog (which cannot fire if the interpreter itself is
-  wedged or thrashing);
-* every finished cell is committed to the sweep directory, which is a
-  :class:`~repro.store.cas.ResultStore` root keyed by a deterministic
-  fingerprint, so re-running into the same directory after a crash or
-  interrupt runs only what is missing.
-
-Failure handling is a per-status retry policy (:data:`RETRY_POLICY`) with
-exponential backoff + jitter:
+One retry policy (:data:`RETRY_POLICY`) decides every failed attempt,
+wherever it ran, so a cell's record does not depend on ``jobs``:
 
 * ``timeout``      — retried with a **doubled cycle budget** (the budget
   may simply have been tight for this cell);
@@ -27,11 +22,12 @@ exponential backoff + jitter:
 * ``deadlock`` / ``violation`` / ``check-failed`` / ``error`` — never
   retried: these are deterministic, more attempts cannot help.
 
-The pool also **degrades gracefully**: repeated worker deaths halve the
-pool (memory pressure is the usual culprit) down to one worker, and if
-workers keep dying even then, the orchestrator falls back to the existing
-in-process serial path (:func:`repro.analysis.runner.run_benchmark_safe`)
-for the remaining cells rather than aborting the sweep.
+An in-process cell cannot be killed, so its ``wall_timeout`` bounds all
+its attempts together: a retry's cycle budget is clamped to what the
+remaining wall time affords, and a retry it cannot afford, or a clamped
+one that times out again, is reported ``wall-timeout``.  Pool retries
+back off exponentially with jitter.  Repeated worker deaths halve the
+pool down to one worker, and then run the remaining cells in-process.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ from dataclasses import dataclass, field
 from repro.analysis.runner import run_benchmark_safe
 from repro.analysis.tables import format_table
 from repro.records import (
+    RunFailed,
     RunRecord,
     cell_fingerprint,
     config_from_dict,
@@ -81,7 +78,7 @@ class SweepCell:
     Benchmarks are carried *by name* and re-resolved from the registry
     inside the worker — only plain data crosses the process boundary.
     ``key`` is how the caller wants the result keyed (defaults to
-    ``(benchmark, arch)``, matching ``run_matrix``).
+    ``(benchmark, arch)``, as :func:`matrix_cells` keys its cells).
     """
 
     benchmark: str
@@ -140,10 +137,18 @@ class SweepResult:
     def ok(self) -> bool:
         return all(r.ok for r in self.records.values())
 
+    def checked(self) -> dict[tuple, RunRecord]:
+        """``records``, once no cell failed: the first failed record (in
+        cell order) raises :class:`~repro.records.RunFailed` instead, so a
+        table is never built on missing numbers."""
+        for record in self.records.values():
+            if not record.ok:
+                raise RunFailed(record)
+        return self.records
+
     def counts(self) -> dict[str, int]:
         ok = sum(1 for r in self.records.values() if r.ok)
-        retried = sum(1 for k, r in self.records.items()
-                      if self.attempts.get(k, 1) > 1 or r.retried)
+        retried = sum(1 for r in self.records.values() if r.retried)
         return {
             "total": len(self.records),
             "ok": ok,
@@ -162,7 +167,7 @@ class SweepResult:
         for key in sorted(self.records, key=str):
             record = self.records[key]
             attempts = self.attempts.get(key, 1)
-            marker = "*" if (attempts > 1 or record.retried) else ""
+            marker = "*" if record.retried else ""
             cell = (f"ok{marker} ({record.cycles} cyc)" if record.ok
                     else record.failure)
             note = "cached" if key in self.cached else ""
@@ -175,8 +180,7 @@ class SweepResult:
                   f"({counts['retried']} retried, {counts['cached']} cached)",
         )
         notes = []
-        if any(self.attempts.get(k, 1) > 1 or r.retried
-               for k, r in self.records.items()):
+        if counts["retried"]:
             notes.append("* = completed only after a retry")
         if self.degraded_to_serial:
             notes.append("pool degraded to the in-process serial path "
@@ -235,6 +239,24 @@ class SweepResult:
 # Worker side (runs in a spawned subprocess)
 # ---------------------------------------------------------------------------
 
+def _attempt(payload: dict, cfg: GPUConfig) -> RunRecord:
+    """One attempt at a cell, in a worker or in this process alike."""
+    if payload["runner"] == "fuzz":
+        from repro.fuzz.campaign import run_fuzz_cell
+
+        return run_fuzz_cell(payload)
+    from repro.kernels.registry import get
+
+    try:
+        bench = get(payload["benchmark"])
+    except KeyError as exc:
+        return RunRecord(benchmark=payload["benchmark"], arch=cfg.arch,
+                         stats=None, config=cfg, status="error", error=str(exc))
+    return run_benchmark_safe(bench, cfg, payload["scale"], payload["check"],
+                              max_cycles=payload["max_cycles"],
+                              faults=payload["faults"])
+
+
 def _worker_main(conn, payload: dict) -> None:
     """Entry point of one worker process: run one cell, send one dict.
 
@@ -247,20 +269,7 @@ def _worker_main(conn, payload: dict) -> None:
     if payload["attempt"] in payload["die_on_attempts"]:
         os._exit(86)  # simulated hard crash (test hook)
     try:
-        if payload.get("runner") == "fuzz":
-            from repro.fuzz.campaign import run_fuzz_cell
-
-            record = run_fuzz_cell(payload)
-        else:
-            from repro.kernels.registry import get
-
-            cfg = config_from_dict(payload["config"])
-            bench = get(payload["benchmark"])
-            record = run_benchmark_safe(
-                bench, cfg, payload["scale"], payload["check"],
-                max_cycles=payload["max_cycles"], faults=payload["faults"],
-                retry_timeouts=False,  # retries are the orchestrator's job
-            )
+        record = _attempt(payload, config_from_dict(payload["config"]))
         conn.send(record_to_dict(record))
     except BaseException as exc:  # noqa: BLE001 - last-ditch isolation
         conn.send({
@@ -301,6 +310,7 @@ class _Job:
     cell: SweepCell
     attempt: int = 0  # attempts started so far
     max_cycles: int | None = None  # current cycle budget (doubles on timeout)
+    clamped: bool = False  # max_cycles cut to fit the in-process wall budget
     wall_budget: float | None = None  # current wall budget (doubles on kill)
     ready_at: float = 0.0  # monotonic time before which backoff holds it
     started: float = 0.0
@@ -308,18 +318,21 @@ class _Job:
     proc: object | None = None
     conn: object | None = None
 
-    def launch(self, ctx) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def start_attempt(self) -> dict:
+        """Start the next attempt; its payload."""
         self.attempt += 1
-        payload = _cell_payload(self.cell, self.attempt, self.max_cycles)
-        proc = ctx.Process(target=_worker_main, args=(child_conn, payload),
-                           daemon=True)
-        proc.start()
-        child_conn.close()  # parent keeps only the read end
-        self.proc, self.conn = proc, parent_conn
         self.started = time.monotonic()
         if self.first_started is None:
             self.first_started = self.started
+        return _cell_payload(self.cell, self.attempt, self.max_cycles)
+
+    def launch(self, ctx) -> None:
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_worker_main,
+                           args=(child_conn, self.start_attempt()), daemon=True)
+        proc.start()
+        child_conn.close()  # parent keeps only the read end
+        self.proc, self.conn = proc, parent_conn
 
     def reap(self) -> dict | None:
         """Collect the worker's result dict, or None if it died silently."""
@@ -342,9 +355,7 @@ class _Job:
 
     @property
     def deadline(self) -> float | None:
-        if self.wall_budget is None:
-            return None
-        return self.started + self.wall_budget
+        return None if self.wall_budget is None else self.started + self.wall_budget
 
     @property
     def elapsed(self) -> float:
@@ -356,19 +367,20 @@ def _failed_record(cell: SweepCell, status: str, message: str) -> RunRecord:
                      config=cell.cfg, status=status, error=message)
 
 
-def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
-              retries: int = 1, directory=None, backoff_base: float = 0.5,
+def run_sweep(cells, *, jobs: int | None = None,
+              wall_timeout: float | None = None, retries: int = 1,
+              directory=None, backoff_base: float = 0.5,
               backoff_cap: float = 30.0, seed: int = 0,
               progress=None) -> SweepResult:
-    """Run every cell, each in its own worker subprocess; never raises for
-    a cell-level failure.
+    """Run every cell; never raises for a cell-level failure.
 
-    ``jobs`` is the worker-pool width (``0`` forces the in-process serial
-    path — no isolation, but also no spawn overhead; still persisted and
-    resumable).  ``wall_timeout`` is the per-cell wall-clock budget in
-    seconds (``None`` = unbounded: only the cycle budget and watchdog
-    bound the cell).  ``retries`` caps *extra* attempts per cell under
-    :data:`RETRY_POLICY`.
+    ``jobs`` is the worker-pool width; ``0`` runs every cell in this
+    process (no isolation, but also no spawn overhead; still persisted and
+    resumable).  Left unset, cells run in-process unless ``directory`` is
+    given, and then in one worker.  ``wall_timeout`` is the per-cell
+    wall-clock budget in seconds (``None`` = unbounded: only the cycle
+    budget and watchdog bound the cell).  ``retries`` caps *extra*
+    attempts per cell under :data:`RETRY_POLICY`, wherever the cell runs.
 
     ``directory`` (a :class:`~repro.store.cas.ResultStore` or its root
     path) persists the sweep.  Each cell is then one of: an ``objects/``
@@ -380,11 +392,13 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
     ``artifacts/<fp>.json`` audit record, terminal failures to
     ``failures/`` with their forensic dump in ``dumps/<fp>.txt`` — so a
     sweep killed at any point resumes by re-running into the same
-    directory.
+    directory.  ``SweepResult.records`` is in ``cells`` order.
 
     Duplicate fingerprints in ``cells`` are an error: the store could not
     tell their results apart.
     """
+    if jobs is None:
+        jobs = 0 if directory is None else 1
     cells = list(cells)
     by_print: dict[str, SweepCell] = {}
     for cell in cells:
@@ -427,6 +441,7 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
 
     def finalize(job: _Job, record: RunRecord) -> None:
         cell = job.cell
+        record.retried = record.retried or job.attempt > 1
         result.records[cell.key] = record
         result.attempts[cell.key] = job.attempt
         if store is None:
@@ -446,54 +461,12 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
             started_at=finished - job.elapsed, finished_at=finished,
             store_path=str(path)))
 
-    def run_serial(job: _Job) -> None:
-        """The degraded / ``jobs=0`` path: in-process, no isolation."""
-        from repro.kernels.registry import get
-
-        job.attempt += 1
-        if job.first_started is None:
-            job.first_started = time.monotonic()
-        if job.cell.runner == "fuzz":
-            from repro.fuzz.campaign import run_fuzz_cell
-
-            finalize(job, run_fuzz_cell(
-                _cell_payload(job.cell, job.attempt, job.max_cycles)))
-            return
-        try:
-            bench = get(job.cell.benchmark)
-        except KeyError as exc:
-            finalize(job, _failed_record(job.cell, "error", str(exc)))
-            return
-        record = run_benchmark_safe(
-            bench, job.cell.cfg, job.cell.scale, job.cell.check,
-            max_cycles=job.max_cycles, faults=job.cell.faults,
-            retry_timeouts=retries > 0, wall_budget=wall_timeout)
-        if record.retried:
-            job.attempt += 1
-        finalize(job, record)
-
-    if jobs <= 0:  # everything in-process; nothing is left for the pool
-        for job in todo:
-            run_serial(job)
-        todo = []
-
-    # -- the process pool -------------------------------------------------
-    ctx = multiprocessing.get_context("spawn")
-    pool_size = max(1, jobs)
-    pending = list(todo)  # jobs waiting for a slot (or for backoff)
-    active: list[_Job] = []
     death_streak = 0  # consecutive worker deaths, reset by any result
-    serial_fallback = False
 
-    def backoff(job: _Job) -> None:
-        delay = min(backoff_cap, backoff_base * (2 ** (job.attempt - 1)))
-        delay *= 1.0 + rng.random()  # jitter: avoid lockstep retries
-        job.ready_at = time.monotonic() + delay
-
-    def settle(job: _Job, record: RunRecord) -> None:
-        """Retry under the policy, or finalize the cell."""
+    def settle(job: _Job, record: RunRecord, in_process: bool) -> bool:
+        """The retry policy, for every attempt wherever it ran: raise the
+        budget and return True to run ``job`` again, or finalize it."""
         nonlocal death_streak
-        retryable = RETRY_POLICY.get(record.status, False)
         allowance = retries
         if record.status == "worker-died":
             death_streak += 1
@@ -505,19 +478,66 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
             allowance = max(retries, 2 * DEGRADE_AFTER)
         else:
             death_streak = 0
-        if retryable and job.attempt <= allowance:
+        budget = job.max_cycles or job.cell.cfg.max_cycles
+        if job.clamped and record.status == "timeout":
+            record.status = "wall-timeout"
+            record.error = (
+                f"retry budget clamped to {budget} cycles by the "
+                f"{wall_timeout:g}s wall budget and still timed out: "
+                f"{record.error}")
+        elif RETRY_POLICY.get(record.status, False) and job.attempt <= allowance:
             if record.status == "timeout":
-                budget = job.max_cycles or job.cell.cfg.max_cycles
                 job.max_cycles = 2 * budget  # a tight budget, not a hang
+                if in_process and wall_timeout is not None:
+                    # Simulated time scales ~linearly with wall time: fit
+                    # the retry into what the wall budget has left.
+                    now = time.monotonic()
+                    remaining = wall_timeout - (now - job.first_started)
+                    rate = budget / max(now - job.started, 1e-9)
+                    affordable = int(rate * remaining)
+                    if affordable <= budget:
+                        record.status = "wall-timeout"
+                        record.error = (
+                            f"timeout at {budget} cycles; retry skipped: "
+                            f"{remaining:.1f}s of the {wall_timeout:g}s wall "
+                            f"budget left cannot fit the last attempt again")
+                        finalize(job, record)
+                        return False
+                    if affordable < job.max_cycles:
+                        job.max_cycles, job.clamped = affordable, True
             elif record.status == "wall-timeout" and job.wall_budget:
                 job.wall_budget *= 2
-            backoff(job)
             note(f"{'/'.join(map(str, job.cell.key))}: {record.status} on "
                  f"attempt {job.attempt}, retrying")
-            pending.append(job)
-            return
-        record.retried = record.retried or job.attempt > 1
+            return True
         finalize(job, record)
+        return False
+
+    def run_here(job: _Job) -> None:
+        """Run ``job`` in this process until :func:`settle` finalizes it."""
+        while settle(job, _attempt(job.start_attempt(), job.cell.cfg),
+                     in_process=True):
+            pass  # retried at once: no other cell waits for this process
+
+    if jobs <= 0:  # everything in-process; nothing is left for the pool
+        for job in todo:
+            run_here(job)
+        todo = []
+
+    # -- the process pool -------------------------------------------------
+    ctx = multiprocessing.get_context("spawn")
+    pool_size = max(1, jobs)
+    pending = list(todo)  # jobs waiting for a slot (or for backoff)
+    active: list[_Job] = []
+    serial_fallback = False
+
+    def settle_pooled(job: _Job, record: RunRecord) -> None:
+        """:func:`settle`; a retry waits out an exponential backoff."""
+        if settle(job, record, in_process=False):
+            delay = min(backoff_cap, backoff_base * (2 ** (job.attempt - 1)))
+            delay *= 1.0 + rng.random()  # jitter: avoid lockstep retries
+            job.ready_at = time.monotonic() + delay
+            pending.append(job)
 
     try:
         while pending or active:
@@ -535,14 +555,14 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
                     note("workers keep dying: falling back to the "
                          "in-process serial path")
             if serial_fallback:
-                # Drain what is still running, then finish serially.
+                # Drain what is still running, then finish in-process.
                 for job in active:
                     job.kill()
                     job.attempt -= 1  # the killed attempt is not charged
                     pending.append(job)
                 active.clear()
                 for job in pending:
-                    run_serial(job)
+                    run_here(job)
                 pending.clear()
                 result.degraded_to_serial = True
                 break
@@ -566,17 +586,17 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
                     active.remove(job)
                     data = job.reap()
                     if data is None:
-                        settle(job, _failed_record(
+                        settle_pooled(job, _failed_record(
                             job.cell, "worker-died",
                             f"worker exited without a result "
                             f"(attempt {job.attempt})"))
                     else:
-                        settle(job, record_from_dict(data))
+                        settle_pooled(job, record_from_dict(data))
                 elif job.deadline is not None and now >= job.deadline:
                     budget = job.wall_budget
                     job.kill()
                     active.remove(job)
-                    settle(job, _failed_record(
+                    settle_pooled(job, _failed_record(
                         job.cell, "wall-timeout",
                         f"wall-clock deadline ({budget:g}s) exceeded on "
                         f"attempt {job.attempt}"))
@@ -591,6 +611,7 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
         note("interrupted: re-run into the same directory to resume")
         raise
 
+    result.records = {cell.key: result.records[cell.key] for cell in cells}
     if store is not None:
         result.store_stats = store.stats.to_dict()
     return result
@@ -598,7 +619,7 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
 
 def matrix_cells(benches, archs, base_cfg: GPUConfig, scale: float = 1.0,
                  check: bool = True, max_cycles: int | None = None) -> list[SweepCell]:
-    """The (benchmark x arch) matrix as sweep cells, keyed like ``run_matrix``."""
+    """The (benchmark x arch) matrix as sweep cells, keyed ``(bench, arch)``."""
     return [
         SweepCell(benchmark=bench.name, cfg=base_cfg.with_(arch=arch),
                   scale=scale, check=check, max_cycles=max_cycles)

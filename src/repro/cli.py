@@ -36,12 +36,14 @@ import argparse
 import inspect
 import sys
 import tempfile
+from collections import Counter
 
 from repro.analysis.experiments import ALL_EXPERIMENTS, doctor_report
 from repro.analysis.runner import run_benchmark
 from repro.analysis.tables import format_table
 from repro.core.occupancy import occupancy
 from repro.kernels.registry import all_benchmarks, get
+from repro.records import RunFailed
 from repro.sim.config import ArchMode, scaled_fermi
 from repro.sim.gpu import ProgressDeadlock, SimulationTimeout
 from repro.sim.sanitizer import InvariantViolation
@@ -528,9 +530,8 @@ def cmd_predict(args) -> int:
 def cmd_bound(args) -> int:
     import json
 
-    from repro.isa.analysis.bounds import (IrregularControlFlow,
-                                           UnboundedLoop, bench_bounds,
-                                           gate_configs)
+    from repro.analysis.experiments import bound_cells
+    from repro.isa.analysis.bounds import gate_configs
 
     if args.all and args.benchmark:
         print("error: pass either --all or a benchmark name, not both",
@@ -554,9 +555,7 @@ def cmd_bound(args) -> int:
                  f"[{v.slowdown_b[0]:.2f}, {v.slowdown_b[1]:.2f}]",
                  ", ".join(v.reasons) or "-")
                 for v in verdicts]
-        counts = {}
-        for v in verdicts:
-            counts[v.verdict] = counts.get(v.verdict, 0) + 1
+        counts = Counter(v.verdict for v in verdicts)
         print(format_table(
             ("a", "b", "verdict", "ctas/SM", "slowdown a", "slowdown b",
              "reasons"),
@@ -564,45 +563,34 @@ def cmd_bound(args) -> int:
         print("\n" + "  ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
         return 0
 
+    # The soundness gate shares X6's cells: with --check each simulated
+    # cycle count must fall inside its static interval, and no interval
+    # may be the trivial [<=1, >=budget] one.
     cells = []
     problems = []
-    for arch, cfg in configs.items():
-        for bench in benches:
-            for mode in ("baseline", "vt"):
-                try:
-                    kb = bench_bounds(bench, cfg, mode=mode,
-                                      scale=args.scale, arch=arch)
-                except (UnboundedLoop, IrregularControlFlow) as exc:
-                    problems.append((arch, bench.name, mode, str(exc)))
-                    continue
-                record = kb.to_dict()
-                if args.check:
-                    # Soundness gate: the simulated cycle count must fall
-                    # inside the static interval, and no cell may be the
-                    # trivial [<=1, >=budget] interval.
-                    try:
-                        res = run_benchmark(bench, cfg.with_(arch=mode),
-                                            scale=args.scale)
-                        cycles = res.stats.cycles
-                    except Exception as exc:  # sim failure, not a bound bug
-                        record["sim_error"] = str(exc)
-                        if args.strict:
-                            problems.append(
-                                (arch, bench.name, mode, f"sim: {exc}"))
-                        cells.append(record)
-                        continue
-                    record["sim_cycles"] = cycles
-                    record["sound"] = kb.contains(cycles)
-                    record["trivial"] = kb.lo <= 1 or kb.hi >= cfg.max_cycles
-                    if not record["sound"]:
-                        problems.append(
-                            (arch, bench.name, mode,
-                             f"sim {cycles} outside [{kb.lo}, {kb.hi}]"))
-                    if record["trivial"]:
-                        problems.append(
-                            (arch, bench.name, mode,
-                             f"trivial interval [{kb.lo}, {kb.hi}]"))
-                cells.append(record)
+    gate = bound_cells(configs, benches, args.scale, simulate=args.check)
+    for (name, arch, mode), cell in gate.items():
+        if "error" in cell:
+            problems.append((arch, name, mode, str(cell["error"])))
+            continue
+        kb = cell["bound"]
+        entry = kb.to_dict()
+        record = cell.get("record")
+        if record is not None and not record.ok:
+            # A simulation failure, not a bound bug.
+            entry["sim_error"] = record.error
+            if args.strict:
+                problems.append((arch, name, mode, f"sim: {record.error}"))
+        elif record is not None:
+            entry.update(sim_cycles=cell["sim"], sound=cell["sound"],
+                         trivial=cell["trivial"])
+            if not cell["sound"]:
+                problems.append((arch, name, mode, f"sim {cell['sim']} "
+                                 f"outside [{kb.lo}, {kb.hi}]"))
+            if cell["trivial"]:
+                problems.append((arch, name, mode,
+                                 f"trivial interval [{kb.lo}, {kb.hi}]"))
+        cells.append(entry)
 
     if args.format == "json":
         print(json.dumps({"cells": cells,
@@ -688,8 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("id", help="experiment id: E1..E12 or X1..X3")
     exp_p.add_argument("--scale", type=positive_float, default=1.0)
     exp_p.add_argument("--strict", action="store_true",
-                       help="abort on the first failing run instead of "
-                            "rendering FAILED(<reason>) cells")
+                       help="once every run has finished, fail on the first "
+                            "failed one instead of rendering "
+                            "FAILED(<reason>) cells")
     exp_p.add_argument("--jobs", type=positive_int, default=None,
                        help="run the experiment's simulations through the "
                             "process-isolated orchestrator with N workers")
@@ -901,14 +890,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_dump(dump: str | None) -> str | None:
-    """Persist a deadlock-forensics dump; returns its path (None if empty)."""
-    if not dump:
-        return None
-    with tempfile.NamedTemporaryFile(
-            "w", prefix="repro-dump-", suffix=".txt", delete=False) as handle:
-        handle.write(dump + "\n")
-        return handle.name
+def _report_failure(message: str, dump: str | None) -> int:
+    """Print a failed simulation and persist its forensic dump; exit 1."""
+    print(message, file=sys.stderr)
+    if dump:
+        with tempfile.NamedTemporaryFile(
+                "w", prefix="repro-dump-", suffix=".txt", delete=False) as handle:
+            handle.write(dump + "\n")
+        print(f"diagnostic dump written to {handle.name}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
@@ -923,11 +913,10 @@ def main(argv=None) -> int:
         return 1
     except SimulationTimeout as exc:
         kind = "deadlock" if isinstance(exc, ProgressDeadlock) else "timeout"
-        print(f"simulation {kind}: {exc}", file=sys.stderr)
-        path = _write_dump(exc.dump)
-        if path:
-            print(f"diagnostic dump written to {path}", file=sys.stderr)
-        return 1
+        return _report_failure(f"simulation {kind}: {exc}", exc.dump)
+    except RunFailed as exc:  # a failed cell of a strict experiment
+        return _report_failure(f"simulation {exc.record.status}: {exc}",
+                               exc.record.dump)
     except FileExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,15 @@ from repro.sim.config import GPUConfig
 from repro.sim.stats import SimStats
 
 
+class RunFailed(RuntimeError):
+    """A failed run's numbers were read; ``record`` is the failed run."""
+
+    def __init__(self, record: "RunRecord"):
+        super().__init__(f"{record.benchmark}/{record.arch} failed "
+                         f"({record.status}): {record.error}")
+        self.record = record
+
+
 @dataclass
 class RunRecord:
     """Result of one (benchmark, config) simulation — successful or not."""
@@ -36,15 +45,13 @@ class RunRecord:
     @property
     def cycles(self) -> int:
         if self.stats is None:
-            raise RuntimeError(
-                f"{self.benchmark}/{self.arch} failed ({self.status}): {self.error}")
+            raise RunFailed(self)
         return self.stats.cycles
 
     @property
     def ipc(self) -> float:
         if self.stats is None:
-            raise RuntimeError(
-                f"{self.benchmark}/{self.arch} failed ({self.status}): {self.error}")
+            raise RunFailed(self)
         return self.stats.ipc
 
     @property

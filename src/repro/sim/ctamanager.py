@@ -22,35 +22,43 @@ class ResourceAccounting:
         self.smem_used = 0
         self.warps_used = 0
         self.threads_used = 0
+        self._footprint_memo = (None, None)
 
-    def charge(self, kernel) -> None:
-        self.regs_used += kernel.regs_per_thread * kernel.threads_per_cta
-        self.smem_used += kernel.smem_bytes
-        self.warps_used += kernel.warps_per_cta(self.cfg.warp_size)
-        self.threads_used += kernel.threads_per_cta
+    def footprint(self, kernel) -> tuple[int, int, int, int]:
+        """``(regs, smem, warps, threads)`` one CTA of ``kernel`` occupies,
+        computed once per kernel (a launch asks about one kernel throughout)."""
+        if self._footprint_memo[0] is not kernel:
+            threads = kernel.threads_per_cta
+            self._footprint_memo = (kernel, (
+                kernel.regs_per_thread * threads, kernel.smem_bytes,
+                kernel.warps_per_cta(self.cfg.warp_size), threads))
+        return self._footprint_memo[1]
+
+    def charge(self, kernel, sign: int = 1) -> None:
+        """Book one CTA of ``kernel`` (``sign=-1`` releases one)."""
+        regs, smem, warps, threads = self.footprint(kernel)
+        self.regs_used += sign * regs
+        self.smem_used += sign * smem
+        self.warps_used += sign * warps
+        self.threads_used += sign * threads
 
     def release(self, cta: CTA) -> None:
-        kernel = cta.kernel
-        self.regs_used -= kernel.regs_per_thread * kernel.threads_per_cta
-        self.smem_used -= kernel.smem_bytes
-        self.warps_used -= kernel.warps_per_cta(self.cfg.warp_size)
-        self.threads_used -= kernel.threads_per_cta
+        self.charge(cta.kernel, -1)
 
     def capacity_fits(self, kernel) -> bool:
         """The paper's *capacity limit*: register file + shared memory."""
-        cfg = self.cfg
-        return (
-            self.regs_used + kernel.regs_per_thread * kernel.threads_per_cta <= cfg.registers_per_sm
-            and self.smem_used + kernel.smem_bytes <= cfg.smem_per_sm
-        )
+        regs, smem, _warps, _threads = self.footprint(kernel)
+        return (self.regs_used + regs <= self.cfg.registers_per_sm
+                and self.smem_used + smem <= self.cfg.smem_per_sm)
 
     def sched_fits(self, kernel, resident_ctas: int) -> bool:
         """The paper's *scheduling limit*: CTA slots, warp slots, threads."""
         cfg = self.cfg
+        _regs, _smem, warps, threads = self.footprint(kernel)
         return (
             resident_ctas < cfg.max_ctas_per_sm
-            and self.warps_used + kernel.warps_per_cta(cfg.warp_size) <= cfg.max_warps_per_sm
-            and self.threads_used + kernel.threads_per_cta <= cfg.max_threads_per_sm
+            and self.warps_used + warps <= cfg.max_warps_per_sm
+            and self.threads_used + threads <= cfg.max_threads_per_sm
         )
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import ascii_bars, format_table, geomean, run_benchmark, run_matrix, speedup_summary
+from repro.analysis import (ascii_bars, format_table, geomean, matrix_cells,
+                            run_benchmark, run_sweep, speedup_summary)
 from repro.kernels import get
 from repro.kernels.base import CheckFailure
 from repro.sim.config import scaled_fermi
@@ -53,8 +54,8 @@ def test_run_benchmark_checks_output():
     assert record.ipc > 0
 
 
-def test_run_matrix_covers_all_pairs():
-    benches = [get("vecadd")]
-    records = run_matrix(benches, ("baseline", "vt"), scaled_fermi(1), scale=0.25)
+def test_matrix_cells_cover_all_pairs():
+    cells = matrix_cells([get("vecadd")], ("baseline", "vt"), scaled_fermi(1), 0.25)
+    records = run_sweep(cells).records
     assert set(records) == {("vecadd", "baseline"), ("vecadd", "vt")}
     assert records[("vecadd", "vt")].arch == "vt"

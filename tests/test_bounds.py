@@ -362,3 +362,29 @@ def test_x6_registered():
     from repro.analysis.experiments import ALL_EXPERIMENTS
 
     assert "X6" in ALL_EXPERIMENTS
+
+
+def test_bound_gate_and_x6_report_the_same_cells(capsys):
+    """``repro bound --check`` and X6 share one code path: per cell they
+    report the same interval, simulated cycles and soundness."""
+    import json
+
+    from repro.analysis.experiments import x6_bound_table
+    from repro.cli import main
+
+    names = ("bfs", "vecadd")
+    _report, data = x6_bound_table(cfg=scaled_fermi(num_sms=1), scale=0.25,
+                                   subset=names)
+    x6 = {(name, mode): (c["bound"].lo, c["bound"].hi, c["sim"], c["sound"])
+          for (name, _arch, mode), c in data["cells"].items()}
+    bench_of = {get(name).kernel.name: name for name in names}
+    gate = {}
+    for name in names:
+        assert main(["bound", name, "--check", "--sms", "1", "--scale",
+                     "0.25", "--format", "json"]) == 0
+        for cell in json.loads(capsys.readouterr().out)["cells"]:
+            assert {"sim_cycles", "sound", "trivial"} <= set(cell)
+            gate[(bench_of[cell["kernel"]], cell["mode"])] = (
+                cell["lo"], cell["hi"], cell["sim_cycles"], cell["sound"])
+    assert len(x6) == 4
+    assert gate == x6

@@ -38,6 +38,20 @@ def test_accounting_charge_release():
     assert (acc.regs_used, acc.smem_used, acc.warps_used, acc.threads_used) == (0, 0, 0, 0)
 
 
+def test_footprint_follows_the_kernel_asked_about():
+    # The per-kernel footprint memo must not answer for another kernel.
+    acc = ResourceAccounting(GPUConfig())
+    small = make_kernel(threads=64, regs=16, smem=512)
+    big = make_kernel(threads=256, regs=32, smem=4096)
+    assert acc.footprint(small) == (1024, 512, 2, 64)
+    assert acc.footprint(big) == (8192, 4096, 8, 256)
+    acc.charge(small)
+    acc.charge(big)
+    acc.release(make_cta(small))
+    assert (acc.regs_used, acc.smem_used, acc.warps_used, acc.threads_used) == \
+        (8192, 4096, 8, 256)
+
+
 def test_baseline_stops_at_cta_slots():
     manager = BaselineManager(GPUConfig(), SMStats())
     assert fill(manager, make_kernel(threads=64, regs=16)) == 8  # CTA slots

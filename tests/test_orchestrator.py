@@ -14,7 +14,7 @@ from repro.analysis.orchestrator import (
     matrix_cells,
     run_sweep,
 )
-from repro.analysis.runner import STATUSES, run_benchmark, run_matrix
+from repro.analysis.runner import STATUSES, run_benchmark
 from repro.kernels.registry import get
 from repro.sim.config import scaled_fermi
 from repro.sim.faults import FaultPlan
@@ -156,18 +156,32 @@ def test_corrupted_failure_entry_quarantined_on_resume(cfg, tmp_path):
     assert "quarantined and recomputed" in result.summary_table()
 
 
-def test_run_matrix_directory_mode(cfg, tmp_path):
-    """run_matrix's directory/parallel mode returns the same shape as the
-    serial keep_going path and is resumable."""
-    benches = [get("vecadd")]
-    records = run_matrix(benches, ["baseline", "vt"], cfg, scale=0.25,
-                         keep_going=True, parallel=0, directory=tmp_path)
-    assert set(records) == {("vecadd", "baseline"), ("vecadd", "vt")}
-    assert all(r.ok for r in records.values())
-    again = run_matrix(benches, ["baseline", "vt"], cfg, scale=0.25,
-                       parallel=0, directory=tmp_path)
-    assert {k: r.cycles for k, r in again.items()} == \
-        {k: r.cycles for k, r in records.items()}
+def test_cells_run_in_process_unless_jobs_or_directory(cfg, tmp_path,
+                                                       monkeypatch):
+    """Left unset, ``jobs`` means in-process without a directory and one
+    worker with one; either way the records have the same shape, and a
+    directory makes the sweep resumable."""
+    import repro.analysis.runner as runner_mod
+
+    here = []
+    real = runner_mod.run_benchmark
+
+    def counted(*args, **kwargs):
+        here.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_benchmark", counted)
+    cells = matrix_cells([get("vecadd")], ["baseline", "vt"], cfg, 0.25)
+    inproc = run_sweep(cells).records
+    assert here == ["vecadd", "vecadd"]
+    pooled = run_sweep(cells, directory=tmp_path, backoff_base=0.0).records
+    assert here == ["vecadd", "vecadd"]  # the workers ran them
+    assert set(pooled) == set(inproc) == {("vecadd", "baseline"),
+                                          ("vecadd", "vt")}
+    assert {k: r.cycles for k, r in pooled.items()} == \
+        {k: r.cycles for k, r in inproc.items()}
+    again = run_sweep(cells, directory=tmp_path)
+    assert sorted(again.cached) == sorted(again.records)
     assert len(ResultStore(tmp_path)) == 2
 
 
