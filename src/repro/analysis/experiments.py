@@ -50,32 +50,38 @@ def _cycles_cell(record) -> str | int:
     return f"{record.cycles}*" if record.retried else record.cycles
 
 
-def _point_cells(benches, scale: float, cfgs: dict) -> list[SweepCell]:
-    """One cell per (sweep point, benchmark), keyed ``(point, bench,
-    arch)``; ``cfgs`` maps each point to its config."""
-    return [SweepCell(b.name, cfg, scale, key=(point, b.name, cfg.arch))
-            for point, cfg in cfgs.items() for b in benches]
+def _vt_gains(benches, scale: float, cfgs: dict, *, label=str,
+              base_cfg: GPUConfig | None = None, jobs=None, directory=None):
+    """VT's speedup over baseline at each sweep point: ``(rows, data,
+    records)``.
 
-
-def _gain_rows(records, benches, labels: dict, base_point=None):
-    """VT's speedup over baseline at each sweep point: ``(rows, data)``.
-
-    ``labels`` maps each point to its row label; records are keyed as
-    :func:`_point_cells` keys them.  Each point is normalized by its own
-    baseline cells, or by ``base_point``'s when the points share one.
+    ``cfgs`` maps each point to its config, run under VT; ``label(point)``
+    is its row label.  Each point is normalized by its own config run
+    under baseline, or by ``base_cfg``'s when the points share one.
+    Records are keyed ``(point, bench, arch)``.
     """
+    runs = [(point, c.with_(arch=ArchMode.VT)) for point, c in cfgs.items()]
+    if base_cfg is None:
+        runs += [(point, c.with_(arch=ArchMode.BASELINE))
+                 for point, c in cfgs.items()]
+    else:
+        runs.append(("base", base_cfg.with_(arch=ArchMode.BASELINE)))
+    cells = [SweepCell(b.name, c, scale, key=(point, b.name, c.arch))
+             for point, c in runs for b in benches]
+    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
     rows = []
     data = {}
-    for point, label in labels.items():
-        base = point if base_point is None else base_point
+    for point in cfgs:
+        base = point if base_cfg is None else "base"
         speedups = {b.name: records[(base, b.name, ArchMode.BASELINE)].cycles
                     / records[(point, b.name, ArchMode.VT)].cycles
                     for b in benches}
         gm = geomean(speedups.values())
         data[point] = {"speedups": speedups, "geomean": gm}
-        rows.append((label, *(f"x{speedups[b.name]:.3f}" for b in benches),
+        rows.append((label(point),
+                     *(f"x{speedups[b.name]:.3f}" for b in benches),
                      f"x{gm:.3f}"))
-    return rows, data
+    return rows, data, records
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,7 @@ def e5_speedup(cfg: GPUConfig | None = None, scale: float = 1.0,
     raises for the first failed cell once the matrix has run.  A cycles
     cell rendered as ``NNN*`` completed only after a retry.  ``jobs`` /
     ``directory`` run the matrix in isolated worker processes.
+    ``benches`` (default: all) must be registry entries (:func:`matrix_cells`).
     """
     base_cfg = cfg or default_config()
     benches = list(benches) if benches is not None else all_benchmarks()
@@ -341,19 +348,14 @@ def e7_swap_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
     order of magnitude.
     """
     base_cfg = cfg or default_config()
-    benches = [get(name) for name in subset]
-    vt_cfgs = {(base_cost, per_warp): base_cfg.with_(
-        arch=ArchMode.VT,
-        vt_swap_out_base=base_cost, vt_swap_out_per_warp=per_warp,
-        vt_swap_in_base=base_cost, vt_swap_in_per_warp=per_warp,
-    ) for base_cost, per_warp in points}
-    cells = _point_cells(benches, scale, {
-        "base": base_cfg.with_(arch=ArchMode.BASELINE), **vt_cfgs})
-    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
-    rows, data = _gain_rows(
-        records, benches,
-        {point: f"save/restore {point[0]}+{point[1]}/warp" for point in points},
-        base_point="base")
+    rows, data, _records = _vt_gains(
+        [get(name) for name in subset], scale, {
+            (base_cost, per_warp): base_cfg.with_(
+                vt_swap_out_base=base_cost, vt_swap_out_per_warp=per_warp,
+                vt_swap_in_base=base_cost, vt_swap_in_per_warp=per_warp)
+            for base_cost, per_warp in points},
+        label=lambda point: f"save/restore {point[0]}+{point[1]}/warp",
+        base_cfg=base_cfg, jobs=jobs, directory=directory)
     report = format_table(
         ("swap cost", *subset, "geomean"),
         rows,
@@ -372,15 +374,12 @@ def e8_vcta_degree(cfg: GPUConfig | None = None, scale: float = 1.0,
     """VT speedup as the resident-CTA provisioning grows (1x = no virtual
     CTAs, so VT must degenerate to baseline behaviour)."""
     base_cfg = cfg or default_config()
-    benches = [get(name) for name in subset]
-    vt_cfgs = {mult: base_cfg.with_(arch=ArchMode.VT, vt_max_resident_multiplier=mult)
-               for mult in multipliers}
-    cells = _point_cells(benches, scale, {
-        "base": base_cfg.with_(arch=ArchMode.BASELINE), **vt_cfgs})
-    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
-    rows, data = _gain_rows(records, benches,
-                            {mult: f"{mult:g}x" for mult in multipliers},
-                            base_point="base")
+    rows, data, _records = _vt_gains(
+        [get(name) for name in subset], scale,
+        {mult: base_cfg.with_(vt_max_resident_multiplier=mult)
+         for mult in multipliers},
+        label=lambda mult: f"{mult:g}x",
+        base_cfg=base_cfg, jobs=jobs, directory=directory)
     report = format_table(
         ("resident cap", *subset, "geomean"),
         rows,
@@ -398,14 +397,10 @@ def e9_schedulers(cfg: GPUConfig | None = None, scale: float = 1.0,
                   jobs: int | None = None, directory=None):
     """VT's gain under different warp-scheduling policies."""
     base_cfg = cfg or default_config()
-    benches = [get(name) for name in subset]
-    cells = [cell for arch in (ArchMode.BASELINE, ArchMode.VT)
-             for cell in _point_cells(benches, scale, {
-                 policy: base_cfg.with_(warp_scheduler=policy, arch=arch)
-                 for policy in schedulers})]
-    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
-    rows, data = _gain_rows(records, benches,
-                            {policy: policy for policy in schedulers})
+    rows, data, _records = _vt_gains(
+        [get(name) for name in subset], scale,
+        {policy: base_cfg.with_(warp_scheduler=policy) for policy in schedulers},
+        jobs=jobs, directory=directory)
     report = format_table(
         ("warp scheduler", *subset, "geomean VT gain"),
         rows,
@@ -423,14 +418,10 @@ def e10_mem_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
                     jobs: int | None = None, directory=None):
     """VT's gain should grow with memory latency (more to hide)."""
     base_cfg = cfg or default_config()
-    benches = [get(name) for name in subset]
-    cells = [cell for arch in (ArchMode.BASELINE, ArchMode.VT)
-             for cell in _point_cells(benches, scale, {
-                 latency: base_cfg.with_(dram_latency=latency, arch=arch)
-                 for latency in latencies})]
-    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
-    rows, data = _gain_rows(records, benches,
-                            {latency: f"{latency} cyc" for latency in latencies})
+    rows, data, _records = _vt_gains(
+        [get(name) for name in subset], scale,
+        {latency: base_cfg.with_(dram_latency=latency) for latency in latencies},
+        label=lambda latency: f"{latency} cyc", jobs=jobs, directory=directory)
     report = format_table(
         ("DRAM latency", *subset, "geomean VT gain"),
         rows,
@@ -493,13 +484,9 @@ def e12_ablation(cfg: GPUConfig | None = None, scale: float = 1.0, subset=SWEEP_
         ("timeout(16) / oldest-ready", dict(vt_trigger_policy="timeout",
                                             vt_select_policy="oldest-ready")),
     ]
-    vt_cfgs = {label: base_cfg.with_(arch=ArchMode.VT, **overrides)
-               for label, overrides in variants}
-    cells = _point_cells(benches, scale, {
-        "base": base_cfg.with_(arch=ArchMode.BASELINE), **vt_cfgs})
-    records = run_sweep(cells, jobs=jobs, directory=directory).checked()
-    rows, data = _gain_rows(records, benches, {label: label for label in vt_cfgs},
-                            base_point="base")
+    vt_cfgs = {label: base_cfg.with_(**overrides) for label, overrides in variants}
+    rows, data, records = _vt_gains(benches, scale, vt_cfgs, base_cfg=base_cfg,
+                                    jobs=jobs, directory=directory)
     for index, label in enumerate(vt_cfgs):
         swaps = sum(records[(label, b.name, ArchMode.VT)].stats.total_swaps
                     for b in benches)
@@ -544,12 +531,9 @@ def x1_contention(cfg: GPUConfig | None = None, scale: float = 1.0, bench_name: 
     records = run_sweep(cells, jobs=jobs, directory=directory).checked()
     rows = []
     data = {}
-    base_cycles = None
+    base_cycles = records[variants[0][0]].cycles
     for label, _variant_cfg in variants:
-        record = records[label]
-        stats = record.stats
-        if base_cycles is None:
-            base_cycles = stats.cycles
+        stats = records[label].stats
         rows.append((label, stats.cycles, f"x{base_cycles / stats.cycles:.3f}",
                      f"{stats.l1_hit_rate:.0%}", f"{stats.l2_hit_rate:.0%}",
                      stats.dram_requests, stats.total_swaps))
@@ -801,8 +785,7 @@ def bound_cells(configs, benches, scale: float = 1.0, *,
     return cells
 
 
-def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0,
-                   subset=None):
+def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
     """Sound [lo, hi] cycle intervals vs the simulator, plus pair verdicts.
 
     The quantitative counterpart of X4: for every (kernel, gate arch,
@@ -815,15 +798,13 @@ def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0,
     ``repro bound --all --check`` gates the same cells (:func:`bound_cells`)
     in CI.
 
-    ``cfg`` overrides the gate arches with a single custom config;
-    ``subset`` restricts the kernels (default: the whole registry).
+    ``cfg`` overrides the gate arches with a single custom config.
     """
     from repro.isa.analysis.bounds import gate_configs
     from repro.isa.analysis.compose import pair_matrix
 
     configs = {cfg.arch or "custom": cfg} if cfg is not None else gate_configs()
-    benches = sorted(all_benchmarks() if subset is None
-                     else [get(name) for name in subset], key=lambda b: b.name)
+    benches = sorted(all_benchmarks(), key=lambda b: b.name)
 
     cells = bound_cells(configs, benches, scale)
     rows = []
@@ -882,7 +863,7 @@ def doctor_report(scale: float = 0.25, sms: int = 1, benches=None, archs=ARCHS,
     (bench, arch) pairs (empty on a healthy tree).  Small scale by
     default: the point is exercising every state machine under the
     sanitizer, not performance numbers.  ``ok*`` marks a cell that only
-    passed after a retry.
+    passed after a retry.  ``benches`` are registry names or entries.
 
     With ``fuzz_dir`` the report also lists the fuzz reproducer dumps
     found there (next to any deadlock forensics), flagging dumps whose

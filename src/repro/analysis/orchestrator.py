@@ -619,7 +619,18 @@ def run_sweep(cells, *, jobs: int | None = None,
 
 def matrix_cells(benches, archs, base_cfg: GPUConfig, scale: float = 1.0,
                  check: bool = True, max_cycles: int | None = None) -> list[SweepCell]:
-    """The (benchmark x arch) matrix as sweep cells, keyed ``(bench, arch)``."""
+    """The (benchmark x arch) matrix as sweep cells, keyed ``(bench, arch)``.
+
+    Each attempt runs the registry's benchmark of a cell's name, so a
+    bench the registry does not hold is rejected here (unknown name:
+    ``KeyError``; another object under a registered name: ``ValueError``).
+    """
+    from repro.kernels.registry import get
+
+    benches = list(benches)
+    for bench in benches:
+        if get(bench.name) is not bench:
+            raise ValueError(f"benchmark {bench.name!r} is not the registry's")
     return [
         SweepCell(benchmark=bench.name, cfg=base_cfg.with_(arch=arch),
                   scale=scale, check=check, max_cycles=max_cycles)

@@ -8,8 +8,8 @@ never makes it into a report.
 * :func:`run_benchmark` raises on any failure — the right behaviour for
   tests and single interactive runs.
 * :func:`run_benchmark_safe` runs and classifies: a failure comes back as
-  a :class:`RunRecord` with ``status``, ``error`` and, for hangs, the
-  forensic ``dump``.
+  a :class:`RunRecord` with ``status``, ``error`` and a ``dump`` — the
+  forensic chip dump for hangs, the traceback for any other exception.
 
 Many runs — an experiment's matrix, a gate, a sweep — go through
 :func:`repro.analysis.orchestrator.run_sweep`, which calls
@@ -17,6 +17,8 @@ Many runs — an experiment's matrix, a gate, a sweep — go through
 """
 
 from __future__ import annotations
+
+import traceback
 
 from repro.kernels.base import Benchmark, CheckFailure
 from repro.records import RunRecord
@@ -65,7 +67,9 @@ def run_benchmark_safe(bench: Benchmark, cfg: GPUConfig, scale: float = 1.0,
                        check: bool = True, *, max_cycles: int | None = None,
                        faults=None) -> RunRecord:
     """Like :func:`run_benchmark`, but never raises: failures come back as
-    a :class:`RunRecord` with ``status``/``error`` (and ``dump`` for hangs).
+    a :class:`RunRecord` with ``status``/``error`` and a ``dump`` — the
+    chip dump for hangs, the traceback for anything else, so a simulator
+    bug read through a record still shows where it was raised.
 
     One call is one attempt.  Whether a failed attempt runs again is
     :func:`repro.analysis.orchestrator.run_sweep`'s decision.
@@ -78,5 +82,6 @@ def run_benchmark_safe(bench: Benchmark, cfg: GPUConfig, scale: float = 1.0,
             benchmark=bench.name, arch=cfg.arch, stats=None, config=cfg,
             status=_classify(exc),
             error=f"{type(exc).__name__}: {exc}",
-            dump=getattr(exc, "dump", None),
+            dump=(exc.dump if isinstance(exc, SimulationTimeout)
+                  else traceback.format_exc()),
         )

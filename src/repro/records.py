@@ -35,7 +35,7 @@ class RunRecord:
     config: GPUConfig
     status: str = "ok"
     error: str | None = None
-    dump: str | None = None  # deadlock forensics, when the run hung
+    dump: str | None = None  # chip dump of a hang, else the traceback
     retried: bool = False  # True when a retry with a raised budget ran
 
     @property

@@ -364,17 +364,19 @@ def test_x6_registered():
     assert "X6" in ALL_EXPERIMENTS
 
 
-def test_bound_gate_and_x6_report_the_same_cells(capsys):
+def test_bound_gate_and_x6_report_the_same_cells(capsys, monkeypatch):
     """``repro bound --check`` and X6 share one code path: per cell they
     report the same interval, simulated cycles and soundness."""
     import json
 
-    from repro.analysis.experiments import x6_bound_table
+    from repro.analysis import experiments
     from repro.cli import main
 
     names = ("bfs", "vecadd")
-    _report, data = x6_bound_table(cfg=scaled_fermi(num_sms=1), scale=0.25,
-                                   subset=names)
+    monkeypatch.setattr(experiments, "all_benchmarks",
+                        lambda: [get(name) for name in names])
+    _report, data = experiments.x6_bound_table(cfg=scaled_fermi(num_sms=1),
+                                               scale=0.25)
     x6 = {(name, mode): (c["bound"].lo, c["bound"].hi, c["sim"], c["sound"])
           for (name, _arch, mode), c in data["cells"].items()}
     bench_of = {get(name).kernel.name: name for name in names}

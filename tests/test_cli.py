@@ -208,6 +208,31 @@ def test_experiment_strict_propagates_failure(capsys, monkeypatch):
     assert "simulation deadlock" in err
 
 
+def test_experiment_strict_dumps_the_traceback_of_an_error(
+        capsys, monkeypatch, tmp_path):
+    """A simulator bug in a strict experiment exits 1 with the exception
+    type on stderr and its traceback in the diagnostic dump."""
+    import tempfile
+
+    import repro.analysis.runner as runner_mod
+
+    real = runner_mod.run_benchmark
+
+    def buggy(bench, cfg, *args, **kwargs):
+        if bench.name == "vecadd" and cfg.arch == "vt":
+            raise TypeError("injected simulator bug")
+        return real(bench, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_benchmark", buggy)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    code, _out, err = run_cli(capsys, "experiment", "e5", "--scale", "0.1",
+                              "--strict")
+    assert code == 1
+    assert "simulation error" in err and "TypeError" in err
+    dump = next(tmp_path.glob("repro-dump-*.txt")).read_text()
+    assert "Traceback" in dump and "in buggy" in dump
+
+
 # -- sweep: the orchestrated matrix ------------------------------------------
 
 

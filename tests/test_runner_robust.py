@@ -62,6 +62,15 @@ def test_run_benchmark_safe_captures_errors(cfg):
         _ = record.cycles
 
 
+def test_failure_record_keeps_the_traceback(cfg):
+    """An exception that is not a hang keeps its traceback in ``dump``,
+    so a failed cell read back through ``RunFailed`` shows where it broke."""
+    record = run_benchmark_safe(_poisoned(), cfg, scale=0.25)
+    assert "Traceback" in record.dump
+    assert "workload generator exploded" in record.dump
+    assert "in prepare" in record.dump
+
+
 def test_run_benchmark_still_raises(cfg):
     with pytest.raises(RuntimeError, match="exploded"):
         run_benchmark(_poisoned(), cfg, scale=0.25)
@@ -155,6 +164,15 @@ def test_e5_renders_partial_table_with_failed_cells(poisoned):
 def test_e5_strict_mode_raises(poisoned):
     with pytest.raises(RuntimeError, match="exploded"):
         e5_speedup(scale=0.25, benches=[poisoned], keep_going=False)
+
+
+def test_non_registry_benches_are_rejected_up_front():
+    """Cells run their kernel by registry name: an unknown benchmark and
+    an impostor under a registered name both fail before anything runs."""
+    with pytest.raises(KeyError, match="unknown benchmark 'poisoned'"):
+        e5_speedup(scale=0.25, benches=[_poisoned()])
+    with pytest.raises(ValueError, match="not the registry's"):
+        e5_speedup(scale=0.25, benches=[_poisoned("vecadd")])
 
 
 def test_doctor_reports_failures():
