@@ -646,25 +646,28 @@ def x3_full_chip(cfg: GPUConfig | None = None, scale: float = 1.0,
 # X4 — static oracle vs simulator: the prediction agreement gate
 # ---------------------------------------------------------------------------
 
-def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
-                        keep_going: bool = True, jobs: int | None = None,
-                        directory=None):
-    """Predicted vs measured limiter / idle class / VT tier, all kernels.
+def prediction_gate(cfg: GPUConfig, benches, scale: float = 1.0, *,
+                    keep_going: bool = True, jobs: int | None = None,
+                    directory=None):
+    """The agreement gate over ``benches``, shared by X4 and ``repro
+    predict --check``: ``(report, data)``.
 
-    The model-vs-measurement discipline behind ``repro predict --check``:
-    for every (kernel, arch) cell the static oracle's limiter class must
+    Every (kernel, arch) cell is predicted, simulated in one
+    :func:`run_sweep` and judged: the static oracle's limiter class must
     match :mod:`repro.core.occupancy` and its idle-cycle class must match
     the simulator's dominant idle kind (``AGREEMENT_TIE`` tolerates
-    genuine near-ties between the measured fractions).  The VT tier
+    genuine near-ties between the measured fractions, and at most
+    ``MAX_TIE_CELLS`` cells may agree only that way).  The VT tier
     columns are reported for inspection but not gated — tier cut points
-    quantize a continuous speedup.
+    quantize a continuous speedup.  ``data["problem"]`` is ``None`` when
+    the gate passes, else ``(reason, ["bench/arch", ...])`` for the first
+    failing check: simulation failures, disagreements, too many ties.
     """
-    cfg = cfg or default_config()
     from repro.core.occupancy import limiter_summary
-    from repro.isa.analysis.perf import (idle_agreement, layout_for,
-                                         measured_vt_tier, predict_kernel)
+    from repro.isa.analysis.perf import (MAX_TIE_CELLS, idle_agreement,
+                                         layout_for, measured_vt_tier,
+                                         predict_kernel)
 
-    benches = list(all_benchmarks())
     archs = (ArchMode.BASELINE, ArchMode.VT)
     preds = {}
     for bench in benches:
@@ -717,6 +720,18 @@ def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
                          pred.binding))
     agree_count = sum(1 for c in cells.values()
                       if c["idle_ok"] and c["limiter_ok"])
+    ties = sorted(f"{name}/{arch}" for (name, arch), cell in cells.items()
+                  if cell["predicted_idle"] != cell["measured_idle"])
+    if failures:
+        problem = ("simulation failures", [f"{n}/{a}" for n, a in failures])
+    elif disagreements:
+        problem = ("oracle disagrees with the simulator",
+                   [f"{n}/{a}" for n, a in disagreements])
+    elif len(ties) > MAX_TIE_CELLS:
+        problem = (f"{len(ties)} tie-tolerance cells, at most "
+                   f"{MAX_TIE_CELLS} allowed", ties)
+    else:
+        problem = None
     report = format_table(
         ("benchmark", "arch", "limiter", "idle(pred)", "idle(sim)", "ok",
          "tier(pred)", "tier(sim)", "binding rule"),
@@ -736,8 +751,19 @@ def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
                 f"(via {cell['binding']}), simulator says "
                 f"{cell['measured_idle']} (ratio {cell['tie_ratio']:.2f})")
     data = {"cells": cells, "disagreements": disagreements,
-            "failures": failures, "records": records, "predictions": preds}
+            "failures": failures, "ties": ties, "problem": problem}
     return "\n".join(parts), data
+
+
+def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
+                        keep_going: bool = True, jobs: int | None = None,
+                        directory=None):
+    """Predicted vs measured limiter / idle class / VT tier, all kernels:
+    :func:`prediction_gate` over the registry (``repro predict --check``
+    runs the same gate in CI)."""
+    return prediction_gate(cfg or default_config(), list(all_benchmarks()),
+                           scale, keep_going=keep_going, jobs=jobs,
+                           directory=directory)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ Commands:
   prediction/measurement disagreement (the CI agreement gate).
 * ``selfcheck [ROOT]`` — AST static analyzer over the simulator's own
   sources: shard-isolation race detection, determinism lint, and
-  serialization schema-drift checks (``--strict``, ``--format json``,
-  ``--baseline FILE``).
+  serialization schema-drift checks (``--strict``, ``--format json``);
+  findings are waived only by justified inline comments.
 
 Failures exit cleanly: simulation timeouts and deadlocks print a one-line
 error plus the path of the forensic dump (exit 1) instead of a traceback,
@@ -432,14 +432,8 @@ def cmd_selfcheck(args) -> int:
     if not root.is_dir():
         print(f"error: not a directory: {root}", file=sys.stderr)
         return 2
-    baseline = args.baseline
-    if baseline is None and args.root is None:
-        # Default baseline for the in-repo tree, when present.
-        candidate = root.parent.parent / "selfcheck-baseline.json"
-        if candidate.is_file():
-            baseline = candidate
     try:
-        report = run_selfcheck(root, baseline=baseline)
+        report = run_selfcheck(root)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -464,47 +458,26 @@ def cmd_predict(args) -> int:
     cfg = scaled_fermi(num_sms=args.sms)
 
     if args.check:
-        # The agreement gate: run the simulator on every predicted cell
-        # and require the static oracle to match (X4 is the same code).
-        from repro.analysis.experiments import x4_prediction_table
+        # The agreement gate: simulate each predicted cell and require the
+        # static oracle to match (X4 is the same gate over every kernel).
+        from repro.analysis.experiments import prediction_gate
         from repro.isa.analysis.perf import MAX_TIE_CELLS
 
-        benches_names = {bench.name for bench in benches}
-        report, data = x4_prediction_table(cfg=cfg, scale=args.scale,
-                                           keep_going=True, jobs=args.jobs)
-        if args.benchmark:
-            data["disagreements"] = [
-                (name, arch) for name, arch in data["disagreements"]
-                if name in benches_names]
-            data["failures"] = {key: record
-                                for key, record in data["failures"].items()
-                                if key[0] in benches_names}
-        cells = {f"{name}/{arch}": cell
-                 for (name, arch), cell in data["cells"].items()
-                 if name in benches_names}
-        ties = sorted(key for key, cell in cells.items()
-                      if cell["predicted_idle"] != cell["measured_idle"])
+        report, data = prediction_gate(cfg, benches, args.scale,
+                                       jobs=args.jobs)
         if args.format == "json":
+            cells = {f"{name}/{arch}": cell
+                     for (name, arch), cell in data["cells"].items()}
             print(json.dumps({"cells": cells,
                               "disagreements": data["disagreements"]},
                              indent=2))
         else:
             print(report)
-            print(f"\n{len(ties)} cell(s) agree only within tie tolerance "
-                  f"(at most {MAX_TIE_CELLS} allowed)")
-        if data["failures"]:
-            failed = ", ".join(f"{n}/{a}" for n, a in data["failures"])
-            print(f"\nFAIL (simulation failures): {failed}", file=sys.stderr)
-            return 1
-        if data["disagreements"]:
-            failed = ", ".join(f"{n}/{a}" for n, a in data["disagreements"])
-            print(f"\nFAIL (oracle disagrees with the simulator): {failed}",
-                  file=sys.stderr)
-            return 1
-        if len(ties) > MAX_TIE_CELLS:
-            print(f"\nFAIL ({len(ties)} tie-tolerance cells, at most "
-                  f"{MAX_TIE_CELLS} allowed): {', '.join(ties)}",
-                  file=sys.stderr)
+            print(f"\n{len(data['ties'])} cell(s) agree only within tie "
+                  f"tolerance (at most {MAX_TIE_CELLS} allowed)")
+        if data["problem"]:
+            reason, failed = data["problem"]
+            print(f"\nFAIL ({reason}): {', '.join(failed)}", file=sys.stderr)
             return 1
         if args.format != "json":
             print("\nOK: static oracle agrees with the simulator on every cell")
@@ -878,10 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "installed repro package)")
     self_p.add_argument("--strict", action="store_true",
                         help="fail on warnings as well as errors")
-    self_p.add_argument("--baseline", default=None,
-                        help="justified-findings baseline JSON (default: "
-                             "selfcheck-baseline.json beside src/ when "
-                             "analyzing the installed package)")
     self_p.add_argument("--format", choices=("table", "json"),
                         default="table",
                         help="machine-readable JSON instead of tables")

@@ -23,7 +23,7 @@ flight at a time, with save and restore phases serialized.
 from __future__ import annotations
 
 from repro.core.policies import SELECT_POLICIES, TRIGGER_POLICIES
-from repro.sim.cta import ACTIVE, CTA, INACTIVE, SWAP_IN, SWAP_OUT, CTAState
+from repro.sim.cta import ACTIVE, CTA, INACTIVE, CTAState
 from repro.sim.ctamanager import FOREVER, CTAManagerBase
 from repro.sim.schedulers import arm_cta
 
@@ -238,31 +238,3 @@ class VirtualThreadManager(CTAManagerBase):
         self._swap_phase_end = now + save
         self.stats.swaps += 1
         self.stats.swap_busy_cycles += 1
-
-    # -- invariants (used by property tests) -------------------------------------
-
-    def assert_invariants(self, now: int) -> None:
-        """Raise if any architectural invariant is violated."""
-        cfg = self.cfg
-        if self.resources.regs_used > cfg.registers_per_sm:
-            raise AssertionError("register file over capacity")
-        if self.resources.smem_used > cfg.smem_per_sm:
-            raise AssertionError("shared memory over capacity")
-        if self.resident:
-            limit = self.active_limit(self.resident[0].kernel)
-            active_like = active_warps = 0
-            for c in self.resident:
-                state = c.state
-                if state is ACTIVE:
-                    active_like += 1
-                    active_warps += c.num_warps
-                elif state is SWAP_OUT or state is SWAP_IN:
-                    active_like += 1
-            if active_like > limit + 1:
-                # +1: during a switch the victim (draining) and incoming
-                # (restoring) briefly coexist, as in the hardware proposal.
-                raise AssertionError(
-                    f"{active_like} CTAs hold scheduling structures, limit {limit}"
-                )
-            if active_warps > cfg.max_warps_per_sm:
-                raise AssertionError("active warps exceed warp slots")

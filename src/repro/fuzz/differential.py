@@ -139,6 +139,7 @@ class DiffResult:
             return "ok"
         return "; ".join(str(d) for d in self.divergences[:4])
 
+    # selfcheck: ok[schema-field-coverage] -- ref_stats holds the full reference-leg stats dict for interactive reporting only; the differential verdict payload is spec + divergences + oracle
     def to_dict(self) -> dict:
         return {
             "spec": self.spec,

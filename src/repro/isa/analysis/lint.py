@@ -110,6 +110,7 @@ class LintReport:
             return False
         return not (strict and self.warnings)
 
+    # selfcheck: ok[schema-field-coverage] -- liveness carries per-pc register sets (non-JSON-safe, large); findings derived from it are serialized instead
     def to_dict(self, strict: bool = False) -> dict:
         return {"kernel": self.kernel, "ok": self.ok(strict=strict),
                 "findings": [f.to_dict() for f in self.findings]}

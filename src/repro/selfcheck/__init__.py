@@ -12,13 +12,12 @@ Layers (each consumes only the one below):
   (the ISA dataflow worklist shape, lifted to whole functions);
 * :mod:`~repro.selfcheck.isolation`, :mod:`~repro.selfcheck.determinism`,
   :mod:`~repro.selfcheck.schema` — the rule analyses;
-* :mod:`~repro.selfcheck.report` — suppressions, baseline, rendering.
+* :mod:`~repro.selfcheck.report` — inline suppressions, rendering.
 
 Run it with ``repro selfcheck [--strict] [--format json]``.
 """
 
-from repro.selfcheck.report import SelfcheckReport, load_baseline, run_selfcheck
+from repro.selfcheck.report import SelfcheckReport, run_selfcheck
 from repro.selfcheck.rules import RULES, Finding
 
-__all__ = ["run_selfcheck", "SelfcheckReport", "load_baseline", "RULES",
-           "Finding"]
+__all__ = ["run_selfcheck", "SelfcheckReport", "RULES", "Finding"]

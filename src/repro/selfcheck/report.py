@@ -1,5 +1,5 @@
-"""Selfcheck orchestration: run every analysis, apply suppressions and
-the baseline, render the report.
+"""Selfcheck orchestration: run every analysis, apply inline
+suppressions, render the report.
 
 Suppression comment syntax (on the finding line or the line above)::
 
@@ -7,22 +7,17 @@ Suppression comment syntax (on the finding line or the line above)::
 
 A suppression without a ``-- reason`` is itself an error
 (``meta-bare-suppression``): the analyzer refuses to accumulate
-unexplained exemptions.  The baseline file is JSON::
-
-    {"version": 1, "entries": [
-        {"rule": "schema-field-coverage", "path": "isa/analysis/lint.py",
-         "qualname": "isa.analysis.lint.LintReport.to_dict",
-         "reason": "liveness is non-JSON-safe; findings derived from it are serialized"}]}
-
-Baseline entries must carry a reason (``meta-unjustified-baseline``) and
-must still match a finding (``meta-stale-baseline``), so the debt list
-can only shrink.
+unexplained exemptions.  A justified suppression that matches no current
+finding is a warning (``meta-stale-suppression``), so the exemption list
+can only shrink.  Only real ``#`` comments count: the example above sits
+in a docstring and waives nothing.
 """
 
 from __future__ import annotations
 
-import json
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +35,6 @@ SUPPRESS_RE = re.compile(
     r"#\s*selfcheck:\s*ok\[(?P<rule>[a-z0-9-]+)\]"
     r"(?:\s*--\s*(?P<reason>\S.*))?")
 
-BASELINE_VERSION = 1
-
 
 @dataclass
 class SelfcheckReport:
@@ -49,9 +42,6 @@ class SelfcheckReport:
 
     root: str
     findings: list[Finding] = field(default_factory=list)
-    baseline_path: str | None = None
-    baseline_used: int = 0
-    baseline_stale: int = 0
     #: per worker entry: transitively reachable state-write sites
     worker_summaries: dict[str, int] = field(default_factory=dict)
     modules: int = 0
@@ -67,10 +57,10 @@ class SelfcheckReport:
                 out[f.rule] = out.get(f.rule, 0) + 1
         return out
 
-    # selfcheck: ok[schema-field-coverage] -- baseline_*/worker_summaries are serialized nested under the 'baseline' and 'worker_entries' keys
+    # selfcheck: ok[schema-field-coverage] -- worker_summaries is serialized under the 'worker_entries' key
     def to_dict(self, strict: bool = False) -> dict:
         return {
-            "version": BASELINE_VERSION,
+            "version": 1,
             "root": self.root,
             "strict": strict,
             "ok": self.ok(strict),
@@ -78,11 +68,6 @@ class SelfcheckReport:
             "functions": self.functions,
             "findings": [f.to_dict() for f in self.findings],
             "counts": self.counts(),
-            "baseline": {
-                "path": self.baseline_path,
-                "used": self.baseline_used,
-                "stale": self.baseline_stale,
-            },
             "worker_entries": self.worker_summaries,
         }
 
@@ -107,94 +92,62 @@ class SelfcheckReport:
         lines.append(
             f"selfcheck: {self.modules} modules, {self.functions} "
             f"functions; {sum(counts.values())} finding(s) "
-            f"({suppressed} suppressed/baselined, {gate} gating"
+            f"({suppressed} suppressed, {gate} gating"
             f"{' under --strict' if strict else ''})")
         lines.append("selfcheck: " + ("OK" if self.ok(strict) else "FAIL"))
         return "\n".join(lines)
 
 
-def load_baseline(path: Path) -> list[dict]:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or data.get("version") != BASELINE_VERSION:
-        raise ValueError(f"unsupported baseline format in {path}")
-    entries = data.get("entries", [])
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline 'entries' must be a list in {path}")
-    return entries
+def _suppression_comments(mod):
+    """``(line, match)`` for each suppression in a real ``#`` comment of
+    ``mod`` (string literals that merely contain the syntax are skipped)."""
+    readline = io.StringIO("\n".join(mod.source_lines) + "\n").readline
+    for tok in tokenize.generate_tokens(readline):
+        if tok.type == tokenize.COMMENT:
+            m = SUPPRESS_RE.search(tok.string)
+            if m:
+                yield tok.start[0], m
 
 
 def _apply_suppressions(project: Project,
                         findings: list[Finding]) -> list[Finding]:
-    """Match inline suppression comments; flag bare ones.  A comment on
-    line N covers findings on N and N+1 (comment-above style)."""
+    """Match inline suppression comments; flag bare and stale ones.  A
+    comment on line N covers findings on N and N+1 (comment-above style)."""
     meta: list[Finding] = []
-    by_module: dict[str, list[tuple[int, str, str | None]]] = {}
+    justified: dict[str, list[tuple[int, str, str]]] = {}
     for mod in project.modules.values():
         rel = _mod_relpath(project, mod)
-        comments = []
-        for lineno, text in enumerate(mod.source_lines, start=1):
-            m = SUPPRESS_RE.search(text)
-            if not m:
+        for lineno, m in _suppression_comments(mod):
+            rule = m.group("rule")
+            if m.group("reason"):
+                justified.setdefault(rel, []).append((lineno, rule, mod.name))
                 continue
-            comments.append((lineno, m.group("rule"), m.group("reason")))
-            if not m.group("reason"):
-                meta.append(Finding(
-                    rule="meta-bare-suppression", path=rel, line=lineno,
-                    qualname=mod.name,
-                    message=(f"suppression of [{m.group('rule')}] has no "
-                             f"reason; write `# selfcheck: "
-                             f"ok[{m.group('rule')}] -- why`")))
-        if comments:
-            by_module[rel] = comments
+            meta.append(Finding(
+                rule="meta-bare-suppression", path=rel, line=lineno,
+                qualname=mod.name,
+                message=(f"suppression of [{rule}] has no reason; write "
+                         f"`# selfcheck: ok[{rule}] -- why`")))
+    used = set()
     for f in findings:
-        for lineno, rule, reason in by_module.get(f.path, ()):
-            if rule == f.rule and reason and lineno in (f.line, f.line - 1):
+        for lineno, rule, _name in justified.get(f.path, ()):
+            if rule == f.rule and lineno in (f.line, f.line - 1):
                 f.suppressed = True
+                used.add((f.path, lineno))
                 break
+    for rel, comments in justified.items():
+        for lineno, rule, name in comments:
+            if (rel, lineno) not in used:
+                meta.append(Finding(
+                    rule="meta-stale-suppression", path=rel, line=lineno,
+                    qualname=name,
+                    message=(f"suppression of [{rule}] matches no current "
+                             f"finding; delete it")))
     return meta
 
 
-def _apply_baseline(findings: list[Finding], entries: list[dict],
-                    baseline_path: str) -> tuple[int, int, list[Finding]]:
-    meta: list[Finding] = []
-    used = 0
-    stale = 0
-    for idx, entry in enumerate(entries):
-        rule = entry.get("rule")
-        path = entry.get("path")
-        qualname = entry.get("qualname")
-        reason = (entry.get("reason") or "").strip()
-        if not reason:
-            meta.append(Finding(
-                rule="meta-unjustified-baseline", path=baseline_path,
-                line=idx + 1, qualname=str(rule),
-                message=(f"baseline entry #{idx} ({rule} @ {path}) has no "
-                         f"reason")))
-        matched = False
-        for f in findings:
-            if f.rule != rule or f.path != path:
-                continue
-            if qualname and f.qualname != qualname:
-                continue
-            f.baselined = True
-            matched = True
-        if matched:
-            used += 1
-        else:
-            stale += 1
-            meta.append(Finding(
-                rule="meta-stale-baseline", path=baseline_path,
-                line=idx + 1, qualname=str(rule),
-                message=(f"baseline entry #{idx} ({rule} @ {path}"
-                         f"{' ' + qualname if qualname else ''}) matches "
-                         f"no current finding; delete it")))
-    return used, stale, meta
-
-
-def run_selfcheck(root: str | Path,
-                  baseline: str | Path | None = None) -> SelfcheckReport:
-    """Run every analysis over ``root`` and fold in suppressions and the
-    optional baseline file."""
+def run_selfcheck(root: str | Path) -> SelfcheckReport:
+    """Run every analysis over ``root`` and fold in the inline
+    suppressions."""
     project = Project(root)
     effects = summarize_all(project)
     graph = CallGraph.build(project, effects)
@@ -213,15 +166,6 @@ def run_selfcheck(root: str | Path,
     )
 
     findings.extend(_apply_suppressions(project, findings))
-    if baseline is not None:
-        baseline = Path(baseline)
-        entries = load_baseline(baseline)
-        used, stale, meta = _apply_baseline(findings, entries, str(baseline))
-        findings.extend(meta)
-        report.baseline_path = str(baseline)
-        report.baseline_used = used
-        report.baseline_stale = stale
-
     report.findings = sorted(findings, key=Finding.sort_key)
     return report
 
@@ -233,5 +177,4 @@ def _mod_relpath(project: Project, mod) -> str:
         return mod.path.as_posix()
 
 
-__all__ = ["SelfcheckReport", "run_selfcheck", "load_baseline",
-           "RULES", "ERROR"]
+__all__ = ["SelfcheckReport", "run_selfcheck", "RULES", "ERROR"]

@@ -69,12 +69,10 @@ RULES: dict[str, tuple[str, str]] = {
         ERROR,
         "selfcheck suppression comment without a justification; write "
         "`# selfcheck: ok[rule] -- reason`"),
-    "meta-stale-baseline": (
+    "meta-stale-suppression": (
         WARNING,
-        "baseline entry matches no current finding; delete it"),
-    "meta-unjustified-baseline": (
-        ERROR,
-        "baseline entry without a non-empty reason"),
+        "justified suppression comment that matches no current finding; "
+        "delete it"),
 }
 
 
@@ -90,7 +88,6 @@ class Finding:
     #: call-path evidence for reachability rules: entry → … → qualname
     call_path: list[str] = field(default_factory=list)
     suppressed: bool = False  # matched a justified inline suppression
-    baselined: bool = False  # baseline file entry matched
 
     @property
     def severity(self) -> str:
@@ -98,7 +95,7 @@ class Finding:
 
     @property
     def active(self) -> bool:
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     def gates(self, strict: bool) -> bool:
         """Does this finding fail the run?"""
@@ -119,5 +116,4 @@ class Finding:
             "message": self.message,
             "call_path": list(self.call_path),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }

@@ -276,14 +276,6 @@ class Sanitizer:
             self._fail("activation-memo", memo_breach, sm_id, now,
                        resource="VT manager")
 
-        # Cross-check the manager's own invariant hook when it has one.
-        assert_invariants = getattr(manager, "assert_invariants", None)
-        if assert_invariants is not None:
-            try:
-                assert_invariants(now)
-            except AssertionError as exc:
-                self._fail("manager-invariant", str(exc), sm_id, now)
-
         # 7. stored counts (checked last: they joined the invariant set
         # after the checks above, whose reporting order stays as it was).
         if live_breach is not None:

@@ -447,85 +447,119 @@ def test_predict_unknown_benchmark(capsys):
     assert "unknown benchmark" in err
 
 
-def _fake_x4(cells, disagreements, failures):
-    def fake(cfg=None, scale=1.0, keep_going=True, jobs=None, directory=None):
-        return "fake X4 report", {"cells": cells,
-                                  "disagreements": disagreements,
-                                  "failures": failures,
-                                  "records": {}, "predictions": {}}
-    return fake
+def _fake_sweep(monkeypatch, measured=(), failed=()):
+    """Stand in for the agreement gate's simulations.
 
+    Each cell measures exactly the idle class the oracle predicts for it,
+    unless ``measured`` maps its ``(bench, arch)`` key to an idle
+    breakdown; keys in ``failed`` fail.  Returns the keys the gate hands
+    to ``run_sweep``, in order.
+    """
+    from types import SimpleNamespace
 
-CELL = {"predicted_idle": "mem", "measured_idle": "mem", "tie_ratio": 1.0,
-        "idle_ok": True, "limiter_ok": True, "binding": "exposed-latency",
-        "predicted_tier": "high", "measured_tier": "high"}
+    import repro.analysis.experiments as ex
+    from repro.analysis.orchestrator import SweepResult
+    from repro.isa.analysis.perf import layout_for, predict
+    from repro.kernels import get
+    from repro.records import RunRecord
+
+    measured = dict(measured)
+    seen = []
+
+    def fake(cells, jobs=None, directory=None):
+        records = {}
+        for cell in cells:
+            seen.append(cell.key)
+            if cell.key in failed:
+                records[cell.key] = RunRecord(cell.benchmark, cell.cfg.arch,
+                                              None, cell.cfg, status="error")
+                continue
+            bench = get(cell.benchmark)
+            pred = predict(bench.kernel, cell.cfg, cell.cfg.arch,
+                           layout=layout_for(bench, cell.scale))
+            breakdown = measured.get(cell.key, {pred.idle_class: 0.5})
+            stats = SimpleNamespace(cycles=1000,
+                                    idle_breakdown=lambda b=breakdown: b)
+            records[cell.key] = RunRecord(cell.benchmark, cell.cfg.arch,
+                                          stats, cell.cfg)
+        return SweepResult(records=records)
+
+    monkeypatch.setattr(ex, "run_sweep", fake)
+    return seen
 
 
 def test_predict_check_gate_passes(capsys, monkeypatch):
-    import repro.analysis.experiments as ex
-    monkeypatch.setattr(ex, "x4_prediction_table",
-                        _fake_x4({("vecadd", "baseline"): CELL}, [], {}))
+    _fake_sweep(monkeypatch)
     code, out, _err = run_cli(capsys, "predict", "--all", "--check")
     assert code == 0
+    assert "0 cell(s) agree only within tie tolerance" in out
     assert "OK: static oracle agrees" in out
 
 
 def test_predict_check_gate_fails_on_disagreement(capsys, monkeypatch):
-    import repro.analysis.experiments as ex
-    monkeypatch.setattr(ex, "x4_prediction_table",
-                        _fake_x4({("vecadd", "vt"): CELL},
-                                 [("vecadd", "vt")], {}))
-    code, out, _err = run_cli(capsys, "predict", "--all", "--check")
+    # The oracle predicts struct idle for vecadd under VT.
+    _fake_sweep(monkeypatch, measured={("vecadd", "vt"): {"alu": 0.5}})
+    code, out, err = run_cli(capsys, "predict", "--all", "--check")
     assert code == 1
     assert "OK" not in out
+    assert "DISAGREEMENTS" in out
+    assert "oracle disagrees with the simulator): vecadd/vt" in err
 
 
 def test_predict_check_gate_fails_on_too_many_ties(capsys, monkeypatch):
-    # Every cell agrees, but more than MAX_TIE_CELLS only via the tie rule.
-    import repro.analysis.experiments as ex
-    from repro.isa.analysis.perf import MAX_TIE_CELLS
+    # Every cell agrees, but more than MAX_TIE_CELLS only via the tie rule:
+    # the predicted class measures 0.8 of another class's fraction.
+    from repro.isa.analysis.perf import MAX_TIE_CELLS, layout_for, predict
     from repro.kernels import all_benchmarks
-    names = [bench.name for bench in all_benchmarks()][:MAX_TIE_CELLS + 1]
-    tie = dict(CELL, measured_idle="alu", tie_ratio=0.8)
-    cells = {(name, "vt"): tie for name in names[:-1]}
-    monkeypatch.setattr(ex, "x4_prediction_table", _fake_x4(cells, [], {}))
+    from repro.sim.config import scaled_fermi
+
+    tied = {}
+    for bench in list(all_benchmarks())[:MAX_TIE_CELLS + 1]:
+        idle = predict(bench.kernel, scaled_fermi(num_sms=2), "vt",
+                       layout=layout_for(bench)).idle_class
+        other = "alu" if idle != "alu" else "mem"
+        tied[(bench.name, "vt")] = {other: 0.5, idle: 0.4}
+    keys = list(tied)
+    _fake_sweep(monkeypatch, measured={key: tied[key] for key in keys[:-1]})
     code, out, _err = run_cli(capsys, "predict", "--all", "--check")
     assert code == 0
     assert f"{MAX_TIE_CELLS} cell(s) agree only within tie tolerance" in out
 
-    cells[(names[-1], "vt")] = tie
-    monkeypatch.setattr(ex, "x4_prediction_table", _fake_x4(cells, [], {}))
+    _fake_sweep(monkeypatch, measured=tied)
     code, out, err = run_cli(capsys, "predict", "--all", "--check",
                              "--format", "json")
     assert code == 1
-    assert "tie-tolerance cells" in err
+    assert f"{MAX_TIE_CELLS + 1} tie-tolerance cells" in err
 
 
 def test_predict_check_single_bench_filters_other_cells(capsys, monkeypatch):
     # Gating one benchmark must ignore another kernel's disagreement.
     import json
 
-    import repro.analysis.experiments as ex
-    monkeypatch.setattr(
-        ex, "x4_prediction_table",
-        _fake_x4({("stride", "baseline"): CELL, ("vecadd", "vt"): CELL},
-                 [("vecadd", "vt")], {}))
+    _fake_sweep(monkeypatch, measured={("vecadd", "vt"): {"alu": 0.5}})
     code, out, _err = run_cli(capsys, "predict", "stride", "--check",
                               "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert set(payload["cells"]) == {"stride/baseline"}
+    assert set(payload["cells"]) == {"stride/baseline", "stride/vt"}
     assert payload["disagreements"] == []
 
 
+def test_predict_check_simulates_only_the_named_benchmark(capsys,
+                                                          monkeypatch):
+    seen = _fake_sweep(monkeypatch)
+    code, out, _err = run_cli(capsys, "predict", "vecadd", "--check")
+    assert code == 0
+    assert seen == [("vecadd", "baseline"), ("vecadd", "vt")]
+    assert "2/2 cells agree" in out
+
+
 def test_predict_check_simulation_failure_is_fatal(capsys, monkeypatch):
-    import repro.analysis.experiments as ex
-    monkeypatch.setattr(
-        ex, "x4_prediction_table",
-        _fake_x4({}, [], {("vecadd", "vt"): object()}))
-    code, _out, err = run_cli(capsys, "predict", "--all", "--check")
+    _fake_sweep(monkeypatch, failed={("vecadd", "vt")})
+    code, out, err = run_cli(capsys, "predict", "--all", "--check")
     assert code == 1
-    assert "simulation failures" in err
+    assert "FAILED(error)" in out
+    assert "simulation failures): vecadd/vt" in err
 
 
 def test_experiment_e11_liveness_flag(capsys):

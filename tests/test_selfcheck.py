@@ -1,15 +1,12 @@
 """Unit tests for the selfcheck static analyzer.
 
-Covers the worklist solver, suppression/baseline mechanics, the schema
+Covers the worklist solver, the inline suppression mechanics, the schema
 goldens, and the regression gate: ``src/repro`` must stay strict-clean
-against the checked-in baseline (every fixed true positive stays fixed,
-every remaining exemption stays justified).
+(every fixed true positive stays fixed, every remaining exemption stays
+justified and still matches a finding).
 """
 
-import json
 from pathlib import Path
-
-import pytest
 
 from repro.selfcheck import RULES, run_selfcheck
 from repro.selfcheck.rules import ERROR, WARNING, Finding
@@ -18,7 +15,6 @@ from repro.selfcheck.worklist import (SummaryProblem, reachable_with_paths,
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
-BASELINE = REPO / "selfcheck-baseline.json"
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +69,7 @@ def test_finding_gating_matches_lint_semantics():
 
 
 # ---------------------------------------------------------------------------
-# Suppressions and baseline meta rules
+# Suppressions and their meta rules
 # ---------------------------------------------------------------------------
 
 def _write_tree(tmp_path, name, source):
@@ -111,35 +107,29 @@ def test_bare_suppression_is_itself_an_error(tmp_path):
     assert not report.ok()
 
 
-def test_baseline_matches_and_flags_stale_and_unjustified(tmp_path):
+def test_unmatched_suppression_is_flagged_stale(tmp_path):
+    # The finding the comment waived is gone: the comment must go too.
     _write_tree(tmp_path, "gen.py", (
-        "import random\n"
         "def pick(items):\n"
-        "    random.shuffle(items)\n"))
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"version": 1, "entries": [
-        {"rule": "det-global-rng", "path": "gen.py",
-         "qualname": "gen.pick", "reason": "fixture debt"},
-        {"rule": "det-wallclock", "path": "gone.py",
-         "reason": "matches nothing"},
-        {"rule": "det-env-read", "path": "gen.py", "reason": ""},
-    ]}), encoding="utf-8")
-    report = run_selfcheck(tmp_path, baseline=baseline)
-    by_rule = {f.rule: f for f in report.findings}
-    assert by_rule["det-global-rng"].baselined
-    assert by_rule["meta-stale-baseline"].severity == WARNING
-    assert by_rule["meta-unjustified-baseline"].severity == ERROR
-    assert report.baseline_used == 1
-    assert report.baseline_stale == 2  # the unjustified entry matches nothing
-    assert not report.ok()  # unjustified baseline entries gate
+        "    # selfcheck: ok[det-global-rng] -- the shuffle below was removed\n"
+        "    return sorted(items)\n"))
+    report = run_selfcheck(tmp_path)
+    stale = [f for f in report.findings if f.rule == "meta-stale-suppression"]
+    assert [(f.path, f.line) for f in stale] == [("gen.py", 2)]
+    assert "[det-global-rng] matches no current finding" in stale[0].message
+    assert report.ok() and not report.ok(strict=True)
 
 
-def test_bad_baseline_format_is_rejected(tmp_path):
-    _write_tree(tmp_path, "m.py", "X = 1\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(ValueError):
-        run_selfcheck(tmp_path, baseline=baseline)
+def test_suppression_syntax_inside_a_string_is_not_a_comment(tmp_path):
+    _write_tree(tmp_path, "doc.py", (
+        '"""Waive a finding with::\n'
+        '\n'
+        '    x = f()  # selfcheck: ok[det-set-iter] -- example\n'
+        '"""\n'
+        'HINT = "write `# selfcheck: ok[rule] -- reason`"\n'
+        'BARE = "# selfcheck: ok[det-set-iter]"\n'))
+    report = run_selfcheck(tmp_path)
+    assert report.findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +161,18 @@ def test_golden_drift_fires_on_schema_version_bump(tmp_path):
 # Regression gate: the real tree stays strict-clean and justified
 # ---------------------------------------------------------------------------
 
-def test_src_repro_is_strict_clean_against_baseline():
-    report = run_selfcheck(SRC, baseline=BASELINE)
+def test_src_repro_is_strict_clean():
+    report = run_selfcheck(SRC)
     gating = [f for f in report.findings if f.gates(strict=True)]
     assert not gating, "\n".join(
         f"{f.rule} {f.path}:{f.line} {f.message}" for f in gating)
-    assert report.baseline_stale == 0, "baseline has stale entries"
-    # Every exemption carries a justification by construction; prove the
-    # meta rules saw none bare/unjustified.
-    assert not any(f.rule in ("meta-bare-suppression",
-                              "meta-unjustified-baseline")
-                   for f in report.findings)
+    # Every exemption is a justified inline comment that still matches a
+    # finding: the meta rules saw none bare or stale.
+    assert not any(f.rule.startswith("meta-") for f in report.findings)
 
 
 def test_worker_entries_have_no_transitive_write_footprint():
-    report = run_selfcheck(SRC, baseline=BASELINE)
+    report = run_selfcheck(SRC)
     assert report.worker_summaries, "parallel engine worker entries found"
     # The only worker-reachable global write is the justified warp-mask
     # memo; the summaries count raw sites, pre-suppression.

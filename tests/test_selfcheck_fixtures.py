@@ -139,7 +139,7 @@ def test_cli_json_document_shape(capsys):
     assert finding["call_path"] == [
         "parallel._Shard.advance", "parallel.L1.touch"]
     assert {"rule", "severity", "path", "line", "qualname", "message",
-            "call_path", "suppressed", "baselined"} <= set(finding)
+            "call_path", "suppressed"} <= set(finding)
 
 
 def test_cli_table_includes_call_path_evidence(capsys):
@@ -163,8 +163,7 @@ def test_cli_strict_gates_warnings(capsys):
 
 def test_cli_on_repo_tree_is_clean(capsys):
     repo = Path(__file__).resolve().parent.parent
-    rc = main(["selfcheck", str(repo / "src" / "repro"), "--strict",
-               "--baseline", str(repo / "selfcheck-baseline.json")])
+    rc = main(["selfcheck", str(repo / "src" / "repro"), "--strict"])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "selfcheck: OK" in out

@@ -148,12 +148,23 @@ def test_single_swap_engine():
 
 
 def test_invariants_hold_through_swaps():
+    # The scheduling limit (one in-flight switch may add a CTA) and the
+    # register-file and shared-memory capacity, checked after every update.
     cfg = GPUConfig()
     manager = make_manager(cfg)
-    fill(manager, make_kernel(threads=64))
+    kernel = make_kernel(threads=64)
+    fill(manager, kernel)
+    limit = manager.active_limit(kernel)
+    scheduled = (CTAState.ACTIVE, CTAState.SWAP_OUT, CTAState.SWAP_IN)
     for now in range(0, 60):
         manager.update(now, status_all(ST_MEM))
-        manager.assert_invariants(now)
+        holding = [c for c in manager.resident if c.state in scheduled]
+        assert len(holding) <= limit + 1
+        assert sum(c.num_warps for c in holding
+                   if c.state is CTAState.ACTIVE) <= cfg.max_warps_per_sm
+        assert manager.resources.regs_used <= cfg.registers_per_sm
+        assert manager.resources.smem_used <= cfg.smem_per_sm
+    assert manager.stats.swaps > 1
 
 
 def test_finish_during_swap_is_defensive_error():

@@ -1,58 +1,52 @@
-"""VT invariants checked *every cycle* of real benchmark runs.
+"""VT invariants checked on *every stepped cycle* of real benchmark runs.
 
-A checking subclass of the manager is injected through the factory; it
-validates after every update that scheduling structures are never
-oversubscribed and capacity is never exceeded — across thousands of
-cycles of swaps on real kernels.
+The runs enable the invariant sanitizer (``GPUConfig.sanitize``), which
+checks after every SM step that scheduling structures are never
+oversubscribed (``vt-active-limit``, ``vt-warp-slots``) and capacity is
+never exceeded (``register-capacity``, ``smem-capacity``) — across
+thousands of cycles of swaps on real kernels.
 """
 
 import pytest
 
-import repro.core.vt as vt_module
 from repro.core.vt import VirtualThreadManager
 from repro.kernels import get
 from repro.sim.config import scaled_fermi
 from repro.sim.gpu import GPU
-from repro.sim.warp import Warp
-
-
-class CheckedManager(VirtualThreadManager):
-    updates = 0
-
-    def update(self, now, warp_status):
-        super().update(now, warp_status)
-        self.assert_invariants(now)
-        CheckedManager.updates += 1
-
-
-@pytest.fixture
-def checked_vt(monkeypatch):
-    CheckedManager.updates = 0
-    monkeypatch.setattr(vt_module, "VirtualThreadManager", CheckedManager)
-    return CheckedManager
+from repro.sim.sanitizer import Sanitizer
 
 
 @pytest.mark.parametrize("name", ["stride", "pathfinder", "reduction", "histogram"])
-def test_invariants_hold_every_cycle(checked_vt, name):
+def test_invariants_hold_every_cycle(monkeypatch, name):
+    checks = []
+    check_sm = Sanitizer.check_sm
+
+    def counting(self, sm, now):
+        checks.append(now)
+        check_sm(self, sm, now)
+
+    monkeypatch.setattr(Sanitizer, "check_sm", counting)
     bench = get(name)
     prep = bench.prepare(0.5)
-    gpu = GPU(scaled_fermi(num_sms=1, arch="vt"))
+    gpu = GPU(scaled_fermi(num_sms=1, arch="vt", sanitize=True))
     result = gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
     prep.check(result)
-    assert checked_vt.updates > 1000  # the check really ran per cycle
+    assert result.stats.total_swaps > 0
+    assert len(checks) > 1000  # the sanitizer really ran per stepped cycle
 
 
-def test_swap_roundtrip_preserves_sched_state(checked_vt):
+def test_swap_roundtrip_preserves_sched_state(monkeypatch):
     """Capture warp scheduling state at swap-out; verify it is untouched
     when the CTA is reactivated (VT moves state, never mutates it)."""
     snapshots = {}
     mismatches = []
 
-    original_advance = CheckedManager._advance_swap
+    advance_swap = VirtualThreadManager._advance_swap
+    begin_swap = VirtualThreadManager._begin_swap
 
     def spying_advance(self, now):
         victim = self._swap_victim
-        original_advance(self, now)
+        advance_swap(self, now)
         if victim is not None and self._swap_victim is None:
             # Save-phase completed: record the state placed in backup SRAM.
             snapshots[id(victim)] = (
@@ -68,18 +62,14 @@ def test_swap_roundtrip_preserves_sched_state(checked_vt):
             current = tuple(w.sched_state_snapshot() for w in incoming.warps)
             if saved != current:
                 mismatches.append(incoming.cta_id)
-        CheckedManager.__mro__[1]._begin_swap(self, victim, incoming, now)
+        begin_swap(self, victim, incoming, now)
 
-    CheckedManager._advance_swap = spying_advance
-    CheckedManager._begin_swap = spying_begin
-    try:
-        bench = get("stride")
-        prep = bench.prepare(0.5)
-        gpu = GPU(scaled_fermi(num_sms=1, arch="vt"))
-        result = gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
-        prep.check(result)
-    finally:
-        CheckedManager._advance_swap = original_advance
-        del CheckedManager._begin_swap
+    monkeypatch.setattr(VirtualThreadManager, "_advance_swap", spying_advance)
+    monkeypatch.setattr(VirtualThreadManager, "_begin_swap", spying_begin)
+    bench = get("stride")
+    prep = bench.prepare(0.5)
+    gpu = GPU(scaled_fermi(num_sms=1, arch="vt", sanitize=True))
+    result = gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
+    prep.check(result)
     assert snapshots, "no swaps happened; test is vacuous"
     assert not mismatches, f"scheduling state mutated while inactive: {mismatches}"
