@@ -21,8 +21,6 @@ after its retries raises once the sweep is done; E5 and X4 take
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.analysis.geomean import geomean, speedup_summary
 from repro.analysis.orchestrator import SweepCell, matrix_cells, run_sweep
 from repro.analysis.tables import ascii_bars, format_table
@@ -434,35 +432,13 @@ def e10_mem_latency(cfg: GPUConfig | None = None, scale: float = 1.0,
 # E11 — hardware overhead
 # ---------------------------------------------------------------------------
 
-def e11_overhead(cfg: GPUConfig | None = None, liveness: bool = False):
-    """Overhead table: VT's backup SRAM next to the memory it virtualizes.
-
-    With ``liveness=True`` a second table contrasts VT's scheduling-only
-    switch with a hypothetical register-spilling switch, priced both at
-    the declared footprint and at the liveness-compressed footprint (live
-    registers at barriers / post-global-load swap points, from the static
-    analysis package).  The default table is byte-identical either way.
-    """
+def e11_overhead(cfg: GPUConfig | None = None):
+    """Overhead table: VT's backup SRAM next to the memory it virtualizes."""
     cfg = cfg or default_config()
     report_obj = vt_overhead(cfg)
     report = format_table(("item", "value"), report_obj.rows(),
                           title="E11 - Virtual Thread hardware overhead per SM")
-    data = {"overhead": report_obj}
-    if liveness:
-        from repro.core.overhead import liveness_swap_footprint
-
-        footprints = [liveness_swap_footprint(b.kernel) for b in all_benchmarks()]
-        rows = [(fp.kernel_name, fp.declared_regs, fp.live_regs,
-                 fp.declared_bytes, fp.live_bytes, f"{fp.compression:.0%}")
-                for fp in footprints]
-        report += "\n\n" + format_table(
-            ("kernel", "declared regs", "live@swap regs",
-             "spill B/CTA (declared)", "spill B/CTA (live)", "saved"),
-            rows,
-            title="E11b - liveness-compressed register spill per context "
-                  "switch (hypothetical; VT itself moves scheduling state only)")
-        data["footprints"] = {fp.kernel_name: fp for fp in footprints}
-    return report, data
+    return report, {"overhead": report_obj}
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +743,7 @@ def x4_prediction_table(cfg: GPUConfig | None = None, scale: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# X6 — static cycle bounds: soundness, tightness, and co-residency
+# X6 — static cycle bounds: soundness and tightness
 # ---------------------------------------------------------------------------
 
 def bound_cells(configs, benches, scale: float = 1.0, *,
@@ -812,22 +788,18 @@ def bound_cells(configs, benches, scale: float = 1.0, *,
 
 
 def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
-    """Sound [lo, hi] cycle intervals vs the simulator, plus pair verdicts.
+    """Sound [lo, hi] cycle intervals vs the simulator.
 
     The quantitative counterpart of X4: for every (kernel, gate arch,
     mode) cell, :func:`repro.isa.analysis.bounds.bench_bounds` derives a
     closed interval the simulated cycle count must fall into; the table
     reports the measured count, containment, and the ``hi/lo`` tightness
-    ratio.  A second table summarizes the co-residency composer
-    (:func:`repro.isa.analysis.compose.pair_matrix`): admission verdicts
-    and contention reasons for every kernel pair on the primary arch.
-    ``repro bound --all --check`` gates the same cells (:func:`bound_cells`)
-    in CI.
+    ratio.  ``repro bound --all --check`` gates the same cells
+    (:func:`bound_cells`) in CI.
 
     ``cfg`` overrides the gate arches with a single custom config.
     """
     from repro.isa.analysis.bounds import gate_configs
-    from repro.isa.analysis.compose import pair_matrix
 
     configs = {cfg.arch or "custom": cfg} if cfg is not None else gate_configs()
     benches = sorted(all_benchmarks(), key=lambda b: b.name)
@@ -849,20 +821,7 @@ def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
                f"({len(cells) - len(violations)}/{len(cells)} cells contained)"),
     )
 
-    pair_arch, pair_cfg = next(iter(configs.items()))
-    verdicts = pair_matrix(benches, pair_cfg, scale=scale, arch=pair_arch)
-    counts = Counter(v.verdict for v in verdicts)
-    reason_hist = Counter(reason for v in verdicts for reason in v.reasons)
-    pair_rows = ([(k, str(n)) for k, n in sorted(counts.items())]
-                 + [(f"reason: {k}", str(n))
-                    for k, n in sorted(reason_hist.items())])
-    pair_report = format_table(
-        ("verdict / contention reason", "pairs"),
-        pair_rows,
-        title=(f"X6 (co-residency) - {len(verdicts)} kernel-pair verdicts "
-               f"on {pair_arch}"),
-    )
-    parts = [bound_report, "", pair_report]
+    parts = [bound_report]
     if violations:
         parts.append("")
         parts.append("VIOLATIONS (the bound gate fails):")
@@ -870,10 +829,7 @@ def x6_bound_table(cfg: GPUConfig | None = None, scale: float = 1.0):
             kb = cells[key]["bound"]
             parts.append(f"  {'/'.join(key)}: sim {cells[key]['sim']} "
                          f"outside [{kb.lo}, {kb.hi}]")
-    data = {"cells": cells, "violations": violations,
-            "pair_verdicts": verdicts, "verdict_counts": counts,
-            "reason_counts": reason_hist}
-    return "\n".join(parts), data
+    return "\n".join(parts), {"cells": cells, "violations": violations}
 
 
 # ---------------------------------------------------------------------------

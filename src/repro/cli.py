@@ -5,7 +5,8 @@ Commands:
 * ``list`` — the benchmark suite with categories and limiter classes.
 * ``run BENCH`` — simulate one benchmark under one architecture.
 * ``compare BENCH`` — baseline vs VT vs ideal-sched side by side.
-* ``experiment ID`` — regenerate a paper artifact (E1..E12, X1..X3).
+* ``experiment ID`` — regenerate a paper artifact (E1..E12) or an
+  extension table (X1..X4, X6).
 * ``sweep`` — the (benchmark x arch) matrix through the process-isolated
   orchestrator: parallel workers, wall-clock kill, and retries.  ``--dir``
   is a result-store directory: every finished cell is committed there,
@@ -36,7 +37,6 @@ import argparse
 import inspect
 import sys
 import tempfile
-from collections import Counter
 
 from repro.analysis.experiments import ALL_EXPERIMENTS, doctor_report
 from repro.analysis.runner import run_benchmark
@@ -168,8 +168,6 @@ def cmd_experiment(args) -> int:
     # at DIR (repeat runs into it stop re-simulating).
     if "directory" in params and args.dir is not None:
         kwargs["directory"] = args.dir
-    if "liveness" in params and args.liveness:
-        kwargs["liveness"] = True
     report, _data = fn(**kwargs)
     print(report)
     return 0
@@ -500,6 +498,14 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _bound_failure(problems) -> int:
+    """Name every failing bound cell on stderr (in either format)."""
+    print(f"\nFAIL ({len(problems)} problem(s)):", file=sys.stderr)
+    for arch, name, mode, why in problems:
+        print(f"  {name}/{arch}/{mode}: {why}", file=sys.stderr)
+    return 1
+
+
 def cmd_bound(args) -> int:
     import json
 
@@ -513,28 +519,6 @@ def cmd_bound(args) -> int:
     benches = ([get(args.benchmark)] if args.benchmark
                else sorted(all_benchmarks(), key=lambda b: b.name))
     configs = gate_configs(args.sms)
-
-    if args.pairs:
-        from repro.isa.analysis.compose import pair_matrix
-
-        arch, cfg = next(iter(configs.items()))
-        verdicts = pair_matrix(benches, cfg, mode=args.mode,
-                               scale=args.scale, arch=arch)
-        if args.format == "json":
-            print(json.dumps([v.to_dict() for v in verdicts], indent=2))
-            return 0
-        rows = [(v.a, v.b, v.verdict, f"{v.ctas_a}+{v.ctas_b}",
-                 f"[{v.slowdown_a[0]:.2f}, {v.slowdown_a[1]:.2f}]",
-                 f"[{v.slowdown_b[0]:.2f}, {v.slowdown_b[1]:.2f}]",
-                 ", ".join(v.reasons) or "-")
-                for v in verdicts]
-        counts = Counter(v.verdict for v in verdicts)
-        print(format_table(
-            ("a", "b", "verdict", "ctas/SM", "slowdown a", "slowdown b",
-             "reasons"),
-            rows, title=f"co-residency verdicts ({arch}, {args.mode})"))
-        print("\n" + "  ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
-        return 0
 
     # The soundness gate shares X6's cells: with --check each simulated
     # cycle count must fall inside its static interval, and no interval
@@ -569,7 +553,7 @@ def cmd_bound(args) -> int:
         print(json.dumps({"cells": cells,
                           "problems": [list(p) for p in problems]},
                          indent=2))
-        return 1 if problems else 0
+        return _bound_failure(problems) if problems else 0
 
     headers = ["kernel", "arch", "mode", "lo", "hi", "tightness"]
     if args.check:
@@ -586,10 +570,7 @@ def cmd_bound(args) -> int:
                        title="static total-cycle bounds"
                              + (" (soundness gate)" if args.check else "")))
     if problems:
-        print(f"\nFAIL ({len(problems)} problem(s)):", file=sys.stderr)
-        for arch, name, mode, why in problems:
-            print(f"  {name}/{arch}/{mode}: {why}", file=sys.stderr)
-        return 1
+        return _bound_failure(problems)
     if args.check:
         checked = [r for r in cells if "sim_cycles" in r]
         worst = max(checked, key=lambda r: r["tightness"], default=None)
@@ -646,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(fn=cmd_compare)
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp_p.add_argument("id", help="experiment id: E1..E12 or X1..X3")
+    exp_p.add_argument("id", help="experiment id: " + ", ".join(ALL_EXPERIMENTS))
     exp_p.add_argument("--scale", type=positive_float, default=1.0)
     exp_p.add_argument("--strict", action="store_true",
                        help="once every run has finished, fail on the first "
@@ -658,9 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--dir", metavar="DIR", default=None,
                        help="read/write simulation cells through the "
                             "result store at DIR (re-runs read them back)")
-    exp_p.add_argument("--liveness", action="store_true",
-                       help="E11 only: add the liveness-compressed register "
-                            "swap-footprint table (default tables unchanged)")
     exp_p.set_defaults(fn=cmd_experiment)
 
     sweep_p = sub.add_parser(
@@ -810,8 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound_p = sub.add_parser(
         "bound", help="sound static [lo, hi] total-cycle bounds per "
-                      "kernel x arch x mode, plus co-residency pair "
-                      "verdicts (--pairs)")
+                      "kernel x arch x mode")
     bound_p.add_argument("benchmark", nargs="?", default=None,
                          help="benchmark to bound (default: every registry "
                               "kernel)")
@@ -822,14 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="soundness gate: simulate each cell and fail "
                               "unless its cycle count falls inside the "
                               "static interval (and no interval is trivial)")
-    bound_p.add_argument("--pairs", action="store_true",
-                         help="co-residency composer: admit/degrade/deny "
-                              "verdicts with slowdown bounds for every "
-                              "kernel pair")
-    bound_p.add_argument("--mode", choices=("baseline", "vt"),
-                         default="baseline",
-                         help="scheduling mode for --pairs (bounds tables "
-                              "always cover both modes)")
     bound_p.add_argument("--strict", action="store_true",
                          help="with --check: also fail on simulation "
                               "errors (otherwise reported and skipped)")

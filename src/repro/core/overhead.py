@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.kernel import Kernel
 from repro.sim.config import GPUConfig
 
 PC_BITS = 32
@@ -59,61 +58,6 @@ class OverheadReport:
             ("shared memory / SM (stays in place)", f"{self.shared_mem_bytes // 1024} KiB"),
             ("overhead vs virtualized capacity", f"{self.overhead_fraction:.3%}"),
         ]
-
-
-@dataclass(frozen=True)
-class SwapFootprint:
-    """What a register-spilling context switch would move for one CTA.
-
-    The paper's VT never spills architectural registers — a switch moves
-    scheduling state only, and :func:`vt_overhead` above prices exactly
-    that.  This report answers the natural what-if: a design in the
-    compiler-assisted-preemption family (Pai et al., see PAPERS.md) that
-    *does* spill registers at a switch need only move the registers **live
-    at the swap points** (warps park at barriers or just past long-latency
-    global accesses), not the declared footprint.  Liveness comes from the
-    static analysis package; the declared footprint is the upper bound the
-    occupancy calculator charges.
-    """
-
-    kernel_name: str
-    declared_regs: int
-    live_regs: int  # max live at any barrier / post-global-load PC
-    threads_per_cta: int
-
-    def __post_init__(self):
-        if self.live_regs > self.declared_regs:
-            raise ValueError(
-                f"{self.kernel_name}: liveness footprint {self.live_regs} "
-                f"exceeds declared {self.declared_regs} registers")
-
-    @property
-    def declared_bytes(self) -> int:
-        return self.threads_per_cta * self.declared_regs * 4
-
-    @property
-    def live_bytes(self) -> int:
-        return self.threads_per_cta * self.live_regs * 4
-
-    @property
-    def compression(self) -> float:
-        """Fraction of the declared spill volume liveness avoids."""
-        if self.declared_bytes == 0:
-            return 0.0
-        return 1.0 - self.live_bytes / self.declared_bytes
-
-
-def liveness_swap_footprint(kernel: Kernel) -> SwapFootprint:
-    """Liveness-compressed swap-cost estimate for one kernel."""
-    from repro.isa.analysis import liveness  # deferred: keeps core/ import-light
-
-    info = liveness(kernel)
-    return SwapFootprint(
-        kernel_name=kernel.name,
-        declared_regs=kernel.regs_per_thread,
-        live_regs=info.swap_footprint_regs,
-        threads_per_cta=kernel.threads_per_cta,
-    )
 
 
 def vt_overhead(cfg: GPUConfig | None = None, stack_depth: int = SIMT_STACK_DEPTH) -> OverheadReport:

@@ -1,7 +1,7 @@
 """Static analysis over mini-ISA kernels.
 
 A small iterative dataflow framework (:mod:`.dataflow`) plus the passes
-built on it — backward liveness with VT swap footprints (:mod:`.liveness`),
+built on it — backward liveness (:mod:`.liveness`),
 maybe-uninitialized register reads (:mod:`.reaching`), affine symbolic
 addresses and uniformity (:mod:`.affine`), barrier-divergence detection
 (:mod:`.barrier`) and shared-memory bounds/race checks (:mod:`.shared`) —

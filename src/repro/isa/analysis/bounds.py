@@ -4,10 +4,8 @@ The performance oracle (:mod:`repro.isa.analysis.perf`) predicts
 *qualitative* classes — limiter, idle kind, VT tier.  This module derives
 a *quantitative* counterpart: a closed interval that the simulator's
 total cycle count provably falls into, for every kernel, GPU config, and
-scheduling mode (baseline / Virtual Thread).  The co-residency composer
-(:mod:`repro.isa.analysis.compose`) consumes the same machinery to turn
-per-kernel footprints into admission verdicts, and the `repro bound
---check` CI gate validates every interval against the simulator.
+scheduling mode (baseline / Virtual Thread).  The `repro bound --check`
+CI gate validates every interval against the simulator.
 
 Construction, in three layers:
 

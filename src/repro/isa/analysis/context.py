@@ -1,14 +1,13 @@
 """Per-kernel analysis context: each static fact is solved once per kernel.
 
-Lint, the performance oracle, the cycle-bound analyzer, the co-residency
-composer and the runtime sanitizer all ask the same questions of a
-kernel: its CFG, the affine and interval fixpoints, liveness, loop
-structure, per-site access costs, the loop-expanded warp profile.  Every
-one of those facts is a pure function of the kernel (plus a small,
-hashable key for the ones that also read launch or config values), so
-each kernel carries one dict of facts and each pass's public entry point
-(``affine_solution``, ``access_costs``, ``warp_profile`` ...) is a
-:func:`fact` lookup in it.
+Lint, the performance oracle, the cycle-bound analyzer and the runtime
+sanitizer all ask the same questions of a kernel: its CFG, the affine
+and interval fixpoints, liveness, loop structure, per-site access costs,
+the loop-expanded warp profile.  Every one of those facts is a pure
+function of the kernel (plus a small, hashable key for the ones that
+also read launch or config values), so each kernel carries one dict of
+facts and each pass's public entry point (``affine_solution``,
+``access_costs``, ``warp_profile`` ...) is a :func:`fact` lookup in it.
 
 Lifetime and invalidation:
 

@@ -719,8 +719,8 @@ def classify_idle(profile: WarpProfile, bounds: dict[str, float],
     that scan); thresholds are calibrated against the simulator and
     locked by the ``repro predict --check`` gate.
 
-    1. **Port serialization** — a pipeline (LD/ST transactions, shared
-       passes, SFU issue interval) demanding clearly more cycles than
+    1. **Port serialization** — a pipeline (LD/ST transactions, SFU
+       issue interval) demanding clearly more cycles than
        the issue/critical-path anchor keeps READY warps queued behind
        it: dead cycles have a ready warp (struct).
     2. **MSHR convoy** (VT only) — at launch the *active* warps issue
@@ -759,8 +759,7 @@ def classify_idle(profile: WarpProfile, bounds: dict[str, float],
     # Each rule's comment names the X4 cells (kernel/arch) the gate fails
     # on when that rule alone is removed.
     # port:ldst -- btree and spmv, both archs.  port:sfu -- mriq/baseline.
-    # port:smem decides no X4 cell (nor any registry or fuzz cell).
-    for port in ("ldst", "smem", "sfu"):
+    for port in ("ldst", "sfu"):
         if bounds[port] >= PORT_MARGIN * anchor:
             return "struct", f"port:{port}"
 

@@ -70,16 +70,6 @@ GOLDEN_FIELDS: dict[tuple[str, str], tuple[str, ...]] = {
         "arch", "buckets", "ctas", "floors", "hi", "kernel", "lo",
         "mode", "tightness", "trips", "warps",
     ),
-    ("isa.analysis.compose", "KernelFootprint.to_dict"): (
-        "arch", "bandwidth_class", "bound", "hi", "kernel", "lo",
-        "mem_fraction", "mode", "mshr_per_cta", "regs_per_cta",
-        "smem_per_cta", "solo_ctas_per_sm", "threads_per_cta",
-        "warps_per_cta",
-    ),
-    ("isa.analysis.compose", "PairVerdict.to_dict"): (
-        "a", "arch", "b", "ctas_a", "ctas_b", "mode", "reasons",
-        "slowdown_a", "slowdown_b", "verdict",
-    ),
 }
 
 #: module -> expected SCHEMA_VERSION constant value.

@@ -1,5 +1,4 @@
-"""Sound static cycle bounds: trip resolvers, edge cases, soundness, and
-the co-residency composer."""
+"""Sound static cycle bounds: trip resolvers, edge cases and soundness."""
 
 import pytest
 
@@ -7,8 +6,6 @@ from repro.analysis.runner import run_benchmark
 from repro.isa.analysis.bounds import (DATA_TRIP_CAPS, UnboundedLoop,
                                        bench_bounds, gate_configs,
                                        kernel_bounds, trip_bounds)
-from repro.isa.analysis.compose import (kernel_footprint, pair_matrix,
-                                        pair_verdict)
 from repro.isa.analysis.perf import layout_for
 from repro.isa.assembler import assemble
 from repro.kernels.registry import get
@@ -305,57 +302,6 @@ def test_bound_to_dict_schema():
     assert set(d) == {"kernel", "arch", "mode", "lo", "hi", "tightness",
                       "ctas", "warps", "floors", "buckets", "trips"}
     assert d["arch"] == "fermi-sm2" and d["lo"] <= d["hi"]
-
-
-# ---------------------------------------------------------------------------
-# co-residency composer
-# ---------------------------------------------------------------------------
-
-
-def test_pair_matrix_is_deterministic():
-    benches = [get(n) for n in ("saxpy", "vecadd", "hotspot")]
-    cfg = scaled_fermi(num_sms=2)
-    first = [v.to_dict() for v in
-             pair_matrix(benches, cfg, scale=0.25, arch="fermi-sm2")]
-    second = [v.to_dict() for v in
-              pair_matrix(benches, cfg, scale=0.25, arch="fermi-sm2")]
-    assert first == second
-    # Unordered pairs with self-pairs: n * (n + 1) / 2.
-    assert len(first) == 6
-
-
-def test_pair_verdicts_are_sane():
-    benches = [get(n) for n in ("saxpy", "vecadd")]
-    cfg = scaled_fermi(num_sms=2)
-    for v in pair_matrix(benches, cfg, scale=0.25, arch="fermi-sm2"):
-        assert v.verdict in ("admit", "degrade", "deny")
-        if v.verdict != "deny":
-            assert v.ctas_a >= 1 and v.ctas_b >= 1
-            for lo, hi in (v.slowdown_a, v.slowdown_b):
-                assert lo == 1.0 and hi >= lo
-
-
-def test_deny_on_synthetic_tiny_sm():
-    # A config whose SM cannot host one CTA of each kernel at once must
-    # deny, naming the exhausted capacity.
-    cfg = scaled_fermi(num_sms=1).with_(max_threads_per_sm=300)
-    fa = kernel_footprint(get("mm_tiled"), cfg, scale=0.25, arch="tiny")
-    fb = kernel_footprint(get("histogram"), cfg, scale=0.25, arch="tiny")
-    assert fa.threads_per_cta + fb.threads_per_cta > 300
-    v = pair_verdict(fa, fb, cfg)
-    assert v.verdict == "deny"
-    assert "thread-slots" in v.reasons
-    assert v.ctas_a == 0 and v.ctas_b == 0
-    assert v.slowdown_a[1] == float("inf")
-
-
-def test_footprint_schema_and_bandwidth_class():
-    f = kernel_footprint(get("saxpy"), scaled_fermi(num_sms=2),
-                         scale=0.25, arch="fermi-sm2")
-    d = f.to_dict()
-    assert d["bandwidth_class"] in ("dram", "mixed", "compute")
-    assert 0.0 <= d["mem_fraction"] <= 1.0
-    assert d["bound"]["lo"] <= d["bound"]["hi"]
 
 
 def test_x6_registered():

@@ -1,5 +1,7 @@
 """CLI commands (invoked in-process via repro.cli.main)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,6 +71,16 @@ def test_experiment_unknown(capsys):
     code, _out, err = run_cli(capsys, "experiment", "E99")
     assert code == 2
     assert "unknown experiment" in err
+
+
+def test_experiment_help_names_every_id(capsys):
+    from repro.analysis.experiments import ALL_EXPERIMENTS
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "--help"])
+    assert excinfo.value.code == 0
+    named = set(re.findall(r"\b[EX]\d+\b", capsys.readouterr().out))
+    assert named == set(ALL_EXPERIMENTS)
 
 
 def test_unknown_benchmark(capsys):
@@ -560,9 +572,3 @@ def test_predict_check_simulation_failure_is_fatal(capsys, monkeypatch):
     assert code == 1
     assert "FAILED(error)" in out
     assert "simulation failures): vecadd/vt" in err
-
-
-def test_experiment_e11_liveness_flag(capsys):
-    code, out, _err = run_cli(capsys, "experiment", "e11", "--liveness")
-    assert code == 0
-    assert "liveness-compressed" in out

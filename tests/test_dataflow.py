@@ -1,6 +1,6 @@
-"""The dataflow framework and its analysis passes: liveness (with VT swap
-footprints), maybe-uninitialized reads, affine addresses, and the
-barrier/shared passes' building blocks."""
+"""The dataflow framework and its analysis passes: liveness,
+maybe-uninitialized reads, affine addresses, and the barrier/shared
+passes' building blocks."""
 
 import pytest
 
@@ -76,36 +76,6 @@ def test_predicated_write_does_not_kill():
     info = liveness(k)
     # r0 stays live across the predicated redefinition at pc 2.
     assert 0 in info.live_in[2]
-
-
-def test_swap_points_and_barrier_footprint():
-    k = _kernel("""
-    MOV r0, #0
-    MOV r1, #4
-    LDG r2, [r0]
-    BAR
-    FADD r3, r2, r1
-    STG [r0], r3
-    EXIT
-""")
-    info = liveness(k)
-    assert 3 in info.barrier_live  # the BAR pc
-    assert 2 in info.swap_point_live  # the LDG pc
-    # After the LDG: r0, r1 live plus the in-flight r2 destination.
-    assert info.swap_point_live[2] == 3
-    assert info.swap_footprint_regs >= info.barrier_live[3]
-
-
-def test_swap_footprint_counts_inflight_load_dst():
-    k = _kernel("""
-    MOV r0, #0
-    LDG r1, [r0]
-    STG [r0], r1
-    EXIT
-""")
-    info = liveness(k)
-    # live_in at pc 2 is {r0, r1}: dst already live, no double count.
-    assert info.swap_point_live[1] == 2
 
 
 # -- maybe-uninitialized reads ----------------------------------------------
@@ -268,11 +238,10 @@ def test_overlap_disjoint_constant_banks():
     assert may_overlap(a, b, (32, 1, 1)) is False  # 4*31 < 256
 
 
-# -- acceptance: footprints over the registry --------------------------------
+# -- acceptance: register pressure over the registry ------------------------
 
 
 @pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.name)
 def test_swap_footprint_within_declared(bench):
     info = liveness(bench.kernel)
-    assert 0 < info.swap_footprint_regs <= bench.kernel.regs_per_thread
-    assert info.max_pressure <= bench.kernel.regs_per_thread
+    assert 0 < info.max_pressure <= bench.kernel.regs_per_thread

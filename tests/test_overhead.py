@@ -1,9 +1,6 @@
-"""VT hardware-overhead model and the liveness-compressed swap footprint."""
+"""VT hardware-overhead model."""
 
-import pytest
-
-from repro.core.overhead import SwapFootprint, liveness_swap_footprint, vt_overhead
-from repro.kernels.registry import all_benchmarks
+from repro.core.overhead import vt_overhead
 from repro.sim.config import GPUConfig
 
 
@@ -42,30 +39,3 @@ def test_rows_render():
 def test_minimum_one_slot():
     report = vt_overhead(GPUConfig().with_(vt_max_resident_multiplier=1.0))
     assert report.virtual_cta_slots >= 1
-
-
-# -- liveness-compressed swap footprint --------------------------------------
-
-
-@pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.name)
-def test_liveness_footprint_never_exceeds_declared(bench):
-    fp = liveness_swap_footprint(bench.kernel)
-    assert 0 < fp.live_regs <= fp.declared_regs
-    assert fp.live_bytes <= fp.declared_bytes
-    assert 0.0 <= fp.compression < 1.0
-
-
-def test_footprint_rejects_impossible_liveness():
-    with pytest.raises(ValueError, match="exceeds declared"):
-        SwapFootprint(kernel_name="x", declared_regs=4, live_regs=5,
-                      threads_per_cta=32)
-
-
-def test_e11_default_table_unchanged_by_liveness_flag():
-    from repro.analysis.experiments import e11_overhead
-
-    plain, _data = e11_overhead()
-    augmented, data = e11_overhead(liveness=True)
-    assert augmented.startswith(plain)  # default table is byte-identical
-    assert "liveness-compressed" in augmented
-    assert set(data["footprints"]) == {b.name for b in all_benchmarks()}
