@@ -36,7 +36,9 @@ _BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("ldst_cache", ("sim/ldst.py", "sim/cache.py")),
     ("memsys", ("sim/memsys.py", "sim/dram.py", "sim/icnt.py",
                 "sim/memory.py")),
-    ("functional_exec", ("sim/exec.py",)),
+    # The per-issue executor and, on the default engine, the launch's
+    # functional pre-pass plus the SM's replay of its streams.
+    ("functional_exec", ("sim/exec.py", "sim/prepass.py")),
     ("sanitizer", ("sim/sanitizer.py",)),
     ("vt", ("core/vt.py", "core/policies.py")),
     ("parallel_engine", ("sim/parallel.py",)),

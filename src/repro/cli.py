@@ -14,6 +14,10 @@ Commands:
   run); ``--format json`` prints a machine-readable summary.
 * ``doctor`` — sanitizer-on smoke sweep over the whole suite; ``--store``
   audits a result store (verify checksums, quarantine, GC) first.
+* ``fuzz`` — property-based differential fuzzing: generated kernels
+  through every engine and arch against a reference executor, with
+  shrinking and replayable reproducers (``--canary`` self-tests it,
+  ``--replay`` re-runs a reproducer).
 * ``occupancy BENCH`` — the occupancy calculator's view of a kernel.
 * ``disasm BENCH`` — disassemble a benchmark kernel.
 * ``profile BENCH`` — static instruction-mix / control-flow profile.
@@ -21,6 +25,9 @@ Commands:
 * ``predict [BENCH]`` — static performance oracle: limiter, idle-cycle
   class, VT tier; ``--check`` simulates every cell and fails on any
   prediction/measurement disagreement (the CI agreement gate).
+* ``bound [BENCH]`` — sound static ``[lo, hi]`` total-cycle bounds per
+  kernel, arch and mode; ``--check`` simulates every cell and fails
+  unless its cycle count falls inside its interval (the soundness gate).
 * ``selfcheck [ROOT]`` — AST static analyzer over the simulator's own
   sources: shard-isolation race detection, determinism lint, and
   serialization schema-drift checks (``--strict``, ``--format json``);

@@ -48,7 +48,7 @@ class CTA:
     """One resident CTA on an SM."""
 
     def __init__(self, cta_id: int, ctaid: tuple[int, int, int], kernel, grid_dim,
-                 params: tuple[float, ...], cfg, start_cycle: int):
+                 params: tuple[float, ...], cfg, start_cycle: int, stream=None):
         self.cta_id = cta_id
         self.ctaid = ctaid
         self.kernel = kernel
@@ -74,12 +74,19 @@ class CTA:
         threads = kernel.threads_per_cta
         warp_size = cfg.warp_size
         num_warps = -(-threads // warp_size)
-        uniform = self._uniform_special_regs(ctaid, kernel, grid_dim, params)
+        if stream is None:
+            uniform = self._uniform_special_regs(ctaid, kernel, grid_dim, params)
         self.warps: list[Warp] = []
         for w in range(num_warps):
             live = min(warp_size, threads - w * warp_size)
-            warp = Warp(self, w, kernel.regs_per_thread, live, warp_size)
-            warp.sregs = self._special_regs(uniform, w, kernel)
+            if stream is None:
+                warp = Warp(self, w, kernel.regs_per_thread, live, warp_size)
+                warp.sregs = self._special_regs(uniform, w, kernel)
+            else:
+                # Executed by the launch's pre-pass: the warp replays its
+                # stream and reads no special registers.
+                warp = Warp(self, w, kernel.regs_per_thread, live, warp_size,
+                            stream.warp(cta_id, w))
             self.warps.append(warp)
         # Unfinished warps, counted down by the SM core as each one exits
         # (see SMCore._issue) rather than recounted per occupancy sample.

@@ -1,12 +1,21 @@
-"""Functional execution of one instruction for one warp.
+"""Functional execution of one instruction for one warp, at issue.
 
-Execution happens at *issue* time: the timing model decides when an
-instruction may issue, then calls :func:`functional_step`, which updates
-registers/memory/PC immediately while the scoreboard models when the
-results become architecturally visible.  This split is safe because the
-workloads are data-race-free (inter-warp communication goes through
-barriers or atomics, and atomics are performed read-modify-write in issue
-order).
+On the engines that execute at issue (the per-cycle reference engine, the
+sharded engine, and every default-engine launch the functional pre-pass
+rejects), the timing model decides when an instruction may issue, then
+calls :func:`functional_step`, which updates registers/memory/PC
+immediately while the scoreboard models when the results become
+architecturally visible.  Inter-warp communication is then ordered by
+issue: barriers order issue, and atomics are performed read-modify-write
+in issue order.
+
+The default engine executes a launch before its first cycle instead, in
+one pre-pass batched across warps (:mod:`repro.sim.prepass`), and replays
+each warp's recorded stream at issue.  That is exact only for launches
+where no word is shared between warps without an ordering barrier, which
+the pre-pass checks per launch rather than assumes.  It reuses this
+module's operator tables, so both executors compute every value with the
+same numpy expression.
 
 The returned :class:`ExecResult` carries everything the timing model needs
 (memory space, per-lane byte addresses, lane count) without re-decoding.

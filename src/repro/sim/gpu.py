@@ -28,6 +28,13 @@ from repro.sim.smcore import SMCore
 from repro.sim.stats import SimStats
 
 
+#: ``LaunchResult.fallback`` of the engines that never run the pre-pass:
+#: the per-cycle reference engine (chosen, or pinned by a tracer or fault
+#: plan) and the sharded engine (repro.sim.parallel).
+PER_CYCLE = "per-cycle engine"
+SHARDED = "sharded engine"
+
+
 class SimulationTimeout(RuntimeError):
     """The hard watchdog fired: the launch did not finish within max_cycles.
 
@@ -111,6 +118,11 @@ class LaunchResult:
     gmem: GlobalMemory
     kernel: Kernel
     grid_dim: tuple[int, int, int]
+    #: Why the SMs executed every instruction at issue: a
+    #: :mod:`repro.sim.prepass` fallback reason, or :data:`PER_CYCLE` /
+    #: :data:`SHARDED` for an engine that never runs the pre-pass.  None
+    #: when they replayed the launch's functional pre-pass.
+    fallback: str | None = None
 
     def read(self, name: str, num_words: int | None = None):
         """Read a result buffer from global memory."""
@@ -177,6 +189,20 @@ class GPU:
                 cfg, kernel, grid, gmem, params, limit, total_ctas)
             if result is not None:
                 return result
+        # The fast-forward engine lets SMs sleep through provably-dead
+        # (frozen) cycles, so the sanitizer runs on it; fault plans and
+        # tracers observe individual cycles and pin the reference path.
+        fast_forward = cfg.fast_forward and tracer is None and faults is None
+        # Functional-first execution (repro.sim.prepass): the default
+        # engine executes the grid before its first cycle and replays the
+        # recorded streams; a launch the pre-pass cannot vouch for, and
+        # every per-cycle launch, executes at issue.
+        stream, fallback = None, PER_CYCLE
+        if fast_forward:
+            from repro.sim.prepass import run_prepass
+
+            stream, fallback = run_prepass(kernel, grid, gmem, params, cfg,
+                                           limit)
         memory_model = MemoryModel(cfg)
         factory = _manager_factory(cfg.arch)
         sanitizer = Sanitizer(cfg) if cfg.sanitize else None
@@ -192,10 +218,6 @@ class GPU:
         # ProgressTracker.deadlocked, inlined: more than ``stall_window``
         # cycles since the last progress (never with the watchdog off).
         stall_window = progress.window if progress.window > 0 else FOREVER
-        # The fast-forward engine lets SMs sleep through provably-dead
-        # (frozen) cycles, so the sanitizer runs on it; fault plans and
-        # tracers observe individual cycles and pin the reference path.
-        fast_forward = cfg.fast_forward and tracer is None and faults is None
         for sm in sms:
             sm.allow_fast = fast_forward
         next_cta = 0
@@ -239,7 +261,8 @@ class GPU:
             if due[i] != now:
                 due[i] = now
                 heappush(wake, now * num_sms + i)
-            sm.assign_cta(self._make_cta(cta_id, kernel, grid, params, now), now)
+            sm.assign_cta(
+                self._make_cta(cta_id, kernel, grid, params, now, stream), now)
 
         while True:
             # Dispatch: at most one CTA per SM per cycle.  Round-robin
@@ -367,6 +390,7 @@ class GPU:
             gmem=gmem,
             kernel=kernel,
             grid_dim=grid,
+            fallback=fallback,
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -381,7 +405,8 @@ class GPU:
                 sm.fast_forward(credited[i], now)
                 credited[i] = now
 
-    def _make_cta(self, cta_id: int, kernel: Kernel, grid, params, now: int) -> CTA:
+    def _make_cta(self, cta_id: int, kernel: Kernel, grid, params, now: int,
+                  stream=None) -> CTA:
         return CTA(
             cta_id=cta_id,
             ctaid=self._cta_coords(cta_id, grid),
@@ -390,6 +415,7 @@ class GPU:
             params=params,
             cfg=self.cfg,
             start_cycle=now + self.cfg.cta_launch_latency,
+            stream=stream,
         )
 
     def _check_kernel_fits(self, kernel: Kernel) -> None:

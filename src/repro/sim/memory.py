@@ -54,6 +54,12 @@ class GlobalMemory:
     def base(self, name: str) -> int:
         return self._buffers[name][0]
 
+    @property
+    def allocated_bytes(self) -> int:
+        """Bytes from address 0 to the (line-aligned) end of the last
+        buffer allocated."""
+        return self._next_free
+
     def clone(self) -> "GlobalMemory":
         """Private copy of the full memory image (data and allocation map).
 

@@ -65,8 +65,8 @@ import numpy as np
 
 from repro.sim.config import ArchMode
 from repro.sim.cta import CTA
-from repro.sim.gpu import (LaunchResult, ProgressDeadlock, ProgressTracker,
-                           SimulationTimeout, _manager_factory)
+from repro.sim.gpu import (SHARDED, LaunchResult, ProgressDeadlock,
+                           ProgressTracker, SimulationTimeout, _manager_factory)
 from repro.sim.memsys import MemoryModel, min_cross_rtt
 from repro.sim.sanitizer import diagnostic_dump
 from repro.sim.smcore import SMCore
@@ -1096,7 +1096,7 @@ class _Coordinator:
         stats.l2_hits = self.memsys.l2_hits
         stats.dram_requests = self.memsys.dram_requests
         return LaunchResult(stats=stats, gmem=self.gmem, kernel=self.kernel,
-                            grid_dim=self.grid)
+                            grid_dim=self.grid, fallback=SHARDED)
 
     def _dump(self, cycle: int, reason: str) -> str:
         fragments = []

@@ -246,28 +246,36 @@ class SMCore:
 
     def _issue(self, warp, now: int) -> None:
         cta = warp.cta
-        pc = warp.pc  # functional_step advances it; keep for the sanitizer
+        pc = warp.pc  # the executor advances it; keep for the sanitizer
         instr = cta.kernel.instrs[pc]
-        result = functional_step(warp, instr, self.gmem)
+        info = instr.info
+        stream = warp.stream
+        if stream is None:
+            result = functional_step(warp, instr, self.gmem)
+            lanes = result.lanes
+        else:
+            # Executed by the launch's pre-pass: replay the recorded entry.
+            lanes = stream.step(warp)
+            if self.sanitizer is not None:
+                result = stream.replayed(info, lanes)
         if self.sanitizer is not None:
             self.sanitizer.check_exec(self, warp, pc, instr, result, now)
         warp.status_until = -1
         warp.instructions_issued += 1
         stats = self.stats
         stats.instructions += 1
-        stats.thread_instructions += result.lanes
+        stats.thread_instructions += lanes
         by_class = stats.instructions_by_class
         class_key = instr._class_key
         by_class[class_key] = by_class.get(class_key, 0) + 1
 
-        info = instr.info
         op_class = info.op_class
-
-        if result.did_barrier:
+        key = instr._op_key
+        if key == "BAR":
             if cta.barrier_arrive(warp, now):
                 arm_cta(cta)
             return
-        if result.did_exit:
+        if key == "EXIT":
             if warp.finished:
                 cta.live_warps -= 1
                 if not cta.live_warps:
@@ -277,13 +285,19 @@ class SMCore:
                     arm_cta(cta)
             return
 
-        if result.addresses is None and info.is_mem:
-            # Fully predicated-off memory op: occupies an issue slot only.
-            return
         if op_class is _MEM_GLOBAL:
-            self._issue_global(warp, instr, result, now)
+            if not lanes:
+                return  # fully predicated off: occupies an issue slot only
+            lines = (coalesce(result.addresses, self.cfg.line_bytes)
+                     if stream is None else stream.take_lines())
+            self._issue_global(warp, instr, lines, now)
         elif op_class is _MEM_SHARED:
-            self._issue_shared(warp, instr, result, now)
+            if not lanes:
+                return
+            passes = (bank_conflict_passes(result.addresses,
+                                           self.cfg.shared_mem_banks)
+                      if stream is None else stream.take_passes())
+            self._issue_shared(warp, instr, passes, now)
         elif op_class is _SFU:
             self._sfu_free = now + self.cfg.sfu_issue_interval
             if instr.dst is not None:
@@ -293,8 +307,7 @@ class SMCore:
                 latency = self._latency[class_key]
                 warp.scoreboard.set_pending(instr.dst.idx, now + latency, False)
 
-    def _issue_global(self, warp, instr, result, now: int) -> None:
-        lines = coalesce(result.addresses, self.cfg.line_bytes)
+    def _issue_global(self, warp, instr, lines: list[int], now: int) -> None:
         count = max(1, len(lines))
         self._ldst_free = now + count
         self.stats.global_transactions += len(lines)
@@ -326,8 +339,7 @@ class SMCore:
             is_long = ready - now >= self.cfg.vt_long_stall_threshold
             warp.scoreboard.set_pending(instr.dst.idx, ready, is_long)
 
-    def _issue_shared(self, warp, instr, result, now: int) -> None:
-        passes = bank_conflict_passes(result.addresses, self.cfg.shared_mem_banks)
+    def _issue_shared(self, warp, instr, passes: int, now: int) -> None:
         self._smem_free = now + passes
         self.stats.smem_accesses += 1
         self.stats.smem_bank_conflict_passes += passes

@@ -86,14 +86,20 @@ class Warp:
         "age",
         "armed",
         "parked",
+        "stream",
     )
 
-    def __init__(self, cta, local_wid: int, regs_per_thread: int, live_lanes: int, warp_size: int):
+    def __init__(self, cta, local_wid: int, regs_per_thread: int, live_lanes: int, warp_size: int,
+                 stream=None):
         self.cta = cta
         self.local_wid = local_wid
         # Lanes beyond the CTA's thread count never exist.
         self.live_mask = (1 << live_lanes) - 1 if live_lanes < warp_size else FULL_MASK
-        self.regs = np.zeros((regs_per_thread, 32), dtype=np.float64)
+        # A warp replaying a pre-pass stream (see repro.sim.prepass) was
+        # executed before the launch: it keeps no registers of its own.
+        self.stream = stream
+        self.regs = (np.zeros((regs_per_thread, 32), dtype=np.float64)
+                     if stream is None else None)
         self.stack: list[StackEntry] = [StackEntry(None, 0, self.live_mask)]
         # The top entry's pc and "stack empty", stored rather than derived:
         # the issue path reads them several times per instruction.  Every
@@ -185,10 +191,16 @@ class Warp:
         """The state VT backs up on swap-out: SIMT stack + barrier flag.
 
         Registers are intentionally absent — they stay resident on-chip,
-        which is the paper's central cost argument.
+        which is the paper's central cost argument.  A warp replaying a
+        pre-pass stream ran its SIMT stack before the launch; its stack
+        state is its position in the stream.
         """
+        if self.stream is not None:
+            stack = (("stream", self.stream.cursor, self.pc),)
+        else:
+            stack = tuple((e.rpc, e.pc, e.mask) for e in self.stack)
         return (
-            tuple((e.rpc, e.pc, e.mask) for e in self.stack),
+            stack,
             self.exited,
             self.at_barrier,
         )

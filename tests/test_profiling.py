@@ -11,6 +11,7 @@ from repro.analysis.profiling import _bucket_for
     ("/w/src/repro/sim/cache.py", "ldst_cache"),
     ("/w/src/repro/sim/memsys.py", "memsys"),
     ("/w/src/repro/sim/exec.py", "functional_exec"),
+    ("/w/src/repro/sim/prepass.py", "functional_exec"),
     ("/w/src/repro/sim/sanitizer.py", "sanitizer"),
     ("/w/src/repro/core/vt.py", "vt"),
     ("/w/src/repro/core/policies.py", "vt"),
@@ -39,6 +40,27 @@ def test_default_run_books_nothing_to_sanitizer():
         bench.kernel, prep.grid_dim, prep.gmem, prep.params))
     assert report["buckets"].get("sanitizer", {"seconds": 0.0})["seconds"] == 0
     assert report["buckets"]["gpu_loop"]["seconds"] > 0
+
+
+def test_default_run_books_prepass_and_replay_to_functional_exec():
+    """On the default engine the launch's pre-pass and the SM's replay of
+    its streams are the functional work (no instruction goes through
+    ``functional_step``), and both land in ``functional_exec``: one replay
+    call per issued instruction at least."""
+    from repro.analysis.profiling import profile_run
+    from repro.kernels import get
+    from repro.sim.config import scaled_fermi
+    from repro.sim.gpu import GPU
+
+    bench = get("vecadd")
+    prep = bench.prepare(0.25)
+    gpu = GPU(scaled_fermi(num_sms=2))
+    result, report = profile_run(lambda: gpu.launch(
+        bench.kernel, prep.grid_dim, prep.gmem, prep.params))
+    assert result.fallback is None  # replayed, not executed at issue
+    assert report["buckets"]["functional_exec"]["seconds"] > 0
+    assert report["buckets"]["functional_exec"]["calls"] >= (
+        result.stats.instructions)
 
 
 def _sim_function(source: str):
