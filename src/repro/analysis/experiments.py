@@ -26,6 +26,7 @@ from repro.analysis.orchestrator import SweepCell, matrix_cells, run_sweep
 from repro.analysis.tables import ascii_bars, format_table
 from repro.core.occupancy import occupancy
 from repro.core.overhead import vt_overhead
+from repro.isa.kernel import WARP_SIZE
 from repro.kernels.registry import all_benchmarks, get
 from repro.sim.config import ArchMode, GPUConfig, scaled_fermi
 
@@ -91,7 +92,7 @@ def e1_config_table(cfg: GPUConfig | None = None):
     cfg = cfg or default_config()
     rows = [
         ("SMs simulated", f"{cfg.num_sms} (per-SM parameters are GTX480-class)"),
-        ("warp size", cfg.warp_size),
+        ("warp size", WARP_SIZE),
         ("warp slots / SM (scheduling limit)", cfg.max_warps_per_sm),
         ("CTA slots / SM (scheduling limit)", cfg.max_ctas_per_sm),
         ("thread slots / SM", cfg.max_threads_per_sm),

@@ -108,7 +108,7 @@ def occupancy(kernel, cfg: GPUConfig | None = None) -> OccupancyResult:
     """Compute per-SM residency limits for ``kernel`` under ``cfg``."""
     cfg = cfg or GPUConfig()
     threads = kernel.threads_per_cta
-    warps = kernel.warps_per_cta(cfg.warp_size)
+    warps = kernel.warps_per_cta()
     regs_per_cta = kernel.regs_per_thread * threads
     unbounded = 10**9
     return OccupancyResult(

@@ -50,7 +50,7 @@ class VirtualThreadManager(CTAManagerBase):
         if memo is not None and memo[0] is kernel:
             return memo[1]
         cfg = self.cfg
-        per_warps = cfg.max_warps_per_sm // kernel.warps_per_cta(cfg.warp_size)
+        per_warps = cfg.max_warps_per_sm // kernel.warps_per_cta()
         per_threads = cfg.max_threads_per_sm // kernel.threads_per_cta
         limit = max(1, min(cfg.max_ctas_per_sm, per_warps, per_threads))
         self._limit_memo = (kernel, limit)

@@ -65,10 +65,10 @@ from repro.isa.analysis.context import cfg_of, fact, params_key
 from repro.isa.analysis.interval import _ZERO_IVAL, IVal, interval_solution
 from repro.isa.analysis.memaccess import access_costs
 from repro.isa.instruction import Imm, MemRef, Reg
+from repro.isa.kernel import WARP_SIZE as WARP
 from repro.isa.opcodes import Op, OpClass
 from repro.sim.config import GPUConfig
 
-WARP = 32
 
 #: Iteration cap for the concrete geometric / bracket-halving recurrences.
 _RECURRENCE_CAP = 200
@@ -746,7 +746,7 @@ def kernel_bounds(kernel, cfg: GPUConfig, *, mode: str, ctas: int,
     hi_counts = path_counts(kernel, cfg, costs, trips, loops,
                             reachable, unavoidable, "hi")
 
-    warps_per_cta = -(-kernel.threads_per_cta // WARP)
+    warps_per_cta = kernel.warps_per_cta()
     warps = ctas * warps_per_cta
 
     # -- lower bound: structural throughput floors + dependence chain.

@@ -13,7 +13,7 @@ warp access, mirroring the timing model's rules exactly
 
 The lane addresses of warp ``w`` are reconstructed from the same
 ``linear = w·32 + lane`` thread mapping the simulator uses
-(:meth:`repro.sim.cta.CTA._special_regs`), so for a fully analyzable
+(:func:`repro.sim.cta.special_regs`), so for a fully analyzable
 address the static per-warp cost is *exact*.  Two symbolic complications
 are handled without giving up:
 
@@ -45,10 +45,10 @@ from repro.isa.analysis.affine import Affine, affine_solution, is_top
 from repro.isa.analysis.context import cfg_of, fact, params_key
 from repro.isa.analysis.interval import interval_solution
 from repro.isa.analysis.unroll import unrolled_trace
+from repro.isa.kernel import WARP_SIZE as WARP
 from repro.sim.ldst import bank_conflict_passes, coalesce
 
 WORD = 4
-WARP = 32
 
 
 @dataclass(frozen=True)

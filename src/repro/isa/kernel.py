@@ -18,6 +18,10 @@ from repro.isa.instruction import Imm, Instruction, MemRef, Reg, SReg
 from repro.isa.opcodes import CmpOp, Op, OPCODE_INFO
 
 
+#: Threads per warp: fixed, as on every NVIDIA GPU the paper models.
+WARP_SIZE = 32
+
+
 class KernelValidationError(ValueError):
     """Raised when a kernel fails static validation."""
 
@@ -109,8 +113,8 @@ class Kernel:
         x, y, z = self.cta_dim
         return x * y * z
 
-    def warps_per_cta(self, warp_size: int = 32) -> int:
-        return -(-self.threads_per_cta // warp_size)
+    def warps_per_cta(self) -> int:
+        return -(-self.threads_per_cta // WARP_SIZE)
 
     def validate(self) -> None:
         """Static sanity checks; raises :class:`KernelValidationError`."""

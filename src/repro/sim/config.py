@@ -36,7 +36,6 @@ class GPUConfig:
 
     # ---- chip-level -------------------------------------------------------
     num_sms: int = 2
-    warp_size: int = 32
 
     # ---- scheduling limit (per SM) ---------------------------------------
     max_warps_per_sm: int = 48
@@ -181,8 +180,6 @@ class GPUConfig:
         # Drop the memoized latency table in case fields were mutated in
         # place between validations (tests do this; real callers use with_).
         self.__dict__.pop("_lat_table", None)
-        if self.warp_size <= 0 or self.warp_size > 32:
-            raise ValueError("warp_size must be in 1..32")
         if self.num_sms <= 0:
             raise ValueError("need at least one SM")
         if self.max_ctas_per_sm <= 0 or self.max_warps_per_sm <= 0:

@@ -1,4 +1,4 @@
-"""Cooperative Thread Array (CTA) state.
+"""Cooperative Thread Array (CTA) state, and the special registers.
 
 A CTA owns its warps, its shared-memory scratchpad and its barrier state.
 Under Virtual Thread a CTA additionally carries a lifecycle state: ACTIVE
@@ -6,6 +6,11 @@ CTAs occupy scheduling structures and may issue; INACTIVE CTAs keep their
 registers and shared memory resident but cannot issue; SWAP_OUT/SWAP_IN
 model the cycles the swap engine spends saving/restoring the (small)
 scheduling state.
+
+:func:`special_regs` is the one definition of what ``S2R`` reads.  A CTA
+that executes at issue builds its warps' rows with it; the functional
+pre-pass (:mod:`repro.sim.prepass`) builds a whole chunk of CTAs' rows
+with it.
 """
 
 from __future__ import annotations
@@ -14,17 +19,43 @@ import enum
 
 import numpy as np
 
-from repro.isa.instruction import SpecialReg
+from repro.isa.instruction import SReg, SpecialReg
 from repro.sim.memory import SharedMemory
 from repro.sim.warp import Warp
 
 #: "No event scheduled": a cycle count no simulation ever reaches.
 FOREVER = 1 << 60
 
-_PARAM_KINDS = (
-    SpecialReg.PARAM0, SpecialReg.PARAM1, SpecialReg.PARAM2, SpecialReg.PARAM3,
-    SpecialReg.PARAM4, SpecialReg.PARAM5, SpecialReg.PARAM6, SpecialReg.PARAM7,
-)
+_PARAMS = tuple(SpecialReg(f"param{i}") for i in range(8))
+
+
+def special_regs(kernel, grid, params, cta: np.ndarray, linear: np.ndarray
+                 ) -> dict:
+    """The special registers ``kernel`` reads, for the threads with linear
+    ids ``linear`` in the CTAs with linear ids ``cta`` (float64 arrays,
+    one entry per thread).  Thread ``32 w + l`` of a CTA is lane ``l`` of
+    its warp ``w``; CTA ``c`` has coordinates ``(c % gx, c // gx % gy,
+    c // (gx gy))`` in ``grid``; launch parameters past ``params`` read 0."""
+    nx, ny, nz = kernel.cta_dim
+    gx, gy, gz = grid
+    uniform = {SpecialReg.NTID_X: nx, SpecialReg.NTID_Y: ny,
+               SpecialReg.NTID_Z: nz, SpecialReg.NCTAID_X: gx,
+               SpecialReg.NCTAID_Y: gy, SpecialReg.NCTAID_Z: gz}
+    uniform.update(zip(_PARAMS, tuple(params) + (0.0,) * len(_PARAMS)))
+    per_thread = {
+        SpecialReg.TID_X: lambda: linear % nx,
+        SpecialReg.TID_Y: lambda: (linear // nx) % ny,
+        SpecialReg.TID_Z: lambda: linear // (nx * ny),
+        SpecialReg.LANEID: lambda: linear % 32,
+        SpecialReg.WARPID: lambda: linear // 32,
+        SpecialReg.CTAID_X: lambda: cta % gx,
+        SpecialReg.CTAID_Y: lambda: (cta // gx) % gy,
+        SpecialReg.CTAID_Z: lambda: cta // (gx * gy),
+    }
+    kinds = dict.fromkeys(op.kind for instr in kernel.instrs
+                          for op in instr.srcs if isinstance(op, SReg))
+    return {kind: per_thread[kind]() if kind in per_thread
+            else np.full(linear.size, float(uniform[kind])) for kind in kinds}
 
 
 class CTAState(enum.Enum):
@@ -47,10 +78,9 @@ FINISHED = CTAState.FINISHED
 class CTA:
     """One resident CTA on an SM."""
 
-    def __init__(self, cta_id: int, ctaid: tuple[int, int, int], kernel, grid_dim,
-                 params: tuple[float, ...], cfg, start_cycle: int, stream=None):
+    def __init__(self, cta_id: int, kernel, grid_dim, params: tuple[float, ...],
+                 cfg, start_cycle: int, stream=None):
         self.cta_id = cta_id
-        self.ctaid = ctaid
         self.kernel = kernel
         self.cfg = cfg
         self.state = CTAState.ACTIVE
@@ -72,66 +102,32 @@ class CTA:
         self.activation_at: int | None = None
 
         threads = kernel.threads_per_cta
-        warp_size = cfg.warp_size
-        num_warps = -(-threads // warp_size)
+        num_warps = kernel.warps_per_cta()
         if stream is None:
-            uniform = self._uniform_special_regs(ctaid, kernel, grid_dim, params)
+            # One build for the whole CTA, read-only: each warp reads a
+            # 32-lane slice, and a write through an operand read raises.
+            n = num_warps * 32
+            sregs = special_regs(kernel, grid_dim, params,
+                                 np.full(n, float(cta_id)),
+                                 np.arange(n, dtype=np.float64))
+            for values in sregs.values():
+                values.setflags(write=False)
         self.warps: list[Warp] = []
         for w in range(num_warps):
-            live = min(warp_size, threads - w * warp_size)
+            live = min(32, threads - w * 32)
             if stream is None:
-                warp = Warp(self, w, kernel.regs_per_thread, live, warp_size)
-                warp.sregs = self._special_regs(uniform, w, kernel)
+                warp = Warp(self, w, kernel.regs_per_thread, live)
+                warp.sregs = {kind: values[32 * w:32 * w + 32]
+                              for kind, values in sregs.items()}
             else:
                 # Executed by the launch's pre-pass: the warp replays its
                 # stream and reads no special registers.
-                warp = Warp(self, w, kernel.regs_per_thread, live, warp_size,
+                warp = Warp(self, w, kernel.regs_per_thread, live,
                             stream.warp(cta_id, w))
             self.warps.append(warp)
         # Unfinished warps, counted down by the SM core as each one exits
         # (see SMCore._issue) rather than recounted per occupancy sample.
         self.live_warps = num_warps
-
-    @staticmethod
-    def _uniform_special_regs(ctaid, kernel, grid_dim, params) -> dict:
-        """The special registers every warp of the CTA reads alike, built
-        once per CTA and shared read-only (a write through an operand read
-        raises instead of leaking into other warps)."""
-        ntid_x, ntid_y, ntid_z = kernel.cta_dim
-        values = {
-            SpecialReg.CTAID_X: ctaid[0],
-            SpecialReg.CTAID_Y: ctaid[1],
-            SpecialReg.CTAID_Z: ctaid[2],
-            SpecialReg.NTID_X: ntid_x,
-            SpecialReg.NTID_Y: ntid_y,
-            SpecialReg.NTID_Z: ntid_z,
-            SpecialReg.NCTAID_X: grid_dim[0],
-            SpecialReg.NCTAID_Y: grid_dim[1],
-            SpecialReg.NCTAID_Z: grid_dim[2],
-        }
-        for i, kind in enumerate(_PARAM_KINDS):
-            values[kind] = params[i] if i < len(params) else 0.0
-        uniform = {}
-        for kind, value in values.items():
-            arr = np.full(32, float(value))
-            arr.setflags(write=False)
-            uniform[kind] = arr
-        return uniform
-
-    @staticmethod
-    def _special_regs(uniform: dict, local_wid: int, kernel) -> dict:
-        """One warp's special registers: the CTA-uniform rows plus its own
-        thread, lane and warp ids."""
-        ntid_x, ntid_y, _ntid_z = kernel.cta_dim
-        lanes = np.arange(32, dtype=np.float64)
-        linear = local_wid * 32 + lanes
-        sregs = dict(uniform)
-        sregs[SpecialReg.TID_X] = linear % ntid_x
-        sregs[SpecialReg.TID_Y] = (linear // ntid_x) % ntid_y
-        sregs[SpecialReg.TID_Z] = linear // (ntid_x * ntid_y)
-        sregs[SpecialReg.LANEID] = lanes
-        sregs[SpecialReg.WARPID] = np.full(32, float(local_wid))
-        return sregs
 
     # -- resource footprint (what the allocators charge) -----------------------
 

@@ -31,7 +31,7 @@ class ResourceAccounting:
             threads = kernel.threads_per_cta
             self._footprint_memo = (kernel, (
                 kernel.regs_per_thread * threads, kernel.smem_bytes,
-                kernel.warps_per_cta(self.cfg.warp_size), threads))
+                kernel.warps_per_cta(), threads))
         return self._footprint_memo[1]
 
     def charge(self, kernel, sign: int = 1) -> None:

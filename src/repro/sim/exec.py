@@ -1,31 +1,44 @@
-"""Functional execution of one instruction for one warp, at issue.
+"""Instruction semantics, and functional execution of one warp at issue.
+
+**One definition of each instruction.**  :data:`OPS` maps every op that
+is neither a memory access nor control flow to whether it reads its
+operands as integers, its function, and its domain check.  Both simulator
+executors dispatch through it: :func:`functional_step` below, which runs
+one instruction for one warp at issue, and the functional pre-pass
+(:mod:`repro.sim.prepass`), which runs one instruction for every warp
+standing at the same pc.  So both compute every value with the same numpy
+expression on the same inputs, and a domain error raises the same
+:class:`ExecutionError` in both.  Both check memory addresses with
+:func:`repro.sim.memory.word_indices` and read special registers built by
+:func:`repro.sim.cta.special_regs`.  The fuzz oracle
+(:mod:`repro.fuzz.reference`) keeps its own per-op chain on purpose: it is
+the independent copy that catches a wrong entry here.
 
 On the engines that execute at issue (the per-cycle reference engine, the
-sharded engine, and every default-engine launch the functional pre-pass
-rejects), the timing model decides when an instruction may issue, then
-calls :func:`functional_step`, which updates registers/memory/PC
-immediately while the scoreboard models when the results become
-architecturally visible.  Inter-warp communication is then ordered by
-issue: barriers order issue, and atomics are performed read-modify-write
-in issue order.
+sharded engine, and every default-engine launch the pre-pass rejects), the
+timing model decides when an instruction may issue, then calls
+:func:`functional_step`, which updates registers/memory/PC immediately
+while the scoreboard models when the results become architecturally
+visible.  Inter-warp communication is then ordered by issue: barriers
+order issue, and atomics are performed read-modify-write in issue order.
 
 The default engine executes a launch before its first cycle instead, in
-one pre-pass batched across warps (:mod:`repro.sim.prepass`), and replays
-each warp's recorded stream at issue.  That is exact only for launches
-where no word is shared between warps without an ordering barrier, which
-the pre-pass checks per launch rather than assumes.  It reuses this
-module's operator tables, so both executors compute every value with the
-same numpy expression.
+one pre-pass batched across warps, and replays each warp's recorded
+stream at issue.  That is exact only for launches where no word is shared
+between warps without an ordering barrier, which the pre-pass checks per
+launch rather than assumes.
 
-The returned :class:`ExecResult` carries everything the timing model needs
-(memory space, per-lane byte addresses, lane count) without re-decoding.
+The returned :class:`ExecResult` carries what the timing model needs
+(lane count, memory space, per-lane byte addresses) without re-decoding.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from repro.isa.instruction import Imm, MemRef, Reg, SReg
+from repro.isa.instruction import Imm, Reg, SReg
 from repro.isa.opcodes import CmpOp, Op
 from repro.sim.warp import Warp, mask_to_array, array_to_mask
 
@@ -35,65 +48,125 @@ class ExecutionError(RuntimeError):
 
 
 class ExecResult:
-    """Side-band information about one executed instruction.
+    """Side-band information about one executed instruction: its lane
+    count (the popcount of its post-predication mask, taken once because
+    the issue path reads it for every instruction) and, for a memory
+    access, its space and lane byte addresses.  A replayed pre-pass entry
+    gives the sanitizer the same record."""
 
-    ``lanes`` is the popcount of ``exec_mask``, taken once here because
-    the issue path reads it for every instruction."""
+    __slots__ = ("lanes", "mem_space", "addresses")
 
-    __slots__ = ("exec_mask", "lanes", "mem_space", "addresses", "is_store",
-                 "is_atomic", "did_barrier", "did_exit")
-
-    def __init__(self, exec_mask: int):
-        self.exec_mask = exec_mask  # lanes that executed (post-predication)
-        self.lanes = exec_mask.bit_count()
-        self.mem_space: str | None = None  # "global" | "shared" | None
-        self.addresses: np.ndarray | None = None  # byte addrs of executed lanes
-        self.is_store = False
-        self.is_atomic = False
-        self.did_barrier = False
-        self.did_exit = False
+    def __init__(self, lanes: int, mem_space: str | None = None,
+                 addresses: np.ndarray | None = None):
+        self.lanes = lanes
+        self.mem_space = mem_space  # "global" | "shared" | None
+        self.addresses = addresses  # byte addrs of executed lanes
 
 
 def _keyed(table: dict) -> dict:
-    """Re-key an operator table by member value: the executors look ops up
-    by the decode-time keys ``Instruction._op_key``/``_cmp_key``, which are
+    """Re-key a table by member value: the executors look ops up by the
+    decode-time keys ``Instruction._op_key``/``_cmp_key``, which are
     strings, so no lookup pays for an Enum ``__hash__``."""
-    return {member.value: fn for member, fn in table.items()}
+    return {member.value: entry for member, entry in table.items()}
 
 
-_INT_BIN = _keyed({
-    Op.IADD: lambda a, b: a + b,
-    Op.ISUB: lambda a, b: a - b,
-    Op.IMUL: lambda a, b: a * b,
-    Op.IMIN: lambda a, b: np.minimum(a, b),
-    Op.IMAX: lambda a, b: np.maximum(a, b),
-    Op.AND: lambda a, b: a & b,
-    Op.OR: lambda a, b: a | b,
-    Op.XOR: lambda a, b: a ^ b,
-    Op.SHL: lambda a, b: a << b,
-    Op.SHR: lambda a, b: a >> b,
-})
+def _same(a):
+    return a
 
-_FLOAT_BIN = _keyed({
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-    Op.FMIN: lambda a, b: np.minimum(a, b),
-    Op.FMAX: lambda a, b: np.maximum(a, b),
+
+def _idiv(a, b):
+    return np.trunc(a / b).astype(np.int64)  # C-style truncation
+
+
+def _irem(a, b):
+    return a - _idiv(a, b) * b
+
+
+def _int_divisor(a, b) -> None:
+    if np.count_nonzero(b) < b.size:
+        raise ExecutionError("integer division by zero")
+
+
+def _float_divisor(a, b) -> None:
+    if np.count_nonzero(b) < b.size:
+        raise ExecutionError("float division by zero")
+
+
+def _shift_amount(a, b) -> None:
+    if np.count_nonzero(b < 0):
+        raise ExecutionError("negative shift amount")
+
+
+def _sqrt_domain(a) -> None:
+    if np.count_nonzero(a < 0):
+        raise ExecutionError("sqrt of negative value")
+
+
+_INT, _FLOAT = True, False
+
+#: The op table: every op that is neither a memory access nor control flow
+#: maps to ``(integer operands?, function, domain check or None)``.  The
+#: function takes the source operands in order; an integer op reads them
+#: as int64, and every result is stored to the float64 register file
+#: (which converts).  The check sees the same operands and raises
+#: :class:`ExecutionError` before anything is written.  SETP's function is
+#: the instruction's comparison, ``_CMP[instr._cmp_key]``.
+OPS = _keyed({
+    Op.IADD: (_INT, operator.add, None),
+    Op.ISUB: (_INT, operator.sub, None),
+    Op.IMUL: (_INT, operator.mul, None),
+    Op.IMAD: (_INT, lambda a, b, c: a * b + c, None),
+    Op.IDIV: (_INT, _idiv, _int_divisor),
+    Op.IREM: (_INT, _irem, _int_divisor),
+    Op.IMIN: (_INT, np.minimum, None),
+    Op.IMAX: (_INT, np.maximum, None),
+    Op.AND: (_INT, operator.and_, None),
+    Op.OR: (_INT, operator.or_, None),
+    Op.XOR: (_INT, operator.xor, None),
+    Op.SHL: (_INT, operator.lshift, _shift_amount),
+    Op.SHR: (_INT, operator.rshift, _shift_amount),
+    Op.FADD: (_FLOAT, operator.add, None),
+    Op.FSUB: (_FLOAT, operator.sub, None),
+    Op.FMUL: (_FLOAT, operator.mul, None),
+    Op.FFMA: (_FLOAT, lambda a, b, c: a * b + c, None),
+    Op.FDIV: (_FLOAT, operator.truediv, _float_divisor),
+    Op.FMIN: (_FLOAT, np.minimum, None),
+    Op.FMAX: (_FLOAT, np.maximum, None),
+    Op.FSQRT: (_FLOAT, np.sqrt, _sqrt_domain),
+    Op.FEXP: (_FLOAT, np.exp, None),
+    Op.FABS: (_FLOAT, np.abs, None),
+    Op.I2F: (_INT, _same, None),
+    Op.F2I: (_FLOAT, np.trunc, None),
+    Op.MOV: (_FLOAT, _same, None),
+    Op.SEL: (_FLOAT, lambda c, a, b: np.where(c != 0, a, b), None),
+    Op.S2R: (_FLOAT, _same, None),
+    Op.SETP: (_FLOAT, None, None),
 })
 
 _CMP = _keyed({
-    CmpOp.EQ: lambda a, b: a == b,
-    CmpOp.NE: lambda a, b: a != b,
-    CmpOp.LT: lambda a, b: a < b,
-    CmpOp.LE: lambda a, b: a <= b,
-    CmpOp.GT: lambda a, b: a > b,
-    CmpOp.GE: lambda a, b: a >= b,
+    CmpOp.EQ: operator.eq,
+    CmpOp.NE: operator.ne,
+    CmpOp.LT: operator.lt,
+    CmpOp.LE: operator.le,
+    CmpOp.GT: operator.gt,
+    CmpOp.GE: operator.ge,
 })
 
-_SHIFTS = frozenset((Op.SHL.value, Op.SHR.value))
-_MEMORY_OPS = frozenset(op.value for op in (
-    Op.LDG, Op.STG, Op.LDS, Op.STS, Op.ATOMG_ADD, Op.ATOMS_ADD, Op.ATOMG_MAX))
+#: The two-operand integer and float ops' functions (the fuzz oracle's
+#: view of the table; it keeps its own dispatch and domain checks).
+_INT_BIN = {key: OPS[key][1] for key in (
+    "IADD", "ISUB", "IMUL", "IMIN", "IMAX", "AND", "OR", "XOR", "SHL", "SHR")}
+_FLOAT_BIN = {key: OPS[key][1] for key in ("FADD", "FSUB", "FMUL", "FMIN", "FMAX")}
+
+#: Memory ops: ``(space, action)``, the action a load, a store, or the
+#: memory's atomic method.  The pre-pass reads it too (it has no atomics).
+_MEMORY_OPS = _keyed({
+    Op.LDG: ("global", "load"), Op.STG: ("global", "store"),
+    Op.LDS: ("shared", "load"), Op.STS: ("shared", "store"),
+    Op.ATOMG_ADD: ("global", "atomic_add"),
+    Op.ATOMG_MAX: ("global", "atomic_max"),
+    Op.ATOMS_ADD: ("shared", "atomic_add"),
+})
 
 
 #: Shared read-only broadcasts of immediates, keyed by (value, lane count):
@@ -122,8 +195,8 @@ def _read(warp: Warp, operand, lanes: np.ndarray, n: int) -> np.ndarray:
 
     ``n`` is the popcount of ``lanes``.  For a full-mask read the register
     row is returned as a *view*: no executor mutates an operand array in
-    place (every ALU op allocates its result), so skipping the boolean
-    gather is observationally identical.
+    place (registers are written by row or lane assignment, which copies),
+    so skipping the boolean gather is observationally identical.
     """
     if isinstance(operand, Reg):
         row = warp.regs[operand.idx]
@@ -142,11 +215,6 @@ def _read_int(warp: Warp, operand, lanes: np.ndarray, n: int) -> np.ndarray:
     return _read(warp, operand, lanes, n).astype(np.int64)
 
 
-def _addresses(warp: Warp, ref: MemRef, lanes: np.ndarray, n: int) -> np.ndarray:
-    base = _read(warp, ref.base, lanes, n).astype(np.int64)
-    return base + ref.offset
-
-
 def _write(warp: Warp, dst: Reg, lanes: np.ndarray, n: int, values) -> None:
     if n == 32:
         warp.regs[dst.idx] = values  # full-mask row assign (copies values)
@@ -157,9 +225,9 @@ def _write(warp: Warp, dst: Reg, lanes: np.ndarray, n: int, values) -> None:
 def functional_step(warp: Warp, instr, gmem) -> ExecResult:
     """Execute ``instr`` for ``warp``; updates state and returns metadata.
 
-    Opcodes are told apart by ``instr._op_key`` (a string fixed at decode):
-    on CPython 3.11 each ``Op.X`` attribute read goes through
-    ``EnumType.__getattr__``, and this chain would pay it per comparison.
+    Opcodes are told apart by ``instr._op_key`` (a string fixed at decode),
+    which keys :data:`OPS`: on CPython 3.11 each ``Op.X`` attribute read
+    goes through ``EnumType.__getattr__``, and an Enum key hashes in Python.
     The lane-array guards are single counts (``np.count_nonzero``) rather
     than ``.any()``, whose Python-level wrapper costs more than the test.
     """
@@ -175,18 +243,9 @@ def functional_step(warp: Warp, instr, gmem) -> ExecResult:
     if key == "BRA":
         return _exec_branch(warp, instr, active)
 
-    exec_mask = active
-    if instr.pred is not None:
-        # Vectorized predication: evaluate the predicate over all 32 lanes
-        # and AND with the active mask — lanes outside the mask contribute
-        # nothing, so this matches the per-lane gather exactly.
-        active_arr = mask_to_array(active)
-        pvals = warp.regs[instr.pred.idx] != 0
-        if instr.pred_neg:
-            pvals = ~pvals
-        exec_mask = array_to_mask(active_arr & pvals)
+    exec_mask = active if instr.pred is None else _predicated(warp, instr, active)
 
-    result = ExecResult(exec_mask)
+    result = ExecResult(exec_mask.bit_count())
 
     if key == "EXIT":
         # Predicated EXIT is disallowed by convention (keeps warp-completion
@@ -195,13 +254,11 @@ def functional_step(warp: Warp, instr, gmem) -> ExecResult:
         if instr.pred is not None:
             raise ExecutionError("predicated EXIT is not supported")
         warp.do_exit()
-        result.did_exit = True
         return result
 
     if key == "BAR":
         if exec_mask != active:
             raise ExecutionError("predicated BAR is not supported")
-        result.did_barrier = True
         warp.advance()
         return result
 
@@ -211,69 +268,35 @@ def functional_step(warp: Warp, instr, gmem) -> ExecResult:
 
     lanes = mask_to_array(exec_mask)
     n = result.lanes
-
-    int_fn = _INT_BIN.get(key)
-    if int_fn is not None:
-        a = _read_int(warp, instr.srcs[0], lanes, n)
-        b = _read_int(warp, instr.srcs[1], lanes, n)
-        if key in _SHIFTS and np.count_nonzero(b < 0):
-            raise ExecutionError("negative shift amount")
-        _write(warp, instr.dst, lanes, n, int_fn(a, b).astype(np.float64))
-    elif (float_fn := _FLOAT_BIN.get(key)) is not None:
-        a = _read(warp, instr.srcs[0], lanes, n)
-        b = _read(warp, instr.srcs[1], lanes, n)
-        _write(warp, instr.dst, lanes, n, float_fn(a, b))
+    entry = OPS.get(key)
+    if entry is not None:
+        as_int, fn, check = entry
+        if fn is None:
+            fn = _CMP[instr._cmp_key]
+        read = _read_int if as_int else _read
+        srcs = instr.srcs
+        # By arity, with direct calls: a comprehension or a star-call would
+        # cost more than a cheap op's arithmetic.
+        a = read(warp, srcs[0], lanes, n)
+        if len(srcs) == 2:
+            b = read(warp, srcs[1], lanes, n)
+            if check is not None:
+                check(a, b)
+            value = fn(a, b)
+        elif len(srcs) == 1:
+            if check is not None:
+                check(a)
+            value = fn(a)
+        else:
+            b = read(warp, srcs[1], lanes, n)
+            c = read(warp, srcs[2], lanes, n)
+            if check is not None:
+                check(a, b, c)
+            value = fn(a, b, c)
+        _write(warp, instr.dst, lanes, n, value)
     elif key in _MEMORY_OPS:
         _exec_memory(warp, instr, key, lanes, n, gmem, result)
-    elif key == "IMAD":
-        a = _read_int(warp, instr.srcs[0], lanes, n)
-        b = _read_int(warp, instr.srcs[1], lanes, n)
-        c = _read_int(warp, instr.srcs[2], lanes, n)
-        _write(warp, instr.dst, lanes, n, (a * b + c).astype(np.float64))
-    elif key == "FFMA":
-        a = _read(warp, instr.srcs[0], lanes, n)
-        b = _read(warp, instr.srcs[1], lanes, n)
-        c = _read(warp, instr.srcs[2], lanes, n)
-        _write(warp, instr.dst, lanes, n, a * b + c)
-    elif key == "SETP":
-        a = _read(warp, instr.srcs[0], lanes, n)
-        b = _read(warp, instr.srcs[1], lanes, n)
-        _write(warp, instr.dst, lanes, n, _CMP[instr._cmp_key](a, b).astype(np.float64))
-    elif key == "MOV" or key == "S2R":
-        _write(warp, instr.dst, lanes, n, _read(warp, instr.srcs[0], lanes, n))
-    elif key == "SEL":
-        c = _read(warp, instr.srcs[0], lanes, n)
-        a = _read(warp, instr.srcs[1], lanes, n)
-        b = _read(warp, instr.srcs[2], lanes, n)
-        _write(warp, instr.dst, lanes, n, np.where(c != 0, a, b))
-    elif key == "IDIV" or key == "IREM":
-        a = _read_int(warp, instr.srcs[0], lanes, n)
-        b = _read_int(warp, instr.srcs[1], lanes, n)
-        if np.count_nonzero(b) < b.size:
-            raise ExecutionError("integer division by zero")
-        quotient = np.trunc(a / b).astype(np.int64)  # C-style truncation
-        value = quotient if key == "IDIV" else a - quotient * b
-        _write(warp, instr.dst, lanes, n, value.astype(np.float64))
-    elif key == "FDIV":
-        a = _read(warp, instr.srcs[0], lanes, n)
-        b = _read(warp, instr.srcs[1], lanes, n)
-        if np.count_nonzero(b) < b.size:
-            raise ExecutionError("float division by zero")
-        _write(warp, instr.dst, lanes, n, a / b)
-    elif key == "FSQRT":
-        a = _read(warp, instr.srcs[0], lanes, n)
-        if np.count_nonzero(a < 0):
-            raise ExecutionError("sqrt of negative value")
-        _write(warp, instr.dst, lanes, n, np.sqrt(a))
-    elif key == "FEXP":
-        _write(warp, instr.dst, lanes, n, np.exp(_read(warp, instr.srcs[0], lanes, n)))
-    elif key == "FABS":
-        _write(warp, instr.dst, lanes, n, np.abs(_read(warp, instr.srcs[0], lanes, n)))
-    elif key == "I2F":
-        _write(warp, instr.dst, lanes, n, _read_int(warp, instr.srcs[0], lanes, n).astype(np.float64))
-    elif key == "F2I":
-        _write(warp, instr.dst, lanes, n, np.trunc(_read(warp, instr.srcs[0], lanes, n)))
-    else:  # pragma: no cover - exhaustive over Op
+    else:  # pragma: no cover - OPS, memory and control ops cover Op
         raise ExecutionError(f"unhandled opcode {instr.op}")
 
     warp.advance()
@@ -282,49 +305,42 @@ def functional_step(warp: Warp, instr, gmem) -> ExecResult:
 
 def _exec_memory(warp: Warp, instr, key: str, lanes: np.ndarray, n: int, gmem,
                  result: ExecResult) -> None:
+    space, action = _MEMORY_OPS[key]
+    memory = gmem if space == "global" else warp.cta.smem
     ref = instr.srcs[0]
-    addrs = _addresses(warp, ref, lanes, n)
-    smem = warp.cta.smem
-    if key == "LDG":
-        _write(warp, instr.dst, lanes, n, gmem.load(addrs))
-        result.mem_space = "global"
-    elif key == "STG":
-        gmem.store(addrs, _read(warp, instr.srcs[1], lanes, n))
-        result.mem_space, result.is_store = "global", True
-    elif key == "LDS":
-        _write(warp, instr.dst, lanes, n, smem.load(addrs))
-        result.mem_space = "shared"
-    elif key == "STS":
-        smem.store(addrs, _read(warp, instr.srcs[1], lanes, n))
-        result.mem_space, result.is_store = "shared", True
-    elif key == "ATOMG_ADD":
-        _write(warp, instr.dst, lanes, n, gmem.atomic_add(addrs, _read(warp, instr.srcs[1], lanes, n)))
-        result.mem_space, result.is_atomic = "global", True
-    elif key == "ATOMG_MAX":
-        _write(warp, instr.dst, lanes, n, gmem.atomic_max(addrs, _read(warp, instr.srcs[1], lanes, n)))
-        result.mem_space, result.is_atomic = "global", True
-    elif key == "ATOMS_ADD":
-        _write(warp, instr.dst, lanes, n, smem.atomic_add(addrs, _read(warp, instr.srcs[1], lanes, n)))
-        result.mem_space, result.is_atomic = "shared", True
-    result.addresses = addrs
-    if result.is_atomic and result.mem_space == "global":
+    addrs = _read(warp, ref.base, lanes, n).astype(np.int64) + ref.offset
+    if action == "load":
+        _write(warp, instr.dst, lanes, n, memory.load(addrs))
+    elif action == "store":
+        memory.store(addrs, _read(warp, instr.srcs[1], lanes, n))
+    else:
+        old = getattr(memory, action)(addrs, _read(warp, instr.srcs[1], lanes, n))
+        _write(warp, instr.dst, lanes, n, old)
         # Parallel-engine tap: a deferring gmem proxy needs (warp, dst,
         # lanes) to patch the true old values in at the epoch barrier.
-        note = getattr(gmem, "note_atomic_target", None)
+        note = getattr(memory, "note_atomic_target", None)
         if note is not None:
             note(warp, instr.dst, lanes)
+    result.mem_space = space
+    result.addresses = addrs
+
+
+def _predicated(warp: Warp, instr, active: int) -> int:
+    """The lanes of ``active`` whose predicate holds.  Vectorized: the
+    predicate is evaluated over all 32 lanes and ANDed with the active
+    mask; lanes outside the mask contribute nothing, so this matches the
+    per-lane gather exactly."""
+    pvals = warp.regs[instr.pred.idx] != 0
+    if instr.pred_neg:
+        pvals = ~pvals
+    return array_to_mask(mask_to_array(active) & pvals)
 
 
 def _exec_branch(warp: Warp, instr, active: int) -> ExecResult:
     if instr.pred is None:
         warp.branch_uniform(instr.target)
-        return ExecResult(active)
-    active_arr = mask_to_array(active)
-    pvals = warp.regs[instr.pred.idx] != 0
-    if instr.pred_neg:
-        pvals = ~pvals
-    taken_arr = active_arr & pvals
-    taken = array_to_mask(taken_arr)
+        return ExecResult(active.bit_count())
+    taken = _predicated(warp, instr, active)
     fall = active & ~taken
     if fall == 0:
         warp.branch_uniform(instr.target)
@@ -334,4 +350,4 @@ def _exec_branch(warp: Warp, instr, active: int) -> ExecResult:
         if instr.reconv_pc is None:
             raise ExecutionError(f"divergent branch without reconvergence PC: {instr!r}")
         warp.branch_divergent(taken, instr.target, instr.reconv_pc)
-    return ExecResult(active)
+    return ExecResult(active.bit_count())

@@ -409,7 +409,6 @@ class GPU:
                   stream=None) -> CTA:
         return CTA(
             cta_id=cta_id,
-            ctaid=self._cta_coords(cta_id, grid),
             kernel=kernel,
             grid_dim=grid,
             params=params,
@@ -426,7 +425,7 @@ class GPU:
             raise ValueError(f"kernel {kernel.name!r}: one CTA exceeds shared memory")
         if kernel.threads_per_cta > cfg.max_threads_per_sm:
             raise ValueError(f"kernel {kernel.name!r}: CTA exceeds thread slots")
-        if kernel.warps_per_cta(cfg.warp_size) > cfg.max_warps_per_sm:
+        if kernel.warps_per_cta() > cfg.max_warps_per_sm:
             raise ValueError(f"kernel {kernel.name!r}: CTA exceeds warp slots")
 
     @staticmethod
@@ -437,11 +436,6 @@ class GPU:
         while len(dims) < 3:
             dims = dims + (1,)
         return dims[:3]
-
-    @staticmethod
-    def _cta_coords(index: int, grid: tuple[int, int, int]) -> tuple[int, int, int]:
-        gx, gy, _gz = grid
-        return (index % gx, (index // gx) % gy, index // (gx * gy))
 
     @staticmethod
     def _collect(sms, memory_model, cycles: int, total_ctas: int) -> SimStats:

@@ -8,6 +8,8 @@ anything the workloads index or accumulate.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 WORD_BYTES = 4
@@ -17,7 +19,58 @@ class MemoryError_(IndexError):
     """Out-of-bounds or misaligned access (kernel bug, not a sim bug)."""
 
 
-class GlobalMemory:
+def word_indices(byte_addrs: np.ndarray, limit_bytes: int, space: str
+                 ) -> np.ndarray:
+    """Word indices of ``byte_addrs`` in a ``space`` ("global" or
+    "shared") memory of ``limit_bytes`` bytes; raises :class:`MemoryError_`
+    on a misaligned address or one outside the memory.  Both executors
+    check every access here (see :mod:`repro.sim.exec`)."""
+    idx = byte_addrs >> 2
+    # Counts, not ``.any()``/``.min()``: on 32-lane arrays numpy's
+    # Python-level reduction wrappers cost more than the tests.  A word
+    # is inside when its first byte is: ``idx < ceil(limit_bytes / 4)``.
+    if np.count_nonzero(byte_addrs & 3):
+        raise MemoryError_(f"misaligned {space} access")
+    if np.count_nonzero((idx < 0) | (idx >= -(-limit_bytes // WORD_BYTES))):
+        raise MemoryError_(
+            f"{space} access out of bounds: [{byte_addrs.min()}, "
+            f"{byte_addrs.max()}] of {limit_bytes}B")
+    return idx
+
+
+class _WordMemory:
+    """The device API (used by the functional executor) both memories
+    share: every access goes through :func:`word_indices`, and an atomic
+    is a read-modify-write per lane, in lane order."""
+
+    space = ""
+
+    def _indices(self, byte_addrs: np.ndarray) -> np.ndarray:
+        return word_indices(byte_addrs, self.size_bytes, self.space)
+
+    def load(self, byte_addrs: np.ndarray) -> np.ndarray:
+        return self.data[self._indices(byte_addrs)]
+
+    def store(self, byte_addrs: np.ndarray, values: np.ndarray) -> None:
+        # Lane order defines intra-warp store conflict resolution (last wins),
+        # matching CUDA's "one of the writes is guaranteed" semantics.
+        self.data[self._indices(byte_addrs)] = values
+
+    def atomic_add(self, byte_addrs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return self._rmw(byte_addrs, values, operator.add)
+
+    def _rmw(self, byte_addrs: np.ndarray, values: np.ndarray, combine
+             ) -> np.ndarray:
+        idx = self._indices(byte_addrs)
+        data = self.data
+        old = np.empty(idx.size, dtype=np.float64)
+        for lane in range(idx.size):  # sequential: true RMW per lane
+            old[lane] = data[idx[lane]]
+            data[idx[lane]] = combine(old[lane], values[lane])
+        return old
+
+
+class GlobalMemory(_WordMemory):
     """Flat global memory, byte-addressed, 4-byte word granularity.
 
     The host allocates named buffers with :meth:`alloc`, writes inputs with
@@ -25,6 +78,8 @@ class GlobalMemory:
     base addresses are aligned to the cache-line size so coalescing
     behaviour is deterministic.
     """
+
+    space = "global"
 
     def __init__(self, size_bytes: int = 1 << 22, line_bytes: int = 128):
         if size_bytes % WORD_BYTES:
@@ -88,74 +143,15 @@ class GlobalMemory:
         count = num_words if num_words is not None else nbytes // WORD_BYTES
         return self.data[start : start + count].copy()
 
-    # -- device API (used by the functional executor) ------------------------
-
-    def _indices(self, byte_addrs: np.ndarray) -> np.ndarray:
-        idx = byte_addrs >> 2
-        # Counts, not ``.any()``/``.min()``: on 32-lane arrays numpy's
-        # Python-level reduction wrappers cost more than the tests.
-        if np.count_nonzero(byte_addrs & 3):
-            raise MemoryError_("misaligned global access")
-        if np.count_nonzero((idx < 0) | (idx >= self.data.size)):
-            raise MemoryError_(
-                f"global access out of bounds: [{byte_addrs.min()}, {byte_addrs.max()}]"
-            )
-        return idx
-
-    def load(self, byte_addrs: np.ndarray) -> np.ndarray:
-        return self.data[self._indices(byte_addrs)]
-
-    def store(self, byte_addrs: np.ndarray, values: np.ndarray) -> None:
-        idx = self._indices(byte_addrs)
-        # Lane order defines intra-warp store conflict resolution (last wins),
-        # matching CUDA's "one of the writes is guaranteed" semantics.
-        self.data[idx] = values
-
-    def atomic_add(self, byte_addrs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        idx = self._indices(byte_addrs)
-        old = np.empty(idx.size, dtype=np.float64)
-        for lane in range(idx.size):  # sequential: true RMW per lane
-            old[lane] = self.data[idx[lane]]
-            self.data[idx[lane]] = old[lane] + values[lane]
-        return old
-
     def atomic_max(self, byte_addrs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        idx = self._indices(byte_addrs)
-        old = np.empty(idx.size, dtype=np.float64)
-        for lane in range(idx.size):
-            old[lane] = self.data[idx[lane]]
-            self.data[idx[lane]] = max(old[lane], values[lane])
-        return old
+        return self._rmw(byte_addrs, values, max)
 
 
-class SharedMemory:
+class SharedMemory(_WordMemory):
     """Per-CTA scratchpad, byte-addressed, 4-byte words."""
+
+    space = "shared"
 
     def __init__(self, size_bytes: int):
         self.size_bytes = size_bytes
         self.data = np.zeros(max(1, size_bytes // WORD_BYTES), dtype=np.float64)
-
-    def _indices(self, byte_addrs: np.ndarray) -> np.ndarray:
-        idx = byte_addrs >> 2
-        if np.count_nonzero(byte_addrs & 3):
-            raise MemoryError_("misaligned shared access")
-        if np.count_nonzero((idx < 0) | ((idx << 2) >= self.size_bytes)):
-            raise MemoryError_(
-                f"shared access out of bounds: [{byte_addrs.min()}, {byte_addrs.max()}]"
-                f" of {self.size_bytes}B"
-            )
-        return idx
-
-    def load(self, byte_addrs: np.ndarray) -> np.ndarray:
-        return self.data[self._indices(byte_addrs)]
-
-    def store(self, byte_addrs: np.ndarray, values: np.ndarray) -> None:
-        self.data[self._indices(byte_addrs)] = values
-
-    def atomic_add(self, byte_addrs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        idx = self._indices(byte_addrs)
-        old = np.empty(idx.size, dtype=np.float64)
-        for lane in range(idx.size):
-            old[lane] = self.data[idx[lane]]
-            self.data[idx[lane]] = old[lane] + values[lane]
-        return old

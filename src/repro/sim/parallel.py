@@ -121,11 +121,6 @@ def epoch_length(cfg) -> int:
     return min(rtt, rtt - guard + 1)
 
 
-def _cta_coords(index: int, grid) -> tuple[int, int, int]:
-    gx, gy, _gz = grid
-    return (index % gx, (index // gx) % gy, index // (gx * gy))
-
-
 class DeferredMemory:
     """Per-SM stand-in for the chip :class:`MemoryModel` during an epoch.
 
@@ -323,7 +318,6 @@ class _Shard:
         so fork workers never need CTA objects over the wire."""
         cta = CTA(
             cta_id=cta_id,
-            ctaid=_cta_coords(cta_id, self.grid),
             kernel=self.kernel,
             grid_dim=self.grid,
             params=self.params,

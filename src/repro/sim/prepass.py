@@ -19,9 +19,12 @@ exited lanes drop out.  So a warp's pc and mask sequence is the one the
 SM produces; only the order *between* warps differs.  Each batch step
 takes the lowest pc any runnable warp stands at.  A warp that reaches
 ``BAR`` waits until every unfinished warp of its CTA has arrived or
-exited, which is the SM's release rule.  Arithmetic goes through the
-operator tables of :mod:`repro.sim.exec`, so every value comes from the
-same numpy expression on the same inputs.
+exited, which is the SM's release rule.  What an instruction computes
+is defined once, for both executors: the op table
+(:data:`repro.sim.exec.OPS`, with its domain checks), the address check
+(:func:`repro.sim.memory.word_indices`) and the special registers
+(:func:`repro.sim.cta.special_regs`).  So every value comes from the same
+numpy expression on the same inputs.
 
 **Why the order between warps does not matter, proved per launch.**
 Registers are private to a warp, so only memory can tell two warp orders
@@ -50,7 +53,7 @@ on every issue, as the per-cycle reference engine always does) when
   which depends on the order;
 * it touches a word as above (:data:`CROSS_CTA`, :data:`RACE`);
 * the pre-pass raises (:data:`ERROR`), e.g. on a division by zero; the
-  per-issue run then raises at its own cycle, with its own message;
+  per-issue run then raises the same error at its own cycle;
 * a warp would issue more instructions than the cycle budget allows
   (:data:`BUDGET`); the per-issue run then times out at the reference
   cycle;
@@ -65,9 +68,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.isa.instruction import Imm, Reg, SReg, SpecialReg
-from repro.isa.opcodes import OpClass
-from repro.sim.exec import _CMP, _FLOAT_BIN, _INT_BIN, _SHIFTS
+from repro.isa.instruction import Imm, Reg, SReg
+from repro.sim.cta import special_regs
+from repro.sim.exec import _CMP, _MEMORY_OPS, OPS, ExecResult
+from repro.sim.memory import word_indices
 
 #: Fallback reasons (see the module docstring).
 ATOMIC = "atomic"
@@ -87,13 +91,6 @@ _NO_RPC = -2
 #: CTAs run in chunks of at most this many threads, so the pre-pass's
 #: register file stays small whatever the grid size.
 _CHUNK_THREADS = 1 << 13
-
-#: ``ExecResult.mem_space`` of each memory op class.
-_SPACES = {OpClass.MEM_GLOBAL: "global", OpClass.MEM_SHARED: "shared"}
-
-_PARAMS = (SpecialReg.PARAM0, SpecialReg.PARAM1, SpecialReg.PARAM2,
-           SpecialReg.PARAM3, SpecialReg.PARAM4, SpecialReg.PARAM5,
-           SpecialReg.PARAM6, SpecialReg.PARAM7)
 
 
 class _Fallback(Exception):
@@ -159,26 +156,16 @@ class WarpStream:
         self.mem = j + 1
         return self.costs[j]
 
-    def replayed(self, info, lanes: int) -> "ReplayedAccess":
+    def replayed(self, info, lanes: int) -> ExecResult:
         """The sanitizer's view of the instruction just replayed."""
         if not (lanes and info.is_mem):
-            return ReplayedAccess(None, None)
+            return ExecResult(lanes)
         j = self.checked
         self.checked = j + 1
         start = self.offset
         stop = self.offset = start + self.spans[j]
-        return ReplayedAccess(_SPACES[info.op_class], self.addrs[start:stop])
-
-
-class ReplayedAccess:
-    """What the sanitizer's ``check_exec`` reads of a replayed instruction
-    (the fields of :class:`repro.sim.exec.ExecResult` it uses)."""
-
-    __slots__ = ("mem_space", "addresses")
-
-    def __init__(self, mem_space: str | None, addresses: np.ndarray | None):
-        self.mem_space = mem_space
-        self.addresses = addresses
+        return ExecResult(lanes, _MEMORY_OPS[info.key][0],
+                          self.addrs[start:stop])
 
 
 class LaunchStream:
@@ -298,50 +285,6 @@ class _WordLog:
             owner[idx[clash]] = 1
 
 
-def _special_regs(kernel, grid, params, warps_per_cta: int, first_cta: int,
-                  ctas: int, kinds) -> dict:
-    """Per-thread special registers of CTAs ``first_cta..+ctas``, for the
-    ``kinds`` the kernel reads; the values of
-    :meth:`repro.sim.cta.CTA._special_regs` (lane ``l`` of warp ``w`` has
-    linear id ``32 w + l``), laid out warp after warp."""
-    ntid_x, ntid_y, ntid_z = kernel.cta_dim
-    per_cta = warps_per_cta * 32
-    linear = np.tile(np.arange(per_cta, dtype=np.float64), ctas)
-    cta_ids = np.arange(first_cta, first_cta + ctas)
-    gx, gy, _gz = grid
-    uniform = {
-        SpecialReg.CTAID_X: cta_ids % gx,
-        SpecialReg.CTAID_Y: (cta_ids // gx) % gy,
-        SpecialReg.CTAID_Z: cta_ids // (gx * gy),
-        SpecialReg.NTID_X: ntid_x, SpecialReg.NTID_Y: ntid_y,
-        SpecialReg.NTID_Z: ntid_z,
-        SpecialReg.NCTAID_X: grid[0], SpecialReg.NCTAID_Y: grid[1],
-        SpecialReg.NCTAID_Z: grid[2],
-    }
-    for i, kind in enumerate(_PARAMS):
-        uniform[kind] = params[i] if i < len(params) else 0.0
-    out = {}
-    for kind in kinds:
-        if kind is SpecialReg.TID_X:
-            values = linear % ntid_x
-        elif kind is SpecialReg.TID_Y:
-            values = (linear // ntid_x) % ntid_y
-        elif kind is SpecialReg.TID_Z:
-            values = linear // (ntid_x * ntid_y)
-        elif kind is SpecialReg.LANEID:
-            values = linear % 32
-        elif kind is SpecialReg.WARPID:
-            values = linear // 32
-        else:
-            value = uniform[kind]
-            if isinstance(value, np.ndarray):
-                values = np.repeat(value.astype(np.float64), per_cta)
-            else:
-                values = np.full(ctas * per_cta, float(value))
-        out[kind] = values
-    return out
-
-
 def _gather(masks: np.ndarray) -> np.ndarray:
     """``(k, 32)`` lane matrix of ``k`` 32-bit masks."""
     return ((masks[:, None] >> _LANES) & 1).astype(bool)
@@ -401,17 +344,22 @@ class _Chunk:
         wpc = self.warps_per_cta = run.warps_per_cta
         nw = ctas * wpc
         self.regs = np.zeros((kernel.regs_per_thread, nw * 32))
-        self.sregs = _special_regs(kernel, run.grid, run.params, wpc,
-                                   first_cta, ctas, run.sreg_kinds)
+        # Warp after warp: thread ``32 w + l`` of a CTA is lane ``l`` of
+        # its warp ``w``.
+        per_cta = wpc * 32
+        self.sregs = special_regs(
+            kernel, run.grid, run.params,
+            np.repeat(np.arange(first_cta, first_cta + ctas, dtype=np.float64),
+                      per_cta),
+            np.tile(np.arange(per_cta, dtype=np.float64), ctas))
         self.threads = np.arange(nw * 32, dtype=np.int64).reshape(nw, 32)
         smem_words = self.smem_words = max(1, kernel.smem_bytes // 4)
         self.sdata = np.zeros(ctas * smem_words)
         self.slog = _WordLog(ctas * smem_words, global_space=False)
         # Live lanes, by Warp's rule: only a CTA's last warp can be partial.
-        threads, size = kernel.threads_per_cta, run.warp_size
-        lanes = [min(size, threads - w * size) for w in range(wpc)]
-        live = np.tile(np.array([(1 << n) - 1 if n < size else _FULL
-                                 for n in lanes], np.int64), ctas)
+        threads = kernel.threads_per_cta
+        live = np.tile(np.array([(1 << min(32, threads - w * 32)) - 1
+                                 for w in range(wpc)], np.int64), ctas)
         self.exited = ~live & _FULL
         self.pc = np.zeros(nw, np.int64)
         self.rpc = np.full(nw, _NO_RPC, np.int64)
@@ -601,9 +549,6 @@ class _Chunk:
             return self.sregs[operand.kind][t]
         raise _Fallback(ERROR)
 
-    def _read_int(self, operand, t, n: int) -> np.ndarray:
-        return self._read(operand, t, n).astype(np.int64)
-
     def _predicate(self, instr, ws) -> np.ndarray:
         values = self.regs[instr.pred.idx][self.threads[ws]] != 0
         if instr.pred_neg:
@@ -627,96 +572,48 @@ class _Chunk:
             lanes = None
             t = threads.ravel()
         n = t.size
-        read, read_int = self._read, self._read_int
-        srcs = instr.srcs
-        dst = self.regs[instr.dst.idx] if instr.dst is not None else None
-
-        int_fn = _INT_BIN.get(key)
-        if int_fn is not None:
-            a = read_int(srcs[0], t, n)
-            b = read_int(srcs[1], t, n)
-            if key in _SHIFTS and np.count_nonzero(b < 0):
-                raise _Fallback(ERROR)
-            dst[t] = int_fn(a, b).astype(np.float64)
-        elif (float_fn := _FLOAT_BIN.get(key)) is not None:
-            dst[t] = float_fn(read(srcs[0], t, n), read(srcs[1], t, n))
-        elif instr.info.is_mem:
+        entry = OPS.get(key)
+        if entry is None:
             self._memory(instr, key, ws, lanes, t, n)
-        elif key == "IMAD":
-            a, b, c = (read_int(s, t, n) for s in srcs)
-            dst[t] = (a * b + c).astype(np.float64)
-        elif key == "FFMA":
-            a, b, c = (read(s, t, n) for s in srcs)
-            dst[t] = a * b + c
-        elif key == "SETP":
-            a, b = read(srcs[0], t, n), read(srcs[1], t, n)
-            dst[t] = _CMP[instr._cmp_key](a, b).astype(np.float64)
-        elif key == "MOV" or key == "S2R":
-            dst[t] = read(srcs[0], t, n)
-        elif key == "SEL":
-            c, a, b = (read(s, t, n) for s in srcs)
-            dst[t] = np.where(c != 0, a, b)
-        elif key == "IDIV" or key == "IREM":
-            a, b = read_int(srcs[0], t, n), read_int(srcs[1], t, n)
-            if np.count_nonzero(b) < b.size:
-                raise _Fallback(ERROR)
-            quotient = np.trunc(a / b).astype(np.int64)
-            value = quotient if key == "IDIV" else a - quotient * b
-            dst[t] = value.astype(np.float64)
-        elif key == "FDIV":
-            a, b = read(srcs[0], t, n), read(srcs[1], t, n)
-            if np.count_nonzero(b) < b.size:
-                raise _Fallback(ERROR)
-            dst[t] = a / b
-        elif key == "FSQRT":
-            a = read(srcs[0], t, n)
-            if np.count_nonzero(a < 0):
-                raise _Fallback(ERROR)
-            dst[t] = np.sqrt(a)
-        elif key == "FEXP":
-            dst[t] = np.exp(read(srcs[0], t, n))
-        elif key == "FABS":
-            dst[t] = np.abs(read(srcs[0], t, n))
-        elif key == "I2F":
-            dst[t] = read_int(srcs[0], t, n).astype(np.float64)
-        elif key == "F2I":
-            dst[t] = np.trunc(read(srcs[0], t, n))
-        else:  # pragma: no cover - exhaustive over Op
-            raise _Fallback(ERROR)
+            return
+        as_int, fn, check = entry
+        if fn is None:
+            fn = _CMP[instr._cmp_key]
+        args = [self._read(s, t, n) for s in instr.srcs]
+        if as_int:
+            args = [a.astype(np.int64) for a in args]
+        if check is not None:
+            check(*args)
+        self.regs[instr.dst.idx][t] = fn(*args)
 
     def _memory(self, instr, key: str, ws, lanes, t, n: int) -> None:
         ref = instr.srcs[0]
         addrs = self.regs[ref.base.idx][t].astype(np.int64) + ref.offset
-        if np.count_nonzero(addrs & 3):
-            raise _Fallback(ERROR)
-        words = addrs >> 2
         warp = t >> 5
         cta = warp // self.warps_per_cta
         epoch = self.epoch[cta]
-        store = key == "STG" or key == "STS"
+        space, action = _MEMORY_OPS[key]
+        store = action == "store"
         run = self.run
-        if key == "LDG" or key == "STG":
+        if space == "global":
+            words = word_indices(addrs, run.gmem_bytes, space)
             data = run.gdata
-            if np.count_nonzero((words < 0) | (words >= data.size)):
-                raise _Fallback(ERROR)
             run.glog.access(words, cta + self.first_cta,
                             warp + self.first_cta * self.warps_per_cta,
                             epoch, store)
         else:
-            if np.count_nonzero((words < 0) | (words >= self.smem_words)
-                                | ((words << 2) >= run.kernel.smem_bytes)):
-                raise _Fallback(ERROR)
-            words = words + cta * self.smem_words
+            words = (word_indices(addrs, run.kernel.smem_bytes, space)
+                     + cta * self.smem_words)
             data = self.sdata
             self.slog.access(words, cta, warp, epoch, store)
         if store:
-            if key == "STG":
+            if space == "global":
                 run.undo.append((words, data[words]))
             data[words] = self._read(instr.srcs[1], t, n)
         else:
             self.regs[instr.dst.idx][t] = data[words]
         k = ws.size
-        if data is self.sdata:
+        if space == "shared":
             costs = _bank_passes(addrs, lanes, k, run.banks)
             self.mem_lines.append(np.zeros(k, np.int64))
         else:
@@ -777,18 +674,15 @@ class _Run:
         self.grid = grid
         self.params = params
         self.limit = limit
-        self.warp_size = cfg.warp_size
         self.line_bytes = cfg.line_bytes
         self.banks = cfg.shared_mem_banks
         # The sanitizer's per-issue check reads every access's lane
         # addresses; timing needs only the coalesced lines and bank passes.
         self.keep_addresses = cfg.sanitize
         self.gdata = gmem.data
+        self.gmem_bytes = gmem.size_bytes
         self.total_ctas = grid[0] * grid[1] * grid[2]
-        self.warps_per_cta = kernel.warps_per_cta(cfg.warp_size)
-        self.sreg_kinds = tuple(dict.fromkeys(
-            op.kind for instr in kernel.instrs for op in instr.srcs
-            if isinstance(op, SReg)))
+        self.warps_per_cta = kernel.warps_per_cta()
         # Pcs a branch reconverges at: the only pcs a fall-through can pop at.
         self.reconv = frozenset(instr.reconv_pc for instr in kernel.instrs
                                 if instr.reconv_pc is not None)

@@ -136,7 +136,7 @@ class Sanitizer:
                 kernel = cta.kernel
                 threads = kernel.threads_per_cta
                 footprint = (kernel.regs_per_thread * threads, kernel.smem_bytes,
-                             kernel.warps_per_cta(cfg.warp_size), threads)
+                             kernel.warps_per_cta(), threads)
             expected_regs += footprint[0]
             expected_smem += footprint[1]
             expected_warps += footprint[2]

@@ -89,12 +89,12 @@ class Warp:
         "stream",
     )
 
-    def __init__(self, cta, local_wid: int, regs_per_thread: int, live_lanes: int, warp_size: int,
+    def __init__(self, cta, local_wid: int, regs_per_thread: int, live_lanes: int,
                  stream=None):
         self.cta = cta
         self.local_wid = local_wid
         # Lanes beyond the CTA's thread count never exist.
-        self.live_mask = (1 << live_lanes) - 1 if live_lanes < warp_size else FULL_MASK
+        self.live_mask = (1 << live_lanes) - 1
         # A warp replaying a pre-pass stream (see repro.sim.prepass) was
         # executed before the launch: it keeps no registers of its own.
         self.stream = stream

@@ -39,8 +39,8 @@ def test_swap_cycles_scale_with_warps():
 
 
 @pytest.mark.parametrize("overrides,fragment", [
-    (dict(warp_size=0), "warp_size"),
-    (dict(warp_size=64), "warp_size"),
+    (dict(max_pending_latency=0), "max_pending_latency"),
+    (dict(engine="bogus"), "engine"),
     (dict(num_sms=0), "SM"),
     (dict(max_ctas_per_sm=0), "scheduling"),
     (dict(line_bytes=100), "line size"),

@@ -9,16 +9,19 @@ from repro.sim.config import GPUConfig
 from repro.sim.cta import CTA, CTAState
 
 
-def make_kernel(threads=64, regs=8, smem=128, dims=None):
+def make_kernel(threads=64, regs=8, smem=128, dims=None, reads=()):
+    """A kernel that reads the special registers ``reads`` and exits."""
     cta_dim = dims or (threads, 1, 1)
     b = KernelBuilder("k", regs_per_thread=regs, smem_bytes=smem, cta_dim=cta_dim)
+    for kind in reads:
+        b.s2r(0, kind.value)
     b.exit()
     return b.build()
 
 
-def make_cta(kernel=None, cta_id=3, ctaid=(3, 0, 0), grid=(8, 1, 1), params=(100.0, 200.0)):
-    kernel = kernel or make_kernel()
-    return CTA(cta_id, ctaid, kernel, grid, params, GPUConfig(), start_cycle=0)
+def make_cta(kernel=None, cta_id=3, grid=(8, 1, 1), params=(100.0, 200.0)):
+    kernel = kernel or make_kernel(reads=tuple(SpecialReg))
+    return CTA(cta_id, kernel, grid, params, GPUConfig(), start_cycle=0)
 
 
 def test_warp_partitioning():
@@ -45,22 +48,33 @@ def test_special_registers_1d():
 
 
 def test_uniform_special_registers_are_shared_read_only():
-    """CTAID/NTID/NCTAID/PARAM rows are built once per CTA and shared by
-    its warps, so a write through one must raise rather than leak into
-    the other warps; per-warp ids stay private."""
+    """A CTA builds its special registers once, read-only: each warp's
+    rows are slices of the CTA's, so a write through one raises rather
+    than leaking into another warp."""
     cta = make_cta()
     w0, w1 = cta.warps[0], cta.warps[1]
-    for kind in (SpecialReg.CTAID_X, SpecialReg.NTID_Y, SpecialReg.NCTAID_Z,
-                 SpecialReg.PARAM0, SpecialReg.PARAM7):
-        assert w0.sregs[kind] is w1.sregs[kind]
+    for kind in SpecialReg:
+        assert w0.sregs[kind].base is w1.sregs[kind].base
         with pytest.raises(ValueError):
             w1.sregs[kind][0] = 5.0
-    for kind in (SpecialReg.TID_X, SpecialReg.LANEID, SpecialReg.WARPID):
-        assert w0.sregs[kind] is not w1.sregs[kind]
+
+
+def test_only_the_special_registers_the_kernel_reads_are_built():
+    cta = make_cta(make_kernel(reads=(SpecialReg.TID_X, SpecialReg.PARAM1)))
+    assert set(cta.warps[0].sregs) == {SpecialReg.TID_X, SpecialReg.PARAM1}
+    assert cta.warps[1].sregs[SpecialReg.PARAM1][0] == 200.0
+
+
+def test_ctaid_follows_the_linear_cta_id():
+    cta = make_cta(make_kernel(reads=tuple(SpecialReg)), cta_id=29,
+                   grid=(4, 3, 5))
+    sregs = cta.warps[1].sregs
+    assert [sregs[k][7] for k in (SpecialReg.CTAID_X, SpecialReg.CTAID_Y,
+                                  SpecialReg.CTAID_Z)] == [1, 1, 2]
 
 
 def test_special_registers_2d():
-    cta = make_cta(make_kernel(dims=(16, 16, 1)))
+    cta = make_cta(make_kernel(dims=(16, 16, 1), reads=tuple(SpecialReg)))
     w0 = cta.warps[0]
     # Lane 17 = linear tid 17 -> (x=1, y=1).
     assert w0.sregs[SpecialReg.TID_X][17] == 1
@@ -114,7 +128,7 @@ def test_finished_property():
 
 def test_schedulable_now_respects_launch_latency():
     kernel = make_kernel()
-    cta = CTA(0, (0, 0, 0), kernel, (1, 1, 1), (), GPUConfig(), start_cycle=20)
+    cta = CTA(0, kernel, (1, 1, 1), (), GPUConfig(), start_cycle=20)
     assert not cta.schedulable_now(10)
     assert cta.schedulable_now(20)
     cta.state = CTAState.INACTIVE

@@ -23,7 +23,7 @@ def test_ffma_with_immediate_middle_operand():
     FFMA r2, r0, #0.5, r1
     EXIT
 """)
-    cta = CTA(0, (0, 0, 0), kernel, (1, 1, 1), (), scaled_fermi(1), 0)
+    cta = CTA(0, kernel, (1, 1, 1), (), scaled_fermi(1), 0)
     warp = cta.warps[0]
     gmem = GlobalMemory(256)
     while not warp.finished:
@@ -47,7 +47,7 @@ def test_negative_memref_offset_executes():
 """)
     gmem = GlobalMemory(256)
     gmem.data[1] = 7.0
-    cta = CTA(0, (0, 0, 0), kernel, (1, 1, 1), (), scaled_fermi(1), 0)
+    cta = CTA(0, kernel, (1, 1, 1), (), scaled_fermi(1), 0)
     warp = cta.warps[0]
     while not warp.finished:
         functional_step(warp, kernel.instrs[warp.pc], gmem)
@@ -76,7 +76,7 @@ def test_params_visible_through_s2r():
 
 def test_barrier_release_without_waiters_is_noop():
     kernel = assemble(".kernel f\n.regs 2\n.cta 64\nEXIT")
-    cta = CTA(0, (0, 0, 0), kernel, (1, 1, 1), (), scaled_fermi(1), 0)
+    cta = CTA(0, kernel, (1, 1, 1), (), scaled_fermi(1), 0)
     assert not cta.check_barrier_release(now=0)
 
 

@@ -19,7 +19,7 @@ class _FakeCTA:
 
 def make_warp(regs=16, smem_bytes=256):
     cta = _FakeCTA(smem_bytes)
-    warp = Warp(cta, 0, regs, 32, 32)
+    warp = Warp(cta, 0, regs, 32)
     warp.sregs = {SpecialReg.TID_X: np.arange(32, dtype=np.float64)}
     return warp
 
@@ -150,8 +150,10 @@ def test_global_load_store():
     set_reg(warp, 2, 7)
     warp.regs[3][:] = (np.arange(32) + 100) * 4
     result = run(warp, Instruction(op=Op.STG, srcs=(MemRef(Reg(3)), Reg(2))), gmem)
-    assert result.is_store
+    assert result.mem_space == "global"
+    assert list(result.addresses) == list((np.arange(32) + 100) * 4)
     assert (gmem.data[100:132] == 7).all()
+    assert warp.pc == 2
 
 
 def test_memref_offset_applies():
@@ -180,7 +182,8 @@ def test_atomic_add_intra_warp_serializes():
     set_reg(warp, 1, 0)  # all lanes hit the same address
     set_reg(warp, 2, 1)
     result = run(warp, Instruction(op=Op.ATOMG_ADD, dst=Reg(0), srcs=(MemRef(Reg(1)), Reg(2))), gmem)
-    assert result.is_atomic
+    assert result.mem_space == "global"
+    assert list(result.addresses) == [0] * 32
     assert gmem.data[0] == 32
     assert sorted(warp.regs[0]) == list(range(32))  # each lane saw a distinct old value
 
@@ -225,12 +228,18 @@ def test_divergent_branch_without_reconv_is_error():
 
 
 def test_exit_and_barrier_flags():
+    """BAR moves the warp past it with every lane active (the SM, not the
+    executor, parks it at the barrier); EXIT retires every active lane."""
     warp = make_warp()
     result = run(warp, Instruction(op=Op.BAR))
-    assert result.did_barrier
+    assert result.lanes == 32
+    assert (warp.pc, warp.active_mask(), warp.finished) == (1, FULL_MASK, False)
+    assert not warp.at_barrier
     result = run(warp, Instruction(op=Op.EXIT))
-    assert result.did_exit
+    assert result.lanes == 32
     assert warp.finished
+    assert warp.exited == FULL_MASK
+    assert warp.pc is None
 
 
 def test_predicated_exit_rejected():

@@ -217,18 +217,31 @@ def test_shared_memory_race_forces_fallback():
     assert fast.gmem.data.tobytes() == ref.gmem.data.tobytes()
 
 
-def test_duplicated_threads_are_caught_as_races():
-    """With 16-lane warps every warp still runs 32 lanes (a full warp's
-    live mask is FULL_MASK) numbered ``32 w + l``, so the threads of
-    ``vecadd``'s CTAs repeat each other's ids and store to the same words:
-    real races, which the pre-pass must refuse."""
-    bench = get("vecadd")
-    runs = []
+# Lane ``l`` of both warps stores global word ``l``, with no barrier
+# between: the word's final value depends on which warp issues last.
+GLOBAL_RACE_ASM = """
+.kernel gmemrace
+.regs 4
+.cta 64
+    S2R   r0, %tid_x
+    S2R   r1, %param0
+    AND   r2, r0, #31
+    SHL   r2, r2, #2
+    IADD  r1, r1, r2
+    STG   [r1], r0
+    EXIT
+"""
+
+
+def test_global_memory_race_forces_fallback():
+    kernel = assemble(GLOBAL_RACE_ASM)
+    results = []
     for fast_forward in (False, True):
-        prep = bench.prepare(0.125)
-        runs.append(_launch(bench.kernel, prep.grid_dim, prep.gmem,
-                            prep.params, fast_forward, warp_size=16))
-    ref, fast = runs
+        memory = GlobalMemory(1 << 16)
+        memory.alloc("a", 32)
+        results.append(_launch(kernel, 1, memory, (memory.base("a"),),
+                               fast_forward))
+    ref, fast = results
     assert fast.fallback == prepass.RACE
     assert fast.stats.to_dict() == ref.stats.to_dict()
     assert fast.gmem.data.tobytes() == ref.gmem.data.tobytes()

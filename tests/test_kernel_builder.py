@@ -125,8 +125,8 @@ def test_threads_and_warps():
     b.exit()
     k = b.build()
     assert k.threads_per_cta == 256
-    assert k.warps_per_cta(32) == 8
+    assert k.warps_per_cta() == 8
     # Partial warps round up.
     b2 = KernelBuilder("k2", regs_per_thread=4, cta_dim=(40, 1, 1))
     b2.exit()
-    assert b2.build().warps_per_cta(32) == 2
+    assert b2.build().warps_per_cta() == 2

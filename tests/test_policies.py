@@ -22,7 +22,7 @@ def make_cta(num_warps=4, cta_id=0):
     b = KernelBuilder("k", regs_per_thread=8, cta_dim=(num_warps * 32, 1, 1))
     b.exit()
     kernel = b.build()
-    return CTA(cta_id, (0, 0, 0), kernel, (1, 1, 1), (), GPUConfig(), 0)
+    return CTA(cta_id, kernel, (1, 1, 1), (), GPUConfig(), 0)
 
 
 def by_wid(statuses):

@@ -75,7 +75,7 @@ def reference_exec(choices):
 
 def simt_exec(kernel):
     cfg = GPUConfig()
-    cta = CTA(0, (0, 0, 0), kernel, (1, 1, 1), (), cfg, 0)
+    cta = CTA(0, kernel, (1, 1, 1), (), cfg, 0)
     warp = cta.warps[0]
     gmem = GlobalMemory(4096)
     steps = 0
@@ -127,7 +127,7 @@ _transitions = st.lists(
 def test_stored_pc_and_finished_follow_every_transition(live_lanes, ops):
     """Random advance/branch/diverge/exit sequences straight on the stack,
     including reconvergence pops and exits that pop to the other side."""
-    warp = Warp(None, 0, 4, live_lanes, 32)
+    warp = Warp(None, 0, 4, live_lanes)
     assert_stored_state_matches_stack(warp)
     for kind, target, draw, reconv in ops:
         if warp.finished:

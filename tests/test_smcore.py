@@ -230,7 +230,7 @@ def test_first_evaluated_label_survives_inline_status_reads():
 """)
     cfg = scaled_fermi(num_sms=1, arch="vt")
     sm = SMCore(0, cfg, MemoryModel(cfg), VirtualThreadManager)
-    cta = CTA(0, (0, 0, 0), kernel, (1, 1, 1), (), cfg, start_cycle=0)
+    cta = CTA(0, kernel, (1, 1, 1), (), cfg, start_cycle=0)
     sm.assign_cta(cta, 0)
     warp = cta.warps[0]
     warp.scoreboard.set_pending(2, 105, False)

@@ -21,7 +21,7 @@ def make_manager(cfg=None):
 
 
 def make_cta(kernel, cta_id=0):
-    return CTA(cta_id, (cta_id, 0, 0), kernel, (64, 1, 1), (), GPUConfig(), 0)
+    return CTA(cta_id, kernel, (64, 1, 1), (), GPUConfig(), 0)
 
 
 def fill(manager, kernel):

@@ -12,7 +12,7 @@ class _FakeCTA:
 
 
 def make_warp(live_lanes=32, regs=8):
-    return Warp(_FakeCTA(), local_wid=0, regs_per_thread=regs, live_lanes=live_lanes, warp_size=32)
+    return Warp(_FakeCTA(), local_wid=0, regs_per_thread=regs, live_lanes=live_lanes)
 
 
 def test_mask_array_roundtrip_examples():
